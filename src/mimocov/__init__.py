@@ -16,7 +16,6 @@ from .errors import (
     NumericalError,
     RootNotFoundError,
     SingularityError,
-    StatisticalError,
     UnsupportedConfigError,
     ValidationError,
 )
@@ -61,7 +60,7 @@ from .insights import (
     improvement_sequence,
     outage_decay_check,
 )
-from .montecarlo import SimConfig, auto_window, simulate, simulate_adhoc, simulate_cellular
+from .montecarlo import SimConfig, auto_window, simulate
 
 __version__ = "0.1.0"
 
@@ -90,7 +89,6 @@ __all__ = [
     "SignalGainSpec",
     "SimConfig",
     "SingularityError",
-    "StatisticalError",
     "UnsupportedConfigError",
     "ValidationError",
     "adhoc_coverage",
@@ -113,7 +111,5 @@ __all__ = [
     "outage_decay_check",
     "parse_config",
     "simulate",
-    "simulate_adhoc",
-    "simulate_cellular",
     "validate",
 ]

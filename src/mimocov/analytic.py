@@ -4,8 +4,9 @@ The SIR (or SINR, in the ad hoc case) distribution with a Gamma(M, theta)
 signal gain reduces to the first M coefficients of a single power series:
 
 * cellular: the reciprocal of a series C(z) whose entries carry Gauss
-  hypergeometric factors; coverage is the sum of the first M coefficients
-  of 1/C(z) and does not depend on the transmitter density,
+  hypergeometric factors (evaluated as incomplete beta functions); coverage
+  is the sum of the first M coefficients of 1/C(z) and does not depend on
+  the transmitter density,
 * ad hoc: the exponential of a series A(z) with elementary entries built
   from one interference functional mu; coverage is the sum of the first M
   coefficients of exp(A(z)).
@@ -22,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
+from scipy import special as sp
 
 from . import specfun
 from .errors import NumericalError, UnsupportedConfigError, ValidationError
@@ -94,26 +96,35 @@ def _check_order(order: int) -> int:
 def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
     """Entries for a cellular scenario with Gamma(kappa, beta) interferer gains.
 
-    Entry n carries the prefactor Gamma(kappa+n)/(Gamma(kappa) n!) times
-    delta/(delta-n) times x^n with x = tau*beta/theta, and a Gauss
-    hypergeometric factor 2F1(n+kappa, n-delta; n+1-delta; -x).  The
-    prefactor is accumulated in log space so large orders neither overflow
-    nor underflow.
+    Entry n is Gamma(kappa+n)/(Gamma(kappa) n!) * delta/(delta-n) * x^n
+    * 2F1(n+kappa, n-delta; n+1-delta; -x) with x = tau*beta/theta.  The
+    Pfaff transformation followed by 2F1(b, 1-q; b+1; w) = b w^-b B_w(b, q)
+    (DLMF 15.8.1 and 8.17.8), plus for n = 0 one step of the recurrence in
+    b, turns the entries into regularized incomplete beta functions I_w with
+    w = x/(1+x) and q = kappa+delta:
+
+        c_0 = (1+x)^-kappa + s I_w(1-delta, q),
+        c_n = s f_n I_w(n-delta, q),   n >= 1,
+
+    where s = x^delta Gamma(1-delta) Gamma(q)/Gamma(kappa) and
+    f_n = prod_{k=1}^{n} (k-1-delta)/k = -delta Gamma(n-delta)/(Gamma(1-delta) n!),
+    the same coefficients the ad hoc entries use.  All beta parameters are
+    positive, so the vector is one evaluation that stays finite at any
+    threshold.
     """
     order = _check_order(order)
-    sc = bundle.scenario
     kappa, beta = bundle.interferer.kappa, bundle.interferer.beta
     delta = bundle.delta
-    x = sc.threshold * beta / bundle.signal.scale
+    q = kappa + delta
+    x = bundle.scenario.threshold * beta / bundle.signal.scale
+    w = x / (1.0 + x)
+    s = math.exp(delta * math.log(x) + math.lgamma(1.0 - delta)
+                 + math.lgamma(q) - math.lgamma(kappa))
 
+    n = np.arange(1.0, order)
     vals = np.empty(order, dtype=np.float64)
-    log_pref = 0.0  # ln of Gamma(kappa+n) / (Gamma(kappa) n!) * x^n
-    for n in range(order):
-        if n > 0:
-            log_pref += math.log((kappa + n - 1.0) / n) + math.log(x)
-        sign, log_f = specfun._hyp2f1_sign_log(n + kappa, n - delta, n + 1.0 - delta, -x)
-        ratio = delta / (delta - n) if n else 1.0
-        vals[n] = ratio * sign * math.exp(log_pref + log_f)
+    vals[0] = (1.0 + x) ** -kappa + s * sp.betainc(1.0 - delta, q, w)
+    vals[1:] = s * np.cumprod((n - 1.0 - delta) / n) * sp.betainc(n - delta, q, w)
     return EntrySequence(values=vals, flavor=CELLULAR)
 
 
@@ -218,10 +229,6 @@ def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
 # ---------------------------------------------------------------------------
 # coverage
 
-def _sum_head(coeffs: np.ndarray, m: int) -> float:
-    return coeff_sum(coeffs[:m])
-
-
 def _toeplitz_reciprocal(c: np.ndarray) -> np.ndarray:
     """Reciprocal coefficients via a lower-triangular Toeplitz solve.
 
@@ -254,7 +261,7 @@ def cellular_coverage(bundle: ScenarioBundle, path: str = METHOD_RECURSION) -> C
         recips = series_reciprocal(entries.values)
     else:
         recips = _toeplitz_reciprocal(entries.values)
-    return CoverageEstimate(value=_sum_head(recips, m), method=path)
+    return CoverageEstimate(value=coeff_sum(recips), method=path)
 
 
 def adhoc_coverage(bundle: ScenarioBundle, path: str = METHOD_RECURSION) -> CoverageEstimate:
@@ -269,7 +276,7 @@ def adhoc_coverage(bundle: ScenarioBundle, path: str = METHOD_RECURSION) -> Cove
         probs = series_exp(entries.values)
     else:
         probs = toeplitz_exp_nilpotent(entries.values)
-    return CoverageEstimate(value=_sum_head(probs, m), method=path)
+    return CoverageEstimate(value=coeff_sum(probs), method=path)
 
 
 def coverage(bundle: ScenarioBundle, path: str = METHOD_RECURSION) -> CoverageEstimate:

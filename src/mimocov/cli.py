@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import analytic, insights, model, montecarlo
-from .errors import MimocovError, NumericalError, StatisticalError, ValidationError
+from .errors import MimocovError, NumericalError, ValidationError
 
 _BASE_HEADER = ["kind", "tau_db", "lambda", "alpha", "r0", "noise", "M",
                 "theta", "kappa", "beta"]
@@ -325,9 +325,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         header, rows, code = _COMMANDS[args.command](args)
-    except StatisticalError as exc:
-        print(f"statistical error: {exc}", file=sys.stderr)
-        return 4
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

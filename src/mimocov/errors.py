@@ -36,7 +36,3 @@ class CoverageRangeError(NumericalError):
 
 class RootNotFoundError(NumericalError):
     """Bracketing failed to produce a sign change for a root search."""
-
-
-class StatisticalError(MimocovError, RuntimeError):
-    """A Monte Carlo validation bound was violated."""

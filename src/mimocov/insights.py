@@ -146,6 +146,10 @@ def outage_decay_check(bundle: ScenarioBundle, order: int = 120) -> DecayDiagnos
 
 _W_GRID = [j / 16.0 for j in range(1, 16)] + [1.0 - 2.0**-i for i in range(5, 12)]
 
+# Below this kappa the root equation is evaluated on w > 1/2 through its
+# connection formula at 1 - w; its rounding error grows like 1e-16 / (1 - kappa).
+_CONNECTION_KAPPA_MAX = 1.0 - 1e-3
+
 
 def _rc_gamma(bundle: ScenarioBundle) -> float:
     # The generating function of the improvements has its first singularity
@@ -156,7 +160,23 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     delta = bundle.delta
     scale = bundle.signal.scale / (sc.threshold * bundle.interferer.beta)
 
+    # The defining series of 2F1(kappa, -delta; 1 - delta; w) needs about
+    # 37 / (1 - w) terms, which near the endpoint of _W_GRID is 75 000 per
+    # call.  For kappa < 1, the connection formula at 1 - w (DLMF 15.8.4,
+    # A&S 15.3.6) gives
+    #   2F1 = G(1-d) G(1-k) / G(1-d-k) w^d
+    #         + d / (1-k) (1-w)^(1-k) 2F1(1-d-k, 1; 2-k; 1-w),
+    # whose series needs at most about 55 terms on w > 1/2.
+    connected = kappa < _CONNECTION_KAPPA_MAX
+    if connected:
+        a = 1.0 - delta - kappa
+        head = 0.0 if a == 0.0 else math.gamma(1.0 - delta) * math.gamma(1.0 - kappa) / math.gamma(a)
+
     def lhs(w: float) -> float:
+        if connected and w > 0.5:
+            v = 1.0 - w
+            tail = specfun.hyp2f1(a, 1.0, 2.0 - kappa, v)
+            return head * w**delta + delta / (1.0 - kappa) * v ** (1.0 - kappa) * tail
         return specfun.hyp2f1(kappa, -delta, 1.0 - delta, w)
 
     lo, f_lo = 0.0, 1.0
@@ -164,7 +184,7 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     for w in _W_GRID:
         val = lhs(w)
         if val <= 0.0:
-            hi = w
+            hi, f_hi = w, val
             break
         lo, f_lo = w, val
     if hi is None:
@@ -173,14 +193,28 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
             "stays positive (this happens for kappa below 1 - delta, and for "
             "roots within 5e-4 of the singular endpoint)"
         )
+    # Illinois false position needs about 10 evaluations where bisection
+    # needs about 45.  The endpoint that stays put twice in a row has its value
+    # halved, so both ends converge on the (simple) root; each step lands at
+    # least a quarter of the final width inside the bracket, so that once
+    # one end sits on the root the next step closes the bracket.
+    moved = 0  # -1 after lo moved, +1 after hi moved
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 * hi:
             break
-        if lhs(mid) > 0.0:
-            lo = mid
+        step = 2.5e-16 * hi
+        w = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + step), hi - step)
+        val = lhs(w)
+        if val > 0.0:
+            lo, f_lo = w, val
+            if moved < 0:
+                f_hi *= 0.5
+            moved = -1
         else:
-            hi = mid
+            hi, f_hi = w, val
+            if moved > 0:
+                f_lo *= 0.5
+            moved = 1
     return 1.0 + 0.5 * (lo + hi) * scale
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .model import ADHOC, CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle
+from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle
 
 _POINTS_PER_CHUNK = 8_000_000
 _MAX_REDRAW_ROUNDS = 200
@@ -100,7 +100,8 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _run(bundle: ScenarioBundle, config: SimConfig) -> CoverageEstimate:
+def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
+    """Estimate coverage by simulation, for either scenario kind."""
     sc = bundle.scenario
     radius = config.window_radius if config.window_radius is not None else auto_window(bundle)
     mean_points = sc.lam * math.pi * radius * radius
@@ -193,22 +194,3 @@ def _run(bundle: ScenarioBundle, config: SimConfig) -> CoverageEstimate:
         ci_halfwidth=halfwidth,
         trials=config.trials,
     )
-
-
-def simulate_cellular(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
-    if bundle.scenario.kind != CELLULAR:
-        raise ValidationError("simulate_cellular needs a cellular scenario")
-    return _run(bundle, config)
-
-
-def simulate_adhoc(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
-    if bundle.scenario.kind != ADHOC:
-        raise ValidationError("simulate_adhoc needs an ad hoc scenario")
-    return _run(bundle, config)
-
-
-def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
-    """Estimate coverage by simulation; dispatches on the scenario kind."""
-    if bundle.scenario.kind == CELLULAR:
-        return simulate_cellular(bundle, config)
-    return simulate_adhoc(bundle, config)

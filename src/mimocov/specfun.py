@@ -3,8 +3,9 @@
 Everything in this module is a pure function of plain Python numbers.  The
 hypergeometric evaluators are tuned for the argument shapes that coverage
 computations produce: 1F1(a; b; z) with b - a = 1 and z of either sign, and
-2F1(a, b; c; z) with z < 0 (interference entries) or 0 <= z < 1 (decay-rate
-root finding).  Series are summed with a relative term cutoff and a hard
+2F1(a, b; c; z) with 0 <= z < 1 (decay-rate root finding).  The cellular
+interference entries do not call 2F1: they use its incomplete-beta form in
+``analytic``.  Series are summed with a relative term cutoff and a hard
 iteration cap; hitting the cap raises instead of returning a truncated sum.
 """
 
@@ -25,7 +26,6 @@ _TERM_RTOL = 1e-16
 _KUMMER_SERIES_LIMIT = 600.0
 
 _STIRLING_MAX = 64
-_FALLING_MAX = 512
 
 
 def _check_finite(**kwargs: float) -> None:
@@ -121,57 +121,25 @@ def _hyp1f1_large_negative(a: float, b: float, x: float) -> float:
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1.
+    """Gauss hypergeometric function 2F1(a, b; c; z) for 0 <= z < 1.
 
-    Arguments in [0, 1) use the defining series.  Negative arguments are
-    always mapped through the Pfaff transformation w = z / (z - 1), which
-    keeps w inside (0, 1) and, for the entry-shaped parameters (where
-    c - b = 1), produces an all-positive series immune to the cancellation
-    that wrecks the direct series at large a.
+    Sums the defining series.  Negative arguments raise ``DomainError``:
+    the entry-shaped 2F1(n+kappa, n-delta; n+1-delta; -x) is evaluated in
+    ``analytic.cellular_entries_gamma`` through incomplete beta functions.
     """
-    sign, log_abs = _hyp2f1_sign_log(a, b, c, z)
-    if log_abs == -math.inf:
-        return 0.0
-    return sign * math.exp(log_abs)
-
-
-def _hyp2f1_sign_log(a: float, b: float, c: float, z: float) -> tuple[float, float]:
-    """(sign, log|2F1|), so callers can fold huge prefactors in log space."""
     _check_finite(a=a, b=b, c=c, z=z)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"2F1 undefined for non-positive integer c = {c}")
-    if z == 0.0 or a == 0.0 or b == 0.0:
-        return 1.0, 0.0
+    if z < 0.0:
+        raise DomainError(f"2F1 is evaluated on 0 <= z < 1 only, got z = {z}")
     if z >= 1.0:
         raise NumericalError(f"2F1(a={a}, b={b}, c={c}, z={z}): argument must lie left of the z = 1 singularity")
-    context = f"2F1(a={a}, b={b}, c={c}, z={z})"
-    if z > 0.0:
-        value = _sum_by_ratio(
-            lambda k: (a + k) * (b + k) * z / ((c + k) * (k + 1.0)),
-            context,
-        )
-        return _sign_log(value)
-    w = z / (z - 1.0)
-    # Pfaff transformation; prefer the slot whose transformed series has
-    # non-negative parameters (no sign flips, no cancellation).
-    if c - b > 0.0 or c - a <= 0.0:
-        p, q, log_pref = a, c - b, -a * math.log1p(-z)
-    else:
-        p, q, log_pref = b, c - a, -b * math.log1p(-z)
-    value = _sum_by_ratio(
-        lambda k: (p + k) * (q + k) * w / ((c + k) * (k + 1.0)),
-        context + " (Pfaff)",
+    if z == 0.0 or a == 0.0 or b == 0.0:
+        return 1.0
+    return _sum_by_ratio(
+        lambda k: (a + k) * (b + k) * z / ((c + k) * (k + 1.0)),
+        f"2F1(a={a}, b={b}, c={c}, z={z})",
     )
-    sign, log_abs = _sign_log(value)
-    return sign, log_abs + log_pref
-
-
-def _sign_log(value: float) -> tuple[float, float]:
-    if value == 0.0:
-        return 1.0, -math.inf
-    if value > 0.0:
-        return 1.0, math.log(value)
-    return -1.0, math.log(-value)
 
 
 def bessel_k_half(n: int, x: float) -> float:
@@ -255,19 +223,6 @@ def touchard(k: int, x: float) -> float:
         raise DomainError(f"touchard order {k} exceeds the guard {_STIRLING_MAX}")
     _check_finite(x=x)
     return float(_touchard_exact(k, Fraction(x)))
-
-
-def falling_factorial(x: float, n: int) -> float:
-    """Falling factorial x (x-1) (x-2) ... (x-n+1); equals 1 for n = 0."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"falling_factorial order must be a non-negative integer, got {n!r}")
-    if n > _FALLING_MAX:
-        raise DomainError(f"falling_factorial order {n} exceeds the guard {_FALLING_MAX}")
-    _check_finite(x=x)
-    out = 1.0
-    for j in range(n):
-        out *= x - j
-    return out
 
 
 def ln_gamma(x: float) -> float:

@@ -95,6 +95,37 @@ class TestCellular:
         assert ent.values[0] > 0.0
         assert np.all(ent.values[1:] < 0.0)
 
+    @pytest.mark.parametrize("x", [1e3, 1e6])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_entries_at_high_threshold(self, cellular_bundle, x, kappa, alpha):
+        # entry n against scipy's 2F1 with the prefactor folded in log space.
+        # Near underflow scipy's 2F1 loses digits (at x = 1e6, n = 50 it is
+        # off by 2e-6 against a 60-digit reference), so those points are skipped.
+        m = 64
+        delta = 2.0 / alpha
+        ours = cellular_entries(cellular_bundle(m=m, tau=x, alpha=alpha, kappa=kappa), m).values
+        checked = 0
+        for n in range(m):
+            f = float(sps.hyp2f1(n + kappa, n - delta, n + 1 - delta, -x))
+            if abs(f) < 1e-280:
+                continue
+            log_pref = (math.lgamma(kappa + n) - math.lgamma(kappa) - math.lgamma(n + 1.0)
+                        + n * math.log(x) + math.log(abs(f)))
+            ratio = delta / (delta - n) if n else 1.0
+            assert ours[n] == pytest.approx(ratio * math.copysign(math.exp(log_pref), f), rel=1e-11)
+            checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("tau_db", [40.0, 50.0, 60.0])
+    @pytest.mark.parametrize("m", [1, 16, 512])
+    def test_high_threshold_coverage_in_range(self, cellular_bundle, tau_db, m):
+        for alpha in (2.5, 4.0):
+            for kappa in (0.5, 1.0, 4.0):
+                bundle = cellular_bundle(m=m, tau=10.0 ** (tau_db / 10.0), alpha=alpha, kappa=kappa)
+                value = coverage(bundle).value
+                assert math.isfinite(value) and 0.0 <= value <= 1.0
+
     def test_kind_guard(self, adhoc_bundle):
         with pytest.raises(ValidationError, match="cellular"):
             cellular_coverage(adhoc_bundle())

@@ -16,6 +16,7 @@ from mimocov import (
     improvement_sequence,
     outage_decay_check,
 )
+from mimocov import specfun
 from mimocov.errors import (
     DomainError,
     RootNotFoundError,
@@ -177,6 +178,51 @@ class TestDecayRateGamma:
         # kappa below 1 - delta leaves the equation positive on (0, 1)
         with pytest.raises(RootNotFoundError, match="stays positive"):
             cellular_decay_rate(cellular_bundle(kappa=0.3, alpha=4.0))
+
+    @pytest.mark.parametrize(
+        "kappa, alpha",
+        [(0.54, 4.0), (0.55, 4.3), (0.6, 4.3), (0.7, 5.9), (0.7, 6.0), (0.8, 8.0)],
+    )
+    def test_roots_near_the_singular_endpoint(self, cellular_bundle, kappa, alpha):
+        # kappa just above 1 - delta puts the root within 0.02 of w = 1, where
+        # the defining series needs thousands of terms per call; at (0.8, 8)
+        # the root lies past 1 - 2^-10 and the series used to hit its cap
+        expected = _rc_reference(kappa, 2.0 / alpha, 1.0, 1.0, 1.0)
+        assert expected > 1.98
+        rate = cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=alpha))
+        assert rate == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kappa, alpha",
+        [(0.54, 4.0), (0.55, 4.3), (0.7, 6.0), (0.8, 8.0), (0.5001, 4.0), (0.3, 4.0),
+         (1.0, 6.0), (2.5, 3.0)],
+    )
+    def test_bounded_work_wherever_the_root_lies(self, cellular_bundle, monkeypatch,
+                                                 kappa, alpha):
+        # below kappa = 1 every series is summed at z <= 1/2, so it stops
+        # within about 55 terms, and the root takes few evaluations
+        seen = []
+        real = specfun.hyp2f1
+
+        def spy(a, b, c, z):
+            seen.append(z)
+            return real(a, b, c, z)
+
+        monkeypatch.setattr(specfun, "hyp2f1", spy)
+        try:
+            cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=alpha))
+        except RootNotFoundError:
+            pass
+        assert len(seen) <= 32
+        if kappa < 1.0:
+            assert max(seen) <= 0.5
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.5001])
+    def test_no_root_at_or_just_past_the_boundary(self, cellular_bundle, kappa):
+        # at kappa = 1 - delta the root sits at w = 1; 1e-4 above it, within
+        # 1e-6 of w = 1, past the last point of the admissible range
+        with pytest.raises(RootNotFoundError, match="stays positive"):
+            cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=4.0))
 
     def test_rejects_adhoc(self, adhoc_bundle):
         with pytest.raises(ValidationError, match="cellular"):

@@ -10,8 +10,6 @@ from mimocov.montecarlo import (
     _interferer_draw,
     auto_window,
     simulate,
-    simulate_adhoc,
-    simulate_cellular,
 )
 
 
@@ -160,9 +158,3 @@ class TestEdgeCases:
         config = SimConfig(trials=1000, seed=0, window_radius=5.0, batches=2)
         with pytest.raises(ConfigurationError, match="enlarge window_radius"):
             simulate(cellular_bundle(), config)
-
-    def test_kind_dispatch_guards(self, cellular_bundle, adhoc_bundle):
-        with pytest.raises(ValidationError, match="cellular"):
-            simulate_cellular(adhoc_bundle())
-        with pytest.raises(ValidationError, match="ad hoc"):
-            simulate_adhoc(cellular_bundle())

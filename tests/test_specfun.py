@@ -10,10 +10,9 @@ import pytest
 import scipy.special as sps
 from scipy import integrate
 
-from mimocov import DomainError, NumericalError
+from mimocov import DomainError, NumericalError, cellular_entries
 from mimocov.specfun import (
     bessel_k_half,
-    falling_factorial,
     hyp1f1,
     hyp2f1,
     ln_gamma,
@@ -72,25 +71,50 @@ class TestHyp1f1:
             hyp1f1(5.0, 5.5, 800.0)
 
 
+def _entry_hyp2f1(cellular_bundle, a, b, c, z):
+    """2F1(a, b; c; z) for z < 0, read back from a cellular interference entry.
+
+    The package evaluates 2F1 at negative arguments only inside the cellular
+    entries, in the shape 2F1(n+kappa, n-delta; n+1-delta; -x).  Entry n
+    divided by its prefactor Gamma(kappa+n)/(Gamma(kappa) n!) delta/(delta-n) x^n
+    is that factor.
+    """
+    assert z < 0.0 and c == b + 1.0
+    n = math.floor(b) + 1
+    kappa, x = a - n, -z
+    bundle = cellular_bundle(m=n + 1, tau=x, alpha=2.0 / (n - b), kappa=kappa)
+    delta = bundle.delta
+    entry = cellular_entries(bundle, n + 1).values[n]
+    log_pref = math.lgamma(kappa + n) - math.lgamma(kappa) - math.lgamma(n + 1.0) + n * math.log(x)
+    ratio = delta / (delta - n) if n else 1.0
+    return entry / (ratio * math.exp(log_pref))
+
+
 class TestHyp2f1:
-    @pytest.mark.parametrize("abc", [(1.0, -0.5, 0.5), (2.5, 1.5, 3.5), (0.7, -0.3, 0.7)])
+    """``hyp2f1`` sums the series on [0, 1); the cases with z < 0 check the
+    incomplete-beta closed form of the cellular entries instead."""
+
+    # entry-shaped parameters (c = b + 1): n = 0, 2, 0 with delta = 0.5, 0.5, 0.3
+    @pytest.mark.parametrize("abc", [(1.0, -0.5, 0.5), (3.5, 1.5, 2.5), (0.7, -0.3, 0.7)])
     @pytest.mark.parametrize("z", [-30.0, -1.0, -0.1, 0.2, 0.9])
-    def test_against_scipy(self, abc, z):
+    def test_against_scipy(self, cellular_bundle, abc, z):
         a, b, c = abc
-        assert hyp2f1(a, b, c, z) == pytest.approx(float(sps.hyp2f1(a, b, c, z)), rel=1e-10)
+        ours = hyp2f1(a, b, c, z) if z >= 0.0 else _entry_hyp2f1(cellular_bundle, a, b, c, z)
+        assert ours == pytest.approx(float(sps.hyp2f1(a, b, c, z)), rel=1e-10)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("delta", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("x", [0.5, 1.0, 5.0])
-    def test_quadrature_oracle(self, kappa, delta, x):
+    def test_quadrature_oracle(self, cellular_bundle, kappa, delta, x):
         # 2F1(kappa, -delta; 1-delta; -x) = 1 + delta * int_0^1 (1 - (1+x v)^{-kappa}) v^{-1-delta} dv
         # (this is the n = 0 cellular entry, so it pins the head of the series)
         val, _ = integrate.quad(
             lambda v: (1.0 - (1.0 + x * v) ** -kappa) * v ** (-1.0 - delta), 0.0, 1.0,
             epsabs=1e-13, epsrel=1e-12, limit=200,
         )
-        assert hyp2f1(kappa, -delta, 1.0 - delta, -x) == pytest.approx(1.0 + delta * val, rel=1e-9)
+        ours = _entry_hyp2f1(cellular_bundle, kappa, -delta, 1.0 - delta, -x)
+        assert ours == pytest.approx(1.0 + delta * val, rel=1e-9)
 
     def test_closed_form_section(self):
         # 2F1(1, -1/2; 1/2; w) = 1 - sqrt(w) artanh(sqrt(w)) on (0, 1)
@@ -98,13 +122,17 @@ class TestHyp2f1:
             r = math.sqrt(w)
             assert hyp2f1(1.0, -0.5, 0.5, w) == pytest.approx(1.0 - r * math.atanh(r), rel=1e-12)
 
-    def test_high_order_entry_parameters(self):
+    def test_high_order_entry_parameters(self, cellular_bundle):
         # deep entries pair large symmetric parameters with negative z; this is
         # where a naive direct series would cancel catastrophically
         n, kappa, delta, x = 100, 1.0, 0.5, 1.0
-        ours = hyp2f1(n + kappa, n - delta, n + 1.0 - delta, -x)
+        ours = _entry_hyp2f1(cellular_bundle, n + kappa, n - delta, n + 1.0 - delta, -x)
         assert ours == pytest.approx(float(sps.hyp2f1(n + kappa, n - delta, n + 1.0 - delta, -x)),
                                      rel=1e-9)
+
+    def test_negative_argument_rejected(self):
+        with pytest.raises(DomainError, match="0 <= z < 1"):
+            hyp2f1(1.0, -0.5, 0.5, -1.0)
 
     def test_unit_argument_rejected(self):
         with pytest.raises(NumericalError):
@@ -174,12 +202,6 @@ class TestExactCombinatorics:
             touchard(70, 1.0)
         with pytest.raises(DomainError):
             touchard(3, math.inf)
-
-    def test_falling_factorial(self):
-        assert falling_factorial(0.5, 0) == 1.0
-        assert falling_factorial(0.5, 3) == pytest.approx(0.5 * -0.5 * -1.5)
-        with pytest.raises(DomainError):
-            falling_factorial(1.0, -2)
 
     def test_ln_gamma(self):
         assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
