@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 from scipy import special as sp
 
 from . import specfun
@@ -235,6 +234,8 @@ def _toeplitz_reciprocal(c: np.ndarray) -> np.ndarray:
     Independent of the convolution recursion in series.series_reciprocal;
     the two must agree to high precision on any valid entry sequence.
     """
+    from scipy import linalg  # imported on first use: only this route needs it
+
     m = c.size
     first_row = np.zeros(m, dtype=np.float64)
     first_row[0] = c[0]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import CoverageRangeError, ValidationError
 
@@ -36,6 +35,8 @@ def _integral_on_half_line(f, context: str) -> float:
     closed form once it stabilizes; ratios that refuse to drop below one
     mark a divergent tail and raise ValidationError.
     """
+    from scipy import integrate  # imported on first use: only general laws integrate
+
     total, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11, limit=200)
     lo = 1.0
     prev_block = None
@@ -147,7 +148,8 @@ class InterfererGainSpec:
     ``f11_moment`` (E[g^n 1F1(n-delta; n+1-delta; -c g)], called as
     f(n, delta, c)) may be supplied directly, otherwise they are computed by
     adaptive quadrature against the pdf.  ``sampler(rng, size)`` is only
-    required for Monte Carlo runs.
+    required for Monte Carlo runs; it may be called from several threads at
+    once, each with its own ``rng``, and should draw from that ``rng`` only.
     """
 
     kappa: Optional[float] = None

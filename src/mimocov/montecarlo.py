@@ -7,16 +7,32 @@ by the construction rather than assumed.  Everything the analytic engine
 predicts (including the distance distribution itself) is therefore probed
 by an independent mechanism.
 
-Points are generated in float32 and aggregated per trial with segmented
-ufunc reductions, which keeps million-trial runs in seconds; statistics
-are accumulated in float64.  Each batch draws from its own jump of a
-counter-based generator keyed by the seed, so results are reproducible
-bit for bit regardless of chunk sizing.
+Positions are drawn as u = d^2 / R^2, uniform on (0, 1].  In a cellular
+trial with N points the nearest one is drawn directly from the law of the
+minimum of N uniforms, u_min = 1 - (1 - V)^(1/N) for one uniform V, and the
+other N - 1 points uniformly on (u_min, 1]: jointly this is exactly N
+uniform points with the nearest one singled out, so no search for it is
+needed.  Points are generated in float32 and aggregated per trial with
+segmented ufunc reductions; statistics are accumulated in float64.
+
+Each batch of the batch-means interval owns four SFC64 streams spawned from
+``SeedSequence([seed, batch])``: Poisson counts (with the redraws of empty
+cellular trials), positions, interferer gains and signal gains.  A batch
+draws its counts, its nearest-point uniforms and its signal gains up front,
+then its points chunk by chunk, each kind from its own stream in trial
+order, so splitting a batch into chunks cannot change any draw.  Batches
+run on a thread pool, one worker per usable CPU (numpy's generators and
+ufuncs release the GIL); their results are combined in batch order and the
+points in flight, summed over workers, stay within ``_POINTS_PER_CHUNK``.
+So an estimate is reproducible bit for bit from its seed, whatever the
+chunk size or the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,10 +99,11 @@ def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int
     if law.is_gamma:
         if law.kappa == 1.0:
             g = rng.standard_exponential(size, dtype=np.float32)
-            if law.beta != 1.0:
-                g *= np.float32(law.beta)
-            return g
-        return rng.gamma(law.kappa, law.beta, size).astype(np.float32)
+        else:
+            g = rng.standard_gamma(law.kappa, size, dtype=np.float32)
+        if law.beta != 1.0:
+            g *= np.float32(law.beta)
+        return g
     if law.sampler is None:
         raise ConfigurationError(
             "Monte Carlo with a general interferer law needs a sampler(rng, size)"
@@ -100,11 +117,24 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _worker_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
     """Estimate coverage by simulation, for either scenario kind."""
     sc = bundle.scenario
     radius = config.window_radius if config.window_radius is not None else auto_window(bundle)
     mean_points = sc.lam * math.pi * radius * radius
+    if mean_points > _POINTS_PER_CHUNK:
+        raise ConfigurationError(
+            f"one realization needs {mean_points:.3g} points on average in a disc of "
+            f"radius {radius:.6g}, more than the {_POINTS_PER_CHUNK} points simulated "
+            "at once; choose a smaller window_radius"
+        )
     r_sq = radius * radius
     alpha_half = sc.alpha / 2.0
     fast_alpha4 = sc.alpha == 4.0
@@ -113,74 +143,74 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     theta = bundle.signal.scale
     m_ant = bundle.signal.shape
 
-    chunk_trials = max(1, int(_POINTS_PER_CHUNK / max(mean_points, 1.0)))
-    base, extra = divmod(config.trials, config.batches)
+    sizes = np.full(config.batches, config.trials // config.batches)
+    sizes[: config.trials % config.batches] += 1
+    workers = min(_worker_count(), config.batches)
+    budget = _POINTS_PER_CHUNK // workers  # points in flight per worker
 
-    batch_means = np.empty(config.batches, dtype=np.float64)
-    total_covered = 0
-    redraws = 0
-
-    for b in range(config.batches):
-        rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(b))
-        n_batch = base + (1 if b < extra else 0)
-        covered_batch = 0
-        done = 0
-        while done < n_batch:
-            ct = min(chunk_trials, n_batch - done)
-            counts = rng.poisson(mean_points, ct)
-            if cellular:
+    def run_batch(b: int) -> tuple:
+        count_rng, position_rng, gain_rng, signal_rng = (
+            np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence([config.seed, b]).spawn(4)
+        )
+        n_batch = int(sizes[b])
+        counts = count_rng.poisson(mean_points, n_batch)
+        redraws = 0
+        if cellular:
+            empty = counts == 0
+            rounds = 0
+            while np.any(empty):
+                n_empty = int(empty.sum())
+                redraws += n_empty
+                counts[empty] = count_rng.poisson(mean_points, n_empty)
                 empty = counts == 0
-                rounds = 0
-                while np.any(empty):
-                    n_empty = int(empty.sum())
-                    redraws += n_empty
-                    counts[empty] = rng.poisson(mean_points, n_empty)
-                    empty = counts == 0
-                    rounds += 1
-                    if rounds >= _MAX_REDRAW_ROUNDS:
-                        raise ConfigurationError(
-                            "the window is far too small: realizations stay empty "
-                            f"after {rounds} redraw rounds; enlarge window_radius"
-                        )
+                rounds += 1
+                if rounds >= _MAX_REDRAW_ROUNDS:
+                    raise ConfigurationError(
+                        "the window is far too small: realizations stay empty "
+                        f"after {rounds} redraw rounds; enlarge window_radius"
+                    )
+            # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
+            # the other N - 1 are then uniform on (u_min, 1]
+            log_q = np.log1p(-position_rng.random(n_batch)) / counts
+            q = np.exp(log_q).astype(np.float32)  # 1 - u_min
+            t_serv = -np.expm1(log_q) * r_sq
+            serve_alpha = t_serv * t_serv if fast_alpha4 else t_serv**alpha_half
+            others = counts - 1
+        else:
+            serve_alpha = sc.r0**sc.alpha
+            others = counts
+        gain = signal_rng.gamma(m_ant, theta, n_batch)
 
-            p_total = int(counts.sum())
-            if p_total > 0:
-                u = np.float32(1.0) - rng.random(p_total, dtype=np.float32)
-                g = _interferer_draw(bundle, rng, p_total)
+        interference = np.zeros(n_batch, dtype=np.float64)
+        ends = np.cumsum(others)
+        lo = 0
+        while lo < n_batch:
+            first = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, first + budget, side="right")))
+            seg = others[lo:hi]
+            u = position_rng.random(int(ends[hi - 1]) - first, dtype=np.float32)
+            if u.size:
+                if cellular:
+                    u *= np.repeat(q[lo:hi], seg)
+                np.subtract(np.float32(1.0), u, out=u)
+                u *= np.float32(r_sq)
                 if fast_alpha4:
-                    d_alpha = u * np.float32(r_sq)
-                    d_alpha *= d_alpha
+                    u *= u
                 else:
-                    d_alpha = (u * np.float32(r_sq)) ** np.float32(alpha_half)
-                w = g / d_alpha
+                    np.power(u, np.float32(alpha_half), out=u)
+                w = np.divide(_interferer_draw(bundle, gain_rng, u.size), u, out=u)
+                nz = seg > 0
+                interference[lo:hi][nz] = np.add.reduceat(w, _segment_starts(seg[nz]))
+            lo = hi
 
-            if cellular:
-                starts = _segment_starts(counts)
-                interference = np.add.reduceat(w, starts).astype(np.float64)
-                u_min = np.minimum.reduceat(u, starts)
-                hits = np.flatnonzero(u == np.repeat(u_min, counts))
-                trial_of_hit = np.repeat(np.arange(ct, dtype=np.intp), counts)[hits]
-                _, first = np.unique(trial_of_hit, return_index=True)
-                serving = hits[first]
-                interference -= w[serving].astype(np.float64)
-                np.maximum(interference, 0.0, out=interference)
-                t_serv = u_min.astype(np.float64) * r_sq
-                serve_alpha = t_serv * t_serv if fast_alpha4 else t_serv**alpha_half
-            else:
-                interference = np.zeros(ct, dtype=np.float64)
-                if p_total > 0:
-                    nz = counts > 0
-                    starts = _segment_starts(counts[nz])
-                    interference[nz] = np.add.reduceat(w, starts).astype(np.float64)
-                serve_alpha = sc.r0**sc.alpha
+        covered = int(np.count_nonzero(gain > tau * serve_alpha * (sc.noise + interference)))
+        return covered, redraws
 
-            gain = rng.gamma(m_ant, theta, ct)
-            covered_batch += int(np.count_nonzero(gain > tau * serve_alpha * (sc.noise + interference)))
-            done += ct
-
-        batch_means[b] = covered_batch / n_batch
-        total_covered += covered_batch
-
+    with ThreadPoolExecutor(workers) as pool:
+        covered, redraws = np.array(list(pool.map(run_batch, range(config.batches)))).T
+    batch_means = covered / sizes
+    redraws = int(redraws.sum())
     if redraws > _REDRAW_BUDGET * config.trials:
         raise ConfigurationError(
             f"{redraws} of {config.trials} realizations came up empty and were redrawn "
@@ -189,7 +219,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
 
     halfwidth = 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(config.batches)
     return CoverageEstimate(
-        value=total_covered / config.trials,
+        value=int(covered.sum()) / config.trials,
         method=METHOD_MC,
         ci_halfwidth=halfwidth,
         trials=config.trials,

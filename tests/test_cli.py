@@ -1,9 +1,13 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mimocov
 from mimocov import coverage
 from mimocov.cli import main
 
@@ -77,6 +81,15 @@ class TestCoverageCommand:
         assert row["seed"] == "7"
         assert float(row["ci_halfwidth"]) > 0.0
         assert 0.0 < float(row["p_c"]) < 1.0
+
+    def test_unaffordable_window_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["coverage", "--kind", "cellular",
+                                          "--alpha", "2.5", "--m", "1",
+                                          "--tau-db", "0", "--method", "mc",
+                                          "--trials", "1000"])
+        assert code == 2
+        assert out == ""
+        assert "window_radius" in err
 
     def test_missing_alpha_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, ["coverage", "--kind", "cellular"])
@@ -311,3 +324,16 @@ class TestStdoutPurity:
         assert len(lines) == 3
         assert "note:" in err
         assert "note:" not in out
+
+
+class TestColdStart:
+    def test_import_leaves_quadrature_and_linear_algebra_unloaded(self):
+        # only general laws and the Toeplitz route need them, on first use
+        src = os.path.dirname(os.path.dirname(mimocov.__file__))
+        code = ("import sys, mimocov; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

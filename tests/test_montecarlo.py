@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from mimocov import InterfererGainSpec, coverage
+from mimocov import InterfererGainSpec, coverage, montecarlo
 from mimocov.errors import ConfigurationError, ValidationError
 from mimocov.montecarlo import (
     SimConfig,
@@ -74,6 +75,52 @@ class TestDeterminism:
         a = simulate(bundle, SimConfig(trials=2000, seed=1, batches=4))
         b = simulate(bundle, SimConfig(trials=2000, seed=2, batches=4))
         assert a.value != b.value
+
+
+class TestStreams:
+    # each scenario is simulated with batches of several hundred thousand points
+    SCENARIOS = {
+        "cellular": (dict(), SimConfig(trials=20_000, seed=7, window_radius=300.0,
+                                       batches=10)),
+        "adhoc": (dict(m=2), SimConfig(trials=20_000, seed=7, batches=20)),
+    }
+
+    def _simulate(self, request, kind):
+        params, config = self.SCENARIOS[kind]
+        bundle = request.getfixturevalue(f"{kind}_bundle")(**params)
+        return simulate(bundle, config)
+
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    def test_chunking_cannot_change_the_estimate(self, request, monkeypatch, kind):
+        reference = self._simulate(request, kind)
+        draws = []
+
+        def counted(bundle, rng, size):
+            draws.append(size)
+            return _interferer_draw(bundle, rng, size)
+
+        monkeypatch.setattr(montecarlo, "_POINTS_PER_CHUNK", 200_000)
+        monkeypatch.setattr(montecarlo, "_interferer_draw", counted)
+        chunked = self._simulate(request, kind)
+        assert chunked.value == reference.value
+        assert chunked.ci_halfwidth == reference.ci_halfwidth
+        assert len(draws) > 2 * self.SCENARIOS[kind][1].batches
+        assert max(draws) <= 200_000
+
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_cannot_change_the_estimate(self, request, monkeypatch,
+                                                     kind, workers):
+        reference = self._simulate(request, kind)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let threads interleave as often as possible
+        try:
+            forced = self._simulate(request, kind)
+        finally:
+            sys.setswitchinterval(interval)
+        assert forced.value == reference.value
+        assert forced.ci_halfwidth == reference.ci_halfwidth
 
 
 class TestAgreementWithAnalytic:
@@ -153,6 +200,12 @@ class TestEdgeCases:
         est = simulate(bundle, SimConfig(trials=2000, seed=3,
                                          window_radius=5.0, batches=4))
         assert 0.99 < est.value <= 1.0
+
+    def test_point_count_is_refused_before_allocation(self, cellular_bundle):
+        # at alpha = 2.5 the automatic window needs ~7e15 points per trial
+        config = SimConfig(trials=1000, seed=0, batches=2)
+        with pytest.raises(ConfigurationError, match=r"e\+15 points.*window_radius"):
+            simulate(cellular_bundle(alpha=2.5), config)
 
     def test_cellular_window_too_small(self, cellular_bundle):
         config = SimConfig(trials=1000, seed=0, window_radius=5.0, batches=2)
