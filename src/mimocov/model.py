@@ -148,8 +148,7 @@ class InterfererGainSpec:
     ``f11_moment`` (E[g^n 1F1(n-delta; n+1-delta; -c g)], called as
     f(n, delta, c)) may be supplied directly, otherwise they are computed by
     adaptive quadrature against the pdf.  ``sampler(rng, size)`` is only
-    required for Monte Carlo runs; it may be called from several threads at
-    once, each with its own ``rng``, and should draw from that ``rng`` only.
+    required for Monte Carlo runs.
     """
 
     kappa: Optional[float] = None

@@ -20,19 +20,16 @@ Each batch of the batch-means interval owns four SFC64 streams spawned from
 cellular trials), positions, interferer gains and signal gains.  A batch
 draws its counts, its nearest-point uniforms and its signal gains up front,
 then its points chunk by chunk, each kind from its own stream in trial
-order, so splitting a batch into chunks cannot change any draw.  Batches
-run on a thread pool, one worker per usable CPU (numpy's generators and
-ufuncs release the GIL); their results are combined in batch order and the
-points in flight, summed over workers, stay within ``_POINTS_PER_CHUNK``.
-So an estimate is reproducible bit for bit from its seed, whatever the
-chunk size or the number of workers.
+order, so splitting a batch into chunks cannot change any draw.  So an
+estimate is reproducible bit for bit from its seed, whatever the chunk
+size.  Batches run one after another in the calling thread: a simulation
+uses one core, and its run time does not hinge on whether other cores are
+free.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,13 +114,6 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _worker_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
     """Estimate coverage by simulation, for either scenario kind."""
     sc = bundle.scenario
@@ -145,8 +135,6 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
 
     sizes = np.full(config.batches, config.trials // config.batches)
     sizes[: config.trials % config.batches] += 1
-    workers = min(_worker_count(), config.batches)
-    budget = _POINTS_PER_CHUNK // workers  # points in flight per worker
 
     def run_batch(b: int) -> tuple:
         count_rng, position_rng, gain_rng, signal_rng = (
@@ -187,7 +175,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
         lo = 0
         while lo < n_batch:
             first = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, first + budget, side="right")))
+            hi = max(lo + 1, int(np.searchsorted(ends, first + _POINTS_PER_CHUNK, side="right")))
             seg = others[lo:hi]
             u = position_rng.random(int(ends[hi - 1]) - first, dtype=np.float32)
             if u.size:
@@ -207,8 +195,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
         covered = int(np.count_nonzero(gain > tau * serve_alpha * (sc.noise + interference)))
         return covered, redraws
 
-    with ThreadPoolExecutor(workers) as pool:
-        covered, redraws = np.array(list(pool.map(run_batch, range(config.batches)))).T
+    covered, redraws = np.array([run_batch(b) for b in range(config.batches)]).T
     batch_means = covered / sizes
     redraws = int(redraws.sum())
     if redraws > _REDRAW_BUDGET * config.trials:

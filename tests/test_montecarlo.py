@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -106,21 +105,6 @@ class TestStreams:
         assert chunked.ci_halfwidth == reference.ci_halfwidth
         assert len(draws) > 2 * self.SCENARIOS[kind][1].batches
         assert max(draws) <= 200_000
-
-    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_count_cannot_change_the_estimate(self, request, monkeypatch,
-                                                     kind, workers):
-        reference = self._simulate(request, kind)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # let threads interleave as often as possible
-        try:
-            forced = self._simulate(request, kind)
-        finally:
-            sys.setswitchinterval(interval)
-        assert forced.value == reference.value
-        assert forced.ci_halfwidth == reference.ci_halfwidth
 
 
 class TestAgreementWithAnalytic:
