@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from . import specfun
 from .errors import NumericalError, UnsupportedConfigError, ValidationError
@@ -111,6 +110,8 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
     positive, so the vector is one evaluation that stays finite at any
     threshold.
     """
+    from scipy import special as sp  # imported on first use: only these entries need it
+
     order = _check_order(order)
     kappa, beta = bundle.interferer.kappa, bundle.interferer.beta
     delta = bundle.delta

@@ -11,7 +11,7 @@ closed forms must match the generic recursion coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +28,22 @@ _UNDERFLOW_FLOOR = 1e-300
 # ---------------------------------------------------------------------------
 # density dependence (ad hoc)
 
+def _check_density(lam) -> float:
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValidationError("transmitter density lambda must be positive")
+    return float(lam)
+
+
+def _finite(value: float, what: str, lam: float) -> float:
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"{what} at density {lam!r} is not finite in double precision: "
+            "exp(head * lam) underflows where the polynomial overflows; "
+            "evaluate coverage pointwise instead"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class DensityProfile:
     """Coverage as an explicit function of transmitter density.
@@ -37,31 +53,67 @@ class DensityProfile:
     in lam with coefficients ``betas``.  The profile is built once and can
     then be evaluated, differentiated, and minimized over densities without
     re-running the coefficient recursion.
+
+    Construction stores ``betas`` as a read-only copy, and the coefficients
+    and the derivative coefficients head * betas[j] + (j + 1) * betas[j + 1]
+    as plain-float lists, so each evaluation is one Horner loop on Python
+    floats.  Far out in the density exp(head * lam) underflows while the
+    polynomial overflows; ``coverage_at`` and ``derivative_at`` then raise
+    ``NumericalError`` rather than return a non-finite value.
     """
 
     head: float          # density coefficient of entry 0 (negative)
     betas: np.ndarray    # polynomial coefficients, betas[0] == 1
+    _poly: list = field(init=False, repr=False, compare=False)
+    _grad: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        frozen = np.array(self.betas, dtype=np.float64)
+        frozen.setflags(write=False)
+        object.__setattr__(self, "betas", frozen)
+        head = float(self.head)
+        betas = frozen.tolist()
+        grad = [head * b + (j + 1) * nxt for j, (b, nxt) in enumerate(zip(betas, betas[1:]))]
+        grad.append(head * betas[-1])
+        object.__setattr__(self, "_poly", betas[::-1])
+        object.__setattr__(self, "_grad", grad[::-1])
 
     def coverage_at(self, lam: float) -> float:
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise ValidationError("transmitter density lambda must be positive")
+        lam = _check_density(lam)
         poly = 0.0
-        for b in self.betas[::-1]:
+        for b in self._poly:
             poly = poly * lam + b
-        return math.exp(self.head * lam) * poly
+        return _finite(math.exp(self.head * lam) * poly, "coverage", lam)
 
     def derivative_at(self, lam: float) -> float:
         """d coverage / d lam, in closed form from the same coefficients."""
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise ValidationError("transmitter density lambda must be positive")
-        m = self.betas.size
-        grad = self.head * self.betas[m - 1]
-        for j in range(m - 2, -1, -1):
-            grad = grad * lam + self.head * self.betas[j] + (j + 1) * self.betas[j + 1]
-        return math.exp(self.head * lam) * grad
+        lam = _check_density(lam)
+        grad = 0.0
+        for d in self._grad:
+            grad = grad * lam + d
+        return _finite(math.exp(self.head * lam) * grad, "d coverage / d lam", lam)
 
 
 def density_profile(bundle: ScenarioBundle) -> DensityProfile:
+    """Factor noiseless ad hoc coverage in the density, for M antennas.
+
+    Per unit density the series is head + S(z) with the strict part
+    S(z) = c (1 - (1 - z)^delta), c = -head = mu / lam, and
+    betas[j] = sum_{n<M} [z^n] S^j / j!.  S solves (1 - z) S' =
+    delta (c - S), so G_j = S^j / j! solves
+    (1 - z) G_j' + delta j G_j = delta c G_{j-1}, and the coefficients
+    g[j, n] of G_j follow one first-order recurrence in n,
+
+        g[j, n+1] = ((n - delta j) g[j, n] + delta c g[j-1, n]) / (n + 1),
+
+    from g[0, 0] = 1.  g[j, n] = 0 for n < j, and n - delta j > 0
+    otherwise, so every term is non-negative and nothing cancels.  Stepping
+    over n with one column over j costs O(M^2) work and O(M) memory.
+
+    Raises ``NumericalError`` when a coefficient leaves the double range,
+    which happens when c^j / j! overflows (large c = mu / lam with many
+    antennas).
+    """
     sc = bundle.scenario
     if sc.kind != ADHOC:
         raise UnsupportedConfigError("density profiles are defined for ad hoc scenarios")
@@ -70,19 +122,32 @@ def density_profile(bundle: ScenarioBundle) -> DensityProfile:
             "with noise the density dependence does not factorize; "
             "evaluate coverage pointwise instead"
         )
-    m = bundle.signal.shape
-    per_density = adhoc_entries(bundle, m).values / sc.lam
-    strict = per_density.copy()
-    strict[0] = 0.0
+    m = _check_order(bundle.signal.shape)
+    head = -adhoc_mu(bundle) / sc.lam
+    delta = bundle.delta
+    shift = -delta * head
+    slope = -delta * np.arange(m)
 
-    betas = np.empty(m, dtype=np.float64)
+    # g[1 + j] holds g[j, n]; g[0] stays 0 so that g[:k] is g[j-1, n]
+    g = np.zeros(m + 1, dtype=np.float64)
+    g[1] = 1.0
+    betas = np.zeros(m, dtype=np.float64)
     betas[0] = 1.0
-    power = np.zeros(m, dtype=np.float64)
-    power[0] = 1.0
-    for j in range(1, m):
-        power = np.convolve(power, strict)[:m] / j
-        betas[j] = power.sum()
-    return DensityProfile(head=float(per_density[0]), betas=betas)
+    with np.errstate(over="ignore"):
+        for n in range(m - 1):
+            k = min(n + 2, m)  # g[j, n+1] = 0 for j > n + 1
+            nxt = (n + slope[:k]) * g[1:k + 1]
+            nxt += shift * g[:k]
+            nxt /= n + 1
+            g[1:k + 1] = nxt
+            betas[:k] += nxt
+    if not np.all(np.isfinite(betas)):
+        raise NumericalError(
+            f"density-profile coefficients overflow at M = {m}: c^j / j! "
+            f"leaves the double range for c = {-head:.6g}; "
+            "evaluate coverage pointwise instead"
+        )
+    return DensityProfile(head=head, betas=betas)
 
 
 # ---------------------------------------------------------------------------

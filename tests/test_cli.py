@@ -295,6 +295,33 @@ class TestInsightsCommand:
         assert float(table["density_head"]) < 0.0
         assert float(table["dcoverage_dlambda"]) < 0.0
 
+    def test_overflowing_density_profile_is_numerical_error(self, capsys):
+        code, out, err = run_cli(capsys, ["insights", "--kind", "adhoc",
+                                          "--alpha", "4", "--r0", "30",
+                                          "--lambda", "1e-5", "--m", "512",
+                                          "--tau-db", "0", "--derivative"])
+        assert code == 3
+        assert out == ""
+        assert "numerical error" in err
+
+    def test_density_profile_past_supported_order_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["insights", "--kind", "adhoc",
+                                          "--alpha", "4", "--r0", "1",
+                                          "--lambda", "0.05", "--m", "100000",
+                                          "--density-profile"])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the supported maximum" in err
+
+    def test_non_finite_derivative_is_numerical_error(self, capsys):
+        code, out, err = run_cli(capsys, ["insights", "--kind", "adhoc",
+                                          "--alpha", "4", "--r0", "1",
+                                          "--lambda", "0.05", "--m", "512",
+                                          "--derivative", "--at-lambda", "1000"])
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
     def test_needs_at_least_one_flag(self, capsys):
         code, _, err = run_cli(capsys, ["insights", "--kind", "cellular",
                                         "--alpha", "4"])
@@ -337,3 +364,18 @@ class TestColdStart:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_adhoc_work_and_simulation_leave_special_functions_unloaded(self):
+        # only the cellular entries need scipy.special, on first use
+        src = os.path.dirname(os.path.dirname(mimocov.__file__))
+        code = ("import sys, mimocov as mc; "
+                "b = mc.validate(mc.NetworkScenario(kind=mc.ADHOC, lam=0.05, "
+                "alpha=4.0, threshold=1.0, r0=1.0), mc.SignalGainSpec(shape=4), "
+                "mc.InterfererGainSpec(kappa=1.0, beta=1.0)); "
+                "mc.coverage(b); mc.density_profile(b).coverage_at(0.1); "
+                "mc.simulate(b, mc.SimConfig(trials=200, seed=1, batches=2)); "
+                "print('scipy.special' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

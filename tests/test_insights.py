@@ -6,6 +6,7 @@ import scipy.optimize
 import scipy.special
 
 from mimocov import (
+    DensityProfile,
     InterfererGainSpec,
     adhoc_pbar_bessel,
     adhoc_pbar_closed_form,
@@ -17,8 +18,10 @@ from mimocov import (
     outage_decay_check,
 )
 from mimocov import specfun
+from mimocov.analytic import adhoc_entries
 from mimocov.errors import (
     DomainError,
+    NumericalError,
     RootNotFoundError,
     UnsupportedConfigError,
     ValidationError,
@@ -29,7 +32,69 @@ from mimocov.errors import (
 # density profile
 
 
+def _power_convolution_betas(bundle):
+    # Reference construction: betas[j] is the coefficient sum of S^j / j!,
+    # with S the strict per-density entry series, built by M - 1 truncated
+    # convolutions.
+    m = bundle.signal.shape
+    strict = adhoc_entries(bundle, m).values / bundle.scenario.lam
+    strict[0] = 0.0
+    betas = np.empty(m)
+    betas[0] = 1.0
+    power = np.zeros(m)
+    power[0] = 1.0
+    for j in range(1, m):
+        power = np.convolve(power, strict)[:m] / j
+        betas[j] = power.sum()
+    return betas
+
+
 class TestDensityProfile:
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+    @pytest.mark.parametrize("m", [2, 9, 64, 256])
+    def test_betas_match_power_convolution(self, adhoc_bundle, m, alpha):
+        bundle = adhoc_bundle(m=m, alpha=alpha)
+        betas = density_profile(bundle).betas
+        reference = _power_convolution_betas(bundle)
+        np.testing.assert_array_equal(betas == 0.0, reference == 0.0)
+        resolved = reference > 1e-280
+        np.testing.assert_allclose(betas[resolved], reference[resolved], rtol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0])
+    def test_reconstructs_coverage_with_512_antennas(self, adhoc_bundle, lam):
+        # at 30 dB coverage runs from 0.8 down to 1e-6 over these densities,
+        # so the high-order coefficients carry the value
+        profile = density_profile(adhoc_bundle(m=512, tau=1e3, lam=0.05))
+        direct = coverage(adhoc_bundle(m=512, tau=1e3, lam=lam)).value
+        assert profile.coverage_at(lam) == pytest.approx(direct, rel=1e-12)
+
+    def test_overflowing_coefficients_raise(self, adhoc_bundle):
+        # c = mu / lam is about 4.4e3 here, so c^j / j! overflows before j = 512
+        with pytest.raises(NumericalError, match="overflow"):
+            density_profile(adhoc_bundle(m=512, r0=30.0, lam=1e-5))
+
+    def test_rejects_antenna_count_past_supported_order(self, adhoc_bundle):
+        with pytest.raises(ValidationError, match="513 exceeds"):
+            density_profile(adhoc_bundle(m=513))
+
+    def test_coefficients_are_read_only(self, adhoc_bundle):
+        source = np.array([1.0, 0.5, 0.25])
+        profile = DensityProfile(head=-1.0, betas=source)
+        source[1] = 9.0
+        assert profile.betas.tolist() == [1.0, 0.5, 0.25]
+        with pytest.raises(ValueError):
+            profile.betas[1] = 9.0
+        assert profile.coverage_at(2.0) == pytest.approx(math.exp(-2.0) * 3.0)
+
+    def test_non_finite_evaluation_raises(self, adhoc_bundle):
+        # exp(head * lam) underflows to 0 where the polynomial overflows
+        profile = density_profile(adhoc_bundle(m=512, lam=0.05))
+        assert np.all(np.isfinite(profile.betas))
+        with pytest.raises(NumericalError, match="not finite"):
+            profile.coverage_at(1000.0)
+        with pytest.raises(NumericalError, match="not finite"):
+            profile.derivative_at(1000.0)
+
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_reconstructs_pointwise_coverage(self, adhoc_bundle, m):
         profile = density_profile(adhoc_bundle(m=m, lam=0.04))
