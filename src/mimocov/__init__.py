@@ -2,10 +2,11 @@
 
 The coverage probability of a maximum-ratio combined link with M antennas
 reduces to the head of a single power series built from the interference
-geometry; this package evaluates that series exactly (two independent
-routes), simulates the same networks from scratch for validation, and
-exposes the structural consequences (density response, per-antenna decay,
-closed-form coefficient identities).
+geometry; this package evaluates that series exactly (by coefficient
+recursions, which the tests check against the Toeplitz matrix route),
+simulates the same networks from scratch for validation, and exposes the
+structural consequences (density response, per-antenna decay, closed-form
+coefficient identities).
 """
 
 from .errors import (
@@ -22,7 +23,6 @@ from .errors import (
 from .model import (
     ADHOC,
     CELLULAR,
-    METHOD_MATRIX,
     METHOD_MC,
     METHOD_RECURSION,
     CoverageEstimate,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ADHOC",
     "CELLULAR",
-    "METHOD_MATRIX",
     "METHOD_MC",
     "METHOD_RECURSION",
     "ConfigurationError",

@@ -11,9 +11,10 @@ signal gain reduces to the first M coefficients of a single power series:
   from one interference functional mu; coverage is the sum of the first M
   coefficients of exp(A(z)).
 
-Both reductions are evaluated two independent ways (coefficient recursion
-and a triangular Toeplitz solve) so the representations can cross-check
-each other in tests.
+Both are evaluated by coefficient recursions on the first column of the
+lower-triangular Toeplitz matrix the series represents.  The matrix route
+(a triangular solve and a nilpotent exponential) lives in the tests as the
+reference the recursions must match.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import NumericalError, UnsupportedConfigError, ValidationError
 from .model import (
     ADHOC,
     CELLULAR,
-    METHOD_MATRIX,
     METHOD_RECURSION,
     CoverageEstimate,
     GeneralSignalPdf,
@@ -37,9 +37,7 @@ from .model import (
     SignalGainSpec,
     _integral_on_half_line,
 )
-from .series import MAX_ORDER, coeff_sum, series, series_exp, series_reciprocal, toeplitz_exp_nilpotent
-
-_PATHS = (METHOD_RECURSION, METHOD_MATRIX)
+from .series import MAX_ORDER, coeff_sum, series, series_exp, series_reciprocal
 
 
 @dataclass(frozen=True)
@@ -229,24 +227,7 @@ def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
 # ---------------------------------------------------------------------------
 # coverage
 
-def _toeplitz_reciprocal(c: np.ndarray) -> np.ndarray:
-    """Reciprocal coefficients via a lower-triangular Toeplitz solve.
-
-    Independent of the convolution recursion in series.series_reciprocal;
-    the two must agree to high precision on any valid entry sequence.
-    """
-    from scipy import linalg  # imported on first use: only this route needs it
-
-    m = c.size
-    first_row = np.zeros(m, dtype=np.float64)
-    first_row[0] = c[0]
-    t = linalg.toeplitz(c, first_row)
-    e0 = np.zeros(m, dtype=np.float64)
-    e0[0] = 1.0
-    return linalg.solve_triangular(t, e0, lower=True)
-
-
-def cellular_coverage(bundle: ScenarioBundle, path: str = METHOD_RECURSION) -> CoverageEstimate:
+def cellular_coverage(bundle: ScenarioBundle) -> CoverageEstimate:
     sc = bundle.scenario
     if sc.kind != CELLULAR:
         raise ValidationError("cellular_coverage needs a cellular scenario")
@@ -255,46 +236,29 @@ def cellular_coverage(bundle: ScenarioBundle, path: str = METHOD_RECURSION) -> C
             "cellular coverage with noise has no finite-order series form; "
             "use the Monte Carlo path"
         )
-    if path not in _PATHS:
-        raise ValidationError(f"path must be one of {_PATHS}, got {path!r}")
-    m = bundle.signal.shape
-    entries = cellular_entries(bundle, m)
-    if path == METHOD_RECURSION:
-        recips = series_reciprocal(entries.values)
-    else:
-        recips = _toeplitz_reciprocal(entries.values)
-    return CoverageEstimate(value=coeff_sum(recips), method=path)
+    entries = cellular_entries(bundle, bundle.signal.shape)
+    recips = series_reciprocal(entries.values)
+    return CoverageEstimate(value=coeff_sum(recips), method=METHOD_RECURSION)
 
 
-def adhoc_coverage(bundle: ScenarioBundle, path: str = METHOD_RECURSION) -> CoverageEstimate:
+def adhoc_coverage(bundle: ScenarioBundle) -> CoverageEstimate:
     sc = bundle.scenario
     if sc.kind != ADHOC:
         raise ValidationError("adhoc_coverage needs an ad hoc scenario")
-    if path not in _PATHS:
-        raise ValidationError(f"path must be one of {_PATHS}, got {path!r}")
-    m = bundle.signal.shape
-    entries = adhoc_entries(bundle, m)
-    if path == METHOD_RECURSION:
-        probs = series_exp(entries.values)
-    else:
-        probs = toeplitz_exp_nilpotent(entries.values)
-    return CoverageEstimate(value=coeff_sum(probs), method=path)
+    entries = adhoc_entries(bundle, bundle.signal.shape)
+    probs = series_exp(entries.values)
+    return CoverageEstimate(value=coeff_sum(probs), method=METHOD_RECURSION)
 
 
-def coverage(bundle: ScenarioBundle, path: str = METHOD_RECURSION) -> CoverageEstimate:
-    """Exact coverage probability of the bundled scenario.
-
-    ``path`` selects the evaluation route: "finite-sum" uses the
-    coefficient recursions, "toeplitz" the matrix formulation.  They agree
-    to rounding; both are kept so each can certify the other.
-    """
+def coverage(bundle: ScenarioBundle) -> CoverageEstimate:
+    """Exact coverage probability of the bundled scenario: the sum of the
+    first M coefficients of 1/C(z) (cellular) or exp(A(z)) (ad hoc)."""
     if bundle.scenario.kind == CELLULAR:
-        return cellular_coverage(bundle, path)
-    return adhoc_coverage(bundle, path)
+        return cellular_coverage(bundle)
+    return adhoc_coverage(bundle)
 
 
-def coverage_general_pdf(bundle: ScenarioBundle, signal_pdf: GeneralSignalPdf,
-                         path: str = METHOD_RECURSION) -> CoverageEstimate:
+def coverage_general_pdf(bundle: ScenarioBundle, signal_pdf: GeneralSignalPdf) -> CoverageEstimate:
     """Coverage when the signal gain follows an exponential-polynomial pdf.
 
     Each pdf term e^{-phi u} u^q contributes its weight times the coverage
@@ -306,12 +270,11 @@ def coverage_general_pdf(bundle: ScenarioBundle, signal_pdf: GeneralSignalPdf,
     total = 1.0
     for order_m, scale, weight in signal_pdf.weights():
         sub = dataclasses.replace(bundle, signal=SignalGainSpec(shape=order_m, scale=scale))
-        total += weight * (coverage(sub, path).value - 1.0)
-    return CoverageEstimate(value=total, method=path)
+        total += weight * (coverage(sub).value - 1.0)
+    return CoverageEstimate(value=total, method=METHOD_RECURSION)
 
 
-def coverage_non_poisson(bundle: ScenarioBundle, deployment_gain: float,
-                         path: str = METHOD_RECURSION) -> CoverageEstimate:
+def coverage_non_poisson(bundle: ScenarioBundle, deployment_gain: float) -> CoverageEstimate:
     """Approximate coverage for a non-Poisson cellular deployment.
 
     A stationary point process that is more regular (or more clustered)
@@ -329,4 +292,4 @@ def coverage_non_poisson(bundle: ScenarioBundle, deployment_gain: float,
             bundle.scenario, threshold=bundle.scenario.threshold / deployment_gain
         ),
     )
-    return cellular_coverage(shifted, path)
+    return cellular_coverage(shifted)

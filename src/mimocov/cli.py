@@ -69,9 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cov = sub.add_parser("coverage", parents=[scen],
                          help="evaluate one scenario")
     cov.add_argument("--method", choices=("analytic", "mc"), default="analytic")
-    cov.add_argument("--path", choices=(model.METHOD_RECURSION, model.METHOD_MATRIX),
-                     default=model.METHOD_RECURSION,
-                     help="analytic evaluation route (default finite-sum)")
     cov.add_argument("--window", type=float, help="simulation disc radius (mc only)")
 
     sw = sub.add_parser("sweep", parents=[scen],
@@ -82,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--points", type=int, default=25)
     sw.add_argument("--scale", choices=("linear", "log"), default="linear")
     sw.add_argument("--method", choices=("analytic", "mc"), default="analytic")
-    sw.add_argument("--path", choices=(model.METHOD_RECURSION, model.METHOD_MATRIX),
-                    default=model.METHOD_RECURSION)
     sw.add_argument("--window", type=float)
 
     va = sub.add_parser("validate", parents=[scen],
@@ -92,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma separated antenna counts (default 1,2,4,8)")
     va.add_argument("--tau-db-list", default="-5,0,5,10", metavar="LIST",
                     help="comma separated thresholds in dB (default -5,0,5,10)")
-    va.add_argument("--path", choices=(model.METHOD_RECURSION, model.METHOD_MATRIX),
-                    default=model.METHOD_RECURSION)
     va.add_argument("--window", type=float)
 
     ins = sub.add_parser("insights", parents=[scen],
@@ -156,7 +149,7 @@ def _point_row(bundle, est, seed) -> list:
 
 def _evaluate(bundle, args, seed) -> model.CoverageEstimate:
     if args.method == "analytic":
-        return analytic.coverage(bundle, args.path)
+        return analytic.coverage(bundle)
     cfg = montecarlo.SimConfig(trials=args.trials, seed=seed,
                                window_radius=getattr(args, "window", None))
     return montecarlo.simulate(bundle, cfg)
@@ -252,7 +245,7 @@ def _cmd_validate(args):
             if cellular_noise:
                 exact_field, z_field = "n/a", ""
             else:
-                exact = analytic.coverage(bundle, args.path).value
+                exact = analytic.coverage(bundle).value
                 se = mc.ci_halfwidth / 1.96
                 z = (mc.value - exact) / se if se > 0.0 else math.inf
                 worst = max(worst, abs(z))

@@ -21,7 +21,6 @@ CELLULAR = "cellular"
 ADHOC = "adhoc"
 
 METHOD_RECURSION = "finite-sum"
-METHOD_MATRIX = "toeplitz"
 METHOD_MC = "monte-carlo"
 
 _NORMALIZATION_TOL = 1e-9
@@ -198,7 +197,7 @@ class CoverageEstimate:
     trials: int = 0
 
     def __post_init__(self):
-        if self.method not in (METHOD_RECURSION, METHOD_MATRIX, METHOD_MC):
+        if self.method not in (METHOD_RECURSION, METHOD_MC):
             raise ValidationError(f"unknown estimate method {self.method!r}")
         if not (0.0 <= self.value <= 1.0):
             raise CoverageRangeError(
@@ -304,8 +303,12 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path!r} is not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def _as_float(params: dict, key: str, default: float) -> float:
@@ -322,7 +325,18 @@ def resolve_threshold(params: dict) -> float:
     if params.get("tau") is not None:
         return _as_float(params, "tau", 1.0)
     if params.get("tau_db") is not None:
-        return 10.0 ** (_as_float(params, "tau_db", 0.0) / 10.0)
+        tau_db = _as_float(params, "tau_db", 0.0)
+        try:
+            tau = 10.0 ** (tau_db / 10.0)
+        except OverflowError:
+            tau = math.inf
+        if not 0.0 < tau < math.inf:
+            # 10^(x/10) is a positive finite double for x in about [-3233, 3082]
+            raise ValidationError(
+                "tau_db must lie within about -3233 to 3082 dB, where the linear "
+                f"threshold is positive and finite; got {tau_db!r}"
+            )
+        return tau
     return 1.0
 
 

@@ -5,10 +5,8 @@ A series of order M is a length-M float array holding Taylor coefficients
 lower-triangular Toeplitz matrix, and that identification is the whole
 point: the exponential and the inverse of such a matrix are again
 lower-triangular Toeplitz, so every operation below works on first columns
-only and no M x M matrix is ever materialized on the production path.
-``toeplitz_exp_nilpotent`` re-derives the exponential by explicitly summing
-powers of the nilpotent part; it exists as an independent cross-check of
-``series_exp``, not as an optimization.
+only and no M x M matrix is ever materialized.  The matrix forms live in
+the tests, as the reference these recursions must match.
 """
 
 from __future__ import annotations
@@ -29,6 +27,12 @@ def series(coeffs) -> np.ndarray:
         raise DomainError("a series must be a non-empty 1-D coefficient array")
     if arr.size > MAX_ORDER:
         raise DomainError(f"series order {arr.size} exceeds the guard {MAX_ORDER}")
+    return _finite(arr)
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """Check a float64 array for finiteness in place.  The recursions' own
+    outputs are fresh arrays of a validated order, so this is all they need."""
     if not np.all(np.isfinite(arr)):
         raise DomainError("series coefficients must all be finite")
     return arr
@@ -48,7 +52,7 @@ def series_exp(t) -> np.ndarray:
     weighted = t * np.arange(m)  # j * t_j
     for n in range(1, m):
         p[n] = np.dot(weighted[1 : n + 1], p[n - 1 :: -1]) / n
-    return series(p)
+    return _finite(p)
 
 
 def series_reciprocal(c) -> np.ndarray:
@@ -64,33 +68,10 @@ def series_reciprocal(c) -> np.ndarray:
     b[0] = 1.0 / c[0]
     for n in range(1, m):
         b[n] = -np.dot(c[1 : n + 1], b[n - 1 :: -1]) / c[0]
-    return series(b)
+    return _finite(b)
 
 
 def coeff_sum(p) -> float:
     """Sum of the coefficients, i.e. the l1 column sum of the Toeplitz matrix
     the series represents (all coverage outputs are such sums)."""
-    return float(np.sum(series(p)))
-
-
-def toeplitz_exp_nilpotent(t) -> np.ndarray:
-    """First column of exp(T) for the lower-triangular Toeplitz matrix T.
-
-    Splits T = t_0 I + N with N strictly lower triangular (nilpotent, N^M = 0)
-    and sums e^{t_0} sum_{k<M} N^k / k!.  The k-th power's first column is the
-    k-fold self-convolution of (0, t_1, ..., t_{M-1}), so this path shares no
-    code with the recursion in ``series_exp``.
-    """
-    t = series(t)
-    m = t.size
-    strict = t.copy()
-    strict[0] = 0.0
-    total = np.zeros(m)
-    total[0] = 1.0
-    power = total.copy()  # N^k / k! first column, starting at k = 0
-    for k in range(1, m):
-        power = np.convolve(power, strict)[:m] / k
-        if not power.any():
-            break
-        total += power
-    return series(math.exp(t[0]) * total)
+    return float(np.sum(p))

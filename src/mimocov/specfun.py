@@ -201,6 +201,8 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
 
 
 def _touchard_exact(k: int, x: Fraction) -> Fraction:
+    """Touchard polynomial T_k(x) = sum_j S(k, j) x^j in exact rationals, so
+    the alternating sums at negative x shed no digits."""
     row = _stirling2_row(k)
     acc = Fraction(0)
     power = Fraction(1)
@@ -208,21 +210,6 @@ def _touchard_exact(k: int, x: Fraction) -> Fraction:
         acc += row[j] * power
         power *= x
     return acc
-
-
-def touchard(k: int, x: float) -> float:
-    """Touchard (exponential Bell) polynomial T_k(x) = sum_j S(k, j) x^j.
-
-    Evaluated in exact rational arithmetic (floats are dyadic rationals) and
-    rounded once at the end; the alternating sums at negative x would
-    otherwise shed digits.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"touchard order must be a non-negative integer, got {k!r}")
-    if k > _STIRLING_MAX:
-        raise DomainError(f"touchard order {k} exceeds the guard {_STIRLING_MAX}")
-    _check_finite(x=x)
-    return float(_touchard_exact(k, Fraction(x)))
 
 
 def ln_gamma(x: float) -> float:

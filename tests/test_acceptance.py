@@ -30,6 +30,7 @@ from mimocov import (
     validate,
 )
 from mimocov.montecarlo import SimConfig, simulate
+from toeplitz_oracle import toeplitz_coverage
 
 _ANCHOR = math.sqrt(math.log(2.0) / (math.pi * 1e-3))  # median cellular serving distance
 
@@ -60,10 +61,10 @@ def test_01_single_antenna_closed_form_and_simulation():
     start = time.perf_counter()
     problems = []
     exact = 1.0 / (1.0 + math.pi / 4.0)
-    for path in ("finite-sum", "toeplitz"):
-        got = coverage(_cellular(), path).value
+    for route, got in (("finite-sum", coverage(_cellular()).value),
+                       ("toeplitz", toeplitz_coverage(_cellular()))):
         if abs(got - exact) > 1e-10:
-            problems.append(f"{path} path off by {abs(got - exact):.2e}")
+            problems.append(f"{route} route off by {abs(got - exact):.2e}")
     est = simulate(_cellular(), SimConfig(trials=1_000_000, seed=2024,
                                           window_radius=40.0 * _ANCHOR))
     z = (est.value - exact) / (est.ci_halfwidth / 1.96)
@@ -95,8 +96,8 @@ def test_02_evaluation_routes_agree():
                             r0=rng.uniform(0.3, 2.0), theta=theta,
                             kappa=kappa, beta=beta,
                             noise=0.0 if rng.random() < 0.7 else 0.1)
-        a = coverage(bundle, "finite-sum").value
-        b = coverage(bundle, "toeplitz").value
+        a = coverage(bundle).value
+        b = toeplitz_coverage(bundle)
         worst = max(worst, abs(a - b) / a)
     problems = [] if worst <= 1e-12 else [f"worst relative gap {worst:.2e}"]
     _report("02 route equivalence", problems,

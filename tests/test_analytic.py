@@ -1,6 +1,6 @@
 """Coverage values are checked against closed forms, against an
 independently coded matrix oracle built on scipy's own special functions,
-and against each other across the two evaluation routes."""
+and against the Toeplitz matrix route on the library's own entries."""
 
 import math
 
@@ -27,6 +27,7 @@ from mimocov import (
     coverage_non_poisson,
 )
 from mimocov.model import GeneralSignalPdf
+from toeplitz_oracle import toeplitz_coverage
 
 
 def _oracle_cellular(m, tau, delta, kappa, beta, theta):
@@ -52,8 +53,8 @@ class TestCellular:
         # unit threshold, alpha 4, unit-mean exponential gains: 1 / (1 + pi/4)
         bundle = cellular_bundle(m=1)
         expected = 1.0 / (1.0 + math.pi / 4.0)
-        assert coverage(bundle, "finite-sum").value == pytest.approx(expected, rel=1e-13)
-        assert coverage(bundle, "toeplitz").value == pytest.approx(expected, rel=1e-13)
+        assert coverage(bundle).value == pytest.approx(expected, rel=1e-13)
+        assert toeplitz_coverage(bundle) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("m", [2, 4, 9])
     @pytest.mark.parametrize("tau,kappa,beta,theta,alpha", [
@@ -67,12 +68,9 @@ class TestCellular:
         assert coverage(bundle).value == pytest.approx(expected, rel=1e-11)
 
     def test_density_invariance_is_bitwise(self, cellular_bundle):
-        values = {
-            coverage(cellular_bundle(m=4, lam=lam), path).value
-            for lam in (1e-6, 1e-2, 1.0)
-            for path in ("finite-sum", "toeplitz")
-        }
-        assert len(values) <= 2  # one value per path, independent of density
+        for route in (lambda b: coverage(b).value, toeplitz_coverage):
+            values = {route(cellular_bundle(m=4, lam=lam)) for lam in (1e-6, 1e-2, 1.0)}
+            assert len(values) == 1  # one value per route, independent of density
         ref = coverage(cellular_bundle(m=4, lam=1e-3)).value
         assert coverage(cellular_bundle(m=4, lam=123.0)).value == ref
 
@@ -129,10 +127,6 @@ class TestCellular:
     def test_kind_guard(self, adhoc_bundle):
         with pytest.raises(ValidationError, match="cellular"):
             cellular_coverage(adhoc_bundle())
-
-    def test_bad_path_rejected(self, cellular_bundle):
-        with pytest.raises(ValidationError, match="path"):
-            coverage(cellular_bundle(), "cholesky")
 
 
 class TestCellularGeneralLaw:
@@ -234,9 +228,9 @@ class TestRepresentationEquivalence:
                 bundle = adhoc_bundle(lam=float(10.0 ** rng.uniform(-3, -1)),
                                       r0=float(rng.uniform(0.4, 2.0)),
                                       noise=float(rng.choice([0.0, 0.2])), **kw)
-            a = coverage(bundle, "finite-sum").value
-            b = coverage(bundle, "toeplitz").value
-            assert abs(a - b) < 1e-12, f"paths disagree on bundle {i}: {a} vs {b}"
+            a = coverage(bundle).value
+            b = toeplitz_coverage(bundle)
+            assert abs(a - b) < 1e-12, f"routes disagree on bundle {i}: {a} vs {b}"
 
 
 class TestGeneralSignalPdf:

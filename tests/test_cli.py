@@ -56,17 +56,30 @@ class TestCoverageCommand:
         exact = coverage(cellular_bundle(m=4)).value
         assert float(rows[0]["p_c"]) == pytest.approx(exact, rel=1e-10)
 
-    def test_matrix_path_agrees(self, capsys):
-        _, out_a, _ = run_cli(capsys, ["coverage", "--kind", "cellular",
-                                       "--alpha", "4", "--m", "6"])
-        _, out_b, _ = run_cli(capsys, ["coverage", "--kind", "cellular",
-                                       "--alpha", "4", "--m", "6",
-                                       "--path", "toeplitz"])
-        _, rows_a = parse_csv(out_a)
-        _, rows_b = parse_csv(out_b)
-        assert rows_b[0]["method"] == "toeplitz"
-        assert float(rows_a[0]["p_c"]) == pytest.approx(float(rows_b[0]["p_c"]),
-                                                        rel=1e-12)
+    @pytest.mark.parametrize("command", [
+        ["coverage"],
+        ["sweep", "--axis", "antennas", "--start", "1", "--stop", "2"],
+        ["validate"],
+    ], ids=["coverage", "sweep", "validate"])
+    def test_path_option_is_gone(self, capsys, command):
+        # one analytic route: the Toeplitz form is a test oracle, not a flag
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--kind", "cellular", "--alpha", "4", "--path", "toeplitz"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--path" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["coverage", "--tau-db", "4000"],
+        ["coverage", "--tau-db", "-4000"],
+        ["sweep", "--axis", "tau_db", "--start", "0", "--stop", "4000", "--points", "3"],
+    ], ids=["overflow", "underflow", "sweep"])
+    def test_threshold_past_double_range_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command + ["--kind", "cellular", "--alpha", "4"])
+        assert code == 2
+        assert out == ""
+        assert "tau_db" in err
 
     def test_monte_carlo_method(self, capsys):
         code, out, _ = run_cli(capsys, ["coverage", "--kind", "adhoc",
@@ -143,6 +156,14 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, ["coverage", "--config", str(cfg)])
         assert code == 2
         assert "wavelength" in err
+
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_bytes(b"\xff\xfekind = cellular\n")
+        code, out, err = run_cli(capsys, ["coverage", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert str(cfg) in err
 
 
 class TestSweepCommand:
@@ -355,7 +376,8 @@ class TestStdoutPurity:
 
 class TestColdStart:
     def test_import_leaves_quadrature_and_linear_algebra_unloaded(self):
-        # only general laws and the Toeplitz route need them, on first use
+        # only general laws need quadrature, on first use; the library never
+        # imports scipy.linalg
         src = os.path.dirname(os.path.dirname(mimocov.__file__))
         code = ("import sys, mimocov; "
                 "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') "

@@ -176,6 +176,13 @@ class TestConfig:
         assert resolve_threshold({"tau": "2.0", "tau_db": "10"}) == pytest.approx(2.0)
         assert resolve_threshold({}) == 1.0
 
+    @pytest.mark.parametrize("tau_db", ["4000", "-4000", "inf", "nan"])
+    def test_threshold_outside_double_range(self, tau_db):
+        # 10^(4000/10) overflows a double; 10^(-4000/10) underflows to zero
+        with pytest.raises(ValidationError, match="tau_db"):
+            resolve_threshold({"tau_db": tau_db})
+        assert resolve_threshold({"tau_db": "3000"}) == pytest.approx(1e300)
+
     def test_bundle_defaults(self):
         bundle = bundle_from_params({"kind": "cellular", "alpha": "4"})
         sc = bundle.scenario

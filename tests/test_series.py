@@ -10,8 +10,8 @@ from mimocov.series import (
     series,
     series_exp,
     series_reciprocal,
-    toeplitz_exp_nilpotent,
 )
+from toeplitz_oracle import toeplitz_exp_nilpotent
 
 
 def test_exp_small_example():
@@ -76,6 +76,15 @@ def test_coeff_sum():
 def test_reciprocal_zero_head_rejected():
     with pytest.raises(SingularityError):
         series_reciprocal([0.0, 1.0])
+
+
+def test_non_finite_result_rejected():
+    # the recursions check their own output once, in place
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="finite"):
+            series_exp([0.0, 1e200, 1e200])
+        with pytest.raises(DomainError, match="finite"):
+            series_reciprocal([1.0, -1e200, 1e200])
 
 
 def test_series_validation():
