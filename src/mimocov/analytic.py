@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .errors import NumericalError, UnsupportedConfigError, ValidationError
 from .model import (
     ADHOC,
@@ -86,6 +85,13 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
+def _f_coefficients(delta: float, order: int) -> np.ndarray:
+    """f_n = prod_{k=1}^{n} (k-1-delta)/k for n < order, from f_0 = 1: the
+    coefficients shared by the cellular and the ad hoc entries."""
+    n = np.arange(1.0, order)
+    return np.multiply.accumulate(np.concatenate(([1.0], (n - 1.0 - delta) / n)))
+
+
 # ---------------------------------------------------------------------------
 # cellular entries
 
@@ -122,43 +128,48 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
     n = np.arange(1.0, order)
     vals = np.empty(order, dtype=np.float64)
     vals[0] = (1.0 + x) ** -kappa + s * sp.betainc(1.0 - delta, q, w)
-    vals[1:] = s * np.cumprod((n - 1.0 - delta) / n) * sp.betainc(n - delta, q, w)
+    vals[1:] = s * _f_coefficients(delta, order)[1:] * sp.betainc(n - delta, q, w)
     return EntrySequence(values=vals, flavor=CELLULAR)
 
 
 def cellular_entries_general(bundle: ScenarioBundle, order: int) -> EntrySequence:
     """Entries for a cellular scenario with an arbitrary interferer gain law.
 
-    Entry n needs the moment E[g^n 1F1(n-delta; n+1-delta; -c g)] with
-    c = tau/theta.  When the law supplies ``f11_moment`` it is used
-    directly; otherwise the moment is computed by adaptive quadrature
-    against the pdf, with the g^n / n! weight folded into the exponent of
-    the integrand so large n stays finite.
+    Entry n is delta/(delta-n) E[x^n/n! 1F1(n-delta; n+1-delta; -x)] with
+    x = c g and c = tau/theta; a supplied ``f11_moment`` gives the 1F1
+    moment directly.  Otherwise 1F1(a; a+1; -x) = a x^-a gamma(a, x)
+    (DLMF 13.6.5 and 8.5.1), plus for n = 0 one step of the recurrence in
+    a, gives regularized lower incomplete gamma functions P:
+
+        c_0 = E[e^-x] + Gamma(1-delta) E[x^delta P(1-delta, x)],
+        c_n = Gamma(1-delta) f_n E[x^delta P(n-delta, x)],   n >= 1,
+
+    with the f_n of ``cellular_entries_gamma``.  The x^delta P expectations
+    are the components of one vector quadrature; E[e^-x] takes a scalar one.
     """
     order = _check_order(order)
-    sc = bundle.scenario
     law = bundle.interferer
     delta = bundle.delta
-    c = sc.threshold / bundle.signal.scale
+    c = bundle.scenario.threshold / bundle.signal.scale
 
-    vals = np.empty(order, dtype=np.float64)
-    for n in range(order):
-        if law.f11_moment is not None:
-            moment = law.f11_moment(n, delta, c)
-            scale = math.exp(n * math.log(c) - specfun.ln_gamma(n + 1.0)) if n else 1.0
-            weighted = scale * moment
-        else:
-            def integrand(g, n=n):
-                f = specfun.hyp1f1(n - delta, n + 1.0 - delta, -c * g)
-                if n == 0:
-                    w = 1.0
-                else:
-                    w = math.exp(n * math.log(c * g) - specfun.ln_gamma(n + 1.0))
-                return w * f * law.pdf(g)
+    if law.f11_moment is not None:
+        vals = np.empty(order, dtype=np.float64)
+        for n in range(order):
+            ratio = delta / (delta - n) if n else 1.0
+            scale = math.exp(n * math.log(c) - math.lgamma(n + 1.0)) if n else 1.0
+            vals[n] = ratio * scale * law.f11_moment(n, delta, c)
+        return EntrySequence(values=vals, flavor=CELLULAR)
 
-            weighted = _integral_on_half_line(integrand, f"cellular entry {n}")
-        ratio = delta / (delta - n) if n else 1.0
-        vals[n] = ratio * weighted
+    from scipy import special as sp  # imported on first use: only these entries need it
+
+    a = np.maximum(np.arange(order), 1.0) - delta  # entry 0 takes P(1-delta, x) too
+    moments = _integral_on_half_line(
+        lambda g: law.pdf(g) * (c * g) ** delta * sp.gammainc(a, c * g), "cellular entries"
+    )
+    vals = math.gamma(1.0 - delta) * _f_coefficients(delta, order) * moments
+    # e^-x alone does not vanish at g = 0, where a pdf may be singular:
+    # QUADPACK extrapolates that endpoint, quad_vec only bisects toward it
+    vals[0] += _integral_on_half_line(lambda g: math.exp(-c * g) * law.pdf(g), "cellular entry 0")
     return EntrySequence(values=vals, flavor=CELLULAR)
 
 
@@ -181,9 +192,7 @@ def adhoc_mu(bundle: ScenarioBundle) -> float:
     law = bundle.interferer
     delta = bundle.delta
     if law.is_gamma:
-        moment = law.beta**delta * math.exp(
-            specfun.ln_gamma(delta + law.kappa) - specfun.ln_gamma(law.kappa)
-        )
+        moment = law.beta**delta * math.exp(math.lgamma(delta + law.kappa) - math.lgamma(law.kappa))
     elif law.delta_moment is not None:
         moment = law.delta_moment(delta)
     else:
@@ -201,8 +210,8 @@ def adhoc_mu(bundle: ScenarioBundle) -> float:
 def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
     """Entries of the ad hoc series A(z): elementary in mu, delta, and noise.
 
-    f_n follows the two-term recurrence f_n = f_{n-1} (n-1-delta)/n from
-    f_0 = 1, which keeps every entry exact to rounding; the noise term
+    Entry n is -mu f_n, with f_n = f_{n-1} (n-1-delta)/n from f_0 = 1
+    (a running product, so every entry is exact to rounding); the noise term
     s = tau r0^alpha sigma^2 / theta only touches entries 0 and 1.
     """
     order = _check_order(order)
@@ -211,16 +220,10 @@ def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
     s_noise = sc.threshold * sc.r0**sc.alpha * sc.noise / bundle.signal.scale
     delta = bundle.delta
 
-    vals = np.empty(order, dtype=np.float64)
-    f = 1.0
-    for n in range(order):
-        if n > 0:
-            f *= (n - 1.0 - delta) / n
-        vals[n] = -mu * f
-        if n == 0:
-            vals[n] -= s_noise
-        elif n == 1:
-            vals[n] += s_noise
+    vals = -mu * _f_coefficients(delta, order)
+    vals[0] -= s_noise
+    if order > 1:
+        vals[1] += s_noise
     return EntrySequence(values=vals, flavor=ADHOC)
 
 

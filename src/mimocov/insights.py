@@ -431,7 +431,7 @@ def adhoc_pbar_bessel(bundle: ScenarioBundle, n: int) -> float:
         raise ValidationError(f"coefficient index must be a non-negative integer, got {n!r}")
     mu = adhoc_mu(bundle)
     front = math.sqrt(2.0 * mu / math.pi)
-    log_w = n * math.log(mu / 2.0) - specfun.ln_gamma(n + 1.0) if n else 0.0
+    log_w = n * math.log(mu / 2.0) - math.lgamma(n + 1.0) if n else 0.0
     return front * math.exp(log_w) * specfun.bessel_k_half(n, mu)
 
 

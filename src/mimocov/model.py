@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CoverageRangeError, ValidationError
+from .errors import CoverageRangeError, NumericalError, ValidationError
 
 CELLULAR = "cellular"
 ADHOC = "adhoc"
@@ -26,49 +26,77 @@ METHOD_MC = "monte-carlo"
 _NORMALIZATION_TOL = 1e-9
 
 
-def _integral_on_half_line(f, context: str) -> float:
+def _integral_on_half_line(f, context: str):
     """Adaptive quadrature of f over (0, inf) by geometric blocks.
 
-    Fast-decaying integrands terminate as soon as a block stops mattering.
-    Power-law tails settle into a constant block ratio, which is summed in
-    closed form once it stabilizes; ratios that refuse to drop below one
-    mark a divergent tail and raise ValidationError.
+    f may return a scalar or a 1-D array, and every component is judged
+    converged relative to its own size.  Vector integrands take two passes
+    of ``quad_vec``; the second rescales each component by its first-pass
+    magnitude, so components decades below the largest one are not left
+    at the absolute error floor.
     """
     from scipy import integrate  # imported on first use: only general laws integrate
 
-    total, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11, limit=200)
+    if np.ndim(f(1.0)) == 0:
+        def quad(lo, hi, epsabs):
+            val, _ = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=200)
+            return np.array([val])
+
+        return float(_sum_blocks(quad, context)[0])
+
+    def rescaled_quad(scale):
+        def quad(lo, hi, epsabs):
+            val, _, info = integrate.quad_vec(lambda g: f(g) * scale, lo, hi, epsabs=epsabs,
+                                              epsrel=1e-11, norm="max", limit=200,
+                                              full_output=True)
+            if not info.success:
+                raise NumericalError(f"{context}: {info.message}")
+            return val
+
+        return quad
+
+    size = np.abs(_sum_blocks(rescaled_quad(1.0), context))
+    scale = 1.0 / np.where(size > 1e-300, size, 1.0)  # components below are zero in effect
+    return _sum_blocks(rescaled_quad(scale), context) / scale
+
+
+def _sum_blocks(quad, context: str) -> np.ndarray:
+    """Sum quad over (0, 1) and the blocks (4^k, 4^(k+1)), per component.
+
+    A component is done once a block stops mattering to it, or once its
+    block ratio settles below one and the geometric remainder gives the
+    same total twice.  A divergent tail g^-p has the constant block ratio
+    4^(1-p) >= 1, so three settled ratios at or above one raise
+    ValidationError; a ratio still moving is a light tail with mass far out.
+    """
+    total = quad(0.0, 1.0, 1e-12)
     lo = 1.0
-    prev_block = None
-    prev_estimate = None
-    rising = 0
+    prev_block = prev_ratio = prev_estimate = np.full(total.shape, np.nan)
+    rising = np.zeros(total.shape, dtype=int)
     for _ in range(120):
         hi = 4.0 * lo
-        block, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-        total += block
-        if not math.isfinite(total):
+        block = quad(lo, hi, 1e-13)
+        total = total + block
+        if not np.all(np.isfinite(total)):
             raise ValidationError(f"{context}: integral is not finite")
-        if abs(block) <= 1e-14 * max(abs(total), 1e-300):
+        small = np.abs(block) <= 1e-14 * np.maximum(np.abs(total), 1e-300)
+        if np.all(small):
             return total
-        if prev_block is not None and prev_block != 0.0:
-            ratio = abs(block) / abs(prev_block)
-            if ratio >= 0.999:
-                rising += 1
-                if rising >= 3:
-                    raise ValidationError(
-                        f"{context}: integral appears divergent (tail blocks do not decay)"
-                    )
-            else:
-                rising = 0
-                if ratio <= 0.98:
-                    # power-law tails settle to a constant block ratio; sum the
-                    # geometric remainder and stop once the corrected value is still
-                    estimate = total + block * ratio / (1.0 - ratio)
-                    if prev_estimate is not None and abs(estimate - prev_estimate) <= (
-                        1e-12 * max(abs(estimate), 1e-300)
-                    ):
-                        return estimate
-                    prev_estimate = estimate
-        prev_block = block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # nan wherever the previous block was zero or absent: no verdict
+            ratio = np.where(prev_block != 0.0, np.abs(block) / np.abs(prev_block), np.nan)
+            settled = np.abs(ratio - prev_ratio) <= 0.05 * prev_ratio
+            rising = np.where((ratio >= 0.999) & settled, rising + 1, 0)
+            if np.any(rising >= 3):
+                raise ValidationError(
+                    f"{context}: integral appears divergent (tail blocks do not decay)"
+                )
+            estimate = np.where(ratio <= 0.98, total + block * ratio / (1.0 - ratio), np.nan)
+            still = np.abs(estimate - prev_estimate) <= 1e-12 * np.maximum(np.abs(estimate), 1e-300)
+        if np.all(small | still):
+            return np.where(small, total, estimate)
+        prev_estimate = np.where(np.isnan(estimate), prev_estimate, estimate)
+        prev_block, prev_ratio = block, ratio
         lo = hi
     raise ValidationError(f"{context}: could not establish convergence of the tail integral")
 
@@ -146,8 +174,10 @@ class InterfererGainSpec:
     the analytic path needs moments; ``delta_moment`` (E[g^delta]) and
     ``f11_moment`` (E[g^n 1F1(n-delta; n+1-delta; -c g)], called as
     f(n, delta, c)) may be supplied directly, otherwise they are computed by
-    adaptive quadrature against the pdf.  ``sampler(rng, size)`` is only
-    required for Monte Carlo runs.
+    adaptive quadrature against the pdf: by 1F1(a; a+1; -x) = a x^-a gamma(a, x)
+    the 1F1 moments become expectations of e^-x and of incomplete gamma
+    functions, see ``analytic.cellular_entries_general``.  ``sampler(rng,
+    size)`` is only required for Monte Carlo runs.
     """
 
     kappa: Optional[float] = None

@@ -48,10 +48,14 @@ def series_exp(t) -> np.ndarray:
     t = series(t)
     m = t.size
     p = np.zeros(m)
-    p[0] = math.exp(t[0])
+    try:
+        p[0] = math.exp(t[0])
+    except OverflowError:
+        raise DomainError(f"series exponential overflows at t_0 = {float(t[0])!r}") from None
     weighted = t * np.arange(m)  # j * t_j
-    for n in range(1, m):
-        p[n] = np.dot(weighted[1 : n + 1], p[n - 1 :: -1]) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        for n in range(1, m):
+            p[n] = np.dot(weighted[1 : n + 1], p[n - 1 :: -1]) / n
     return _finite(p)
 
 
@@ -65,9 +69,10 @@ def series_reciprocal(c) -> np.ndarray:
         raise SingularityError("series reciprocal undefined: leading coefficient is zero")
     m = c.size
     b = np.zeros(m)
-    b[0] = 1.0 / c[0]
-    for n in range(1, m):
-        b[n] = -np.dot(c[1 : n + 1], b[n - 1 :: -1]) / c[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        b[0] = 1.0 / c[0]
+        for n in range(1, m):
+            b[n] = -np.dot(c[1 : n + 1], b[n - 1 :: -1]) / c[0]
     return _finite(b)
 
 

@@ -1,12 +1,13 @@
 """Scalar special functions backing the closed-form coverage entries.
 
 Everything in this module is a pure function of plain Python numbers.  The
-hypergeometric evaluators are tuned for the argument shapes that coverage
-computations produce: 1F1(a; b; z) with b - a = 1 and z of either sign, and
-2F1(a, b; c; z) with 0 <= z < 1 (decay-rate root finding).  The cellular
-interference entries do not call 2F1: they use its incomplete-beta form in
-``analytic``.  Series are summed with a relative term cutoff and a hard
-iteration cap; hitting the cap raises instead of returning a truncated sum.
+hypergeometric evaluators sum their defining series on the non-negative
+arguments that decay-rate root finding produces: 1F1(a; b; z) with z >= 0
+and 2F1(a, b; c; z) with 0 <= z < 1.  The cellular interference entries
+call neither at negative argument: ``analytic`` evaluates them through
+incomplete beta and incomplete gamma functions.  Series are summed with a
+relative term cutoff and a hard iteration cap; hitting the cap raises
+instead of returning a truncated sum.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from .errors import DomainError, NumericalError
 # Series controls shared by both hypergeometric evaluators.
 _MAX_TERMS = 100_000
 _TERM_RTOL = 1e-16
-
-# Largest -z handled by the Kummer-transformed 1F1 series before switching
-# to the large-argument expansion (keeps e^{|z|}-sized partial sums finite).
-_KUMMER_SERIES_LIMIT = 600.0
 
 _STIRLING_MAX = 64
 
@@ -61,63 +58,27 @@ def _sum_by_ratio(ratio, context: str) -> float:
 
 
 def hyp1f1(a: float, b: float, z: float) -> float:
-    """Kummer's confluent hypergeometric function 1F1(a; b; z).
+    """Kummer's confluent hypergeometric function 1F1(a; b; z) for z >= 0.
 
-    Negative arguments are routed through the Kummer transformation
-    1F1(a; b; z) = e^z 1F1(b - a; b; -z) so that the series being summed has
-    a positive argument; the direct alternating series loses all precision
-    long before z = -30.  Very large negative z falls back to the Poincare
-    expansion, which terminates exactly when b - a is a small non-negative
-    integer (the case b = a + 1 used throughout the coverage entries).
+    Sums the defining series.  Negative arguments raise ``DomainError``, as
+    in ``hyp2f1``: the alternating series loses all precision long before
+    z = -30, and the entry-shaped 1F1(a; a+1; -x) = a x^-a gamma(a, x) is
+    evaluated in ``analytic.cellular_entries_general`` through incomplete
+    gamma functions.
     """
     _check_finite(a=a, b=b, z=z)
     if b <= 0.0 and b == math.floor(b):
         raise DomainError(f"1F1 undefined for non-positive integer b = {b}")
+    if z < 0.0:
+        raise DomainError(f"1F1 is evaluated on z >= 0 only, got z = {z}")
     if z == 0.0 or a == 0.0:
         return 1.0
     if a == b:
         return math.exp(z)
-    if z > 0.0:
-        return _sum_by_ratio(
-            lambda k: (a + k) * z / ((b + k) * (k + 1.0)),
-            f"1F1(a={a}, b={b}, z={z})",
-        )
-    x = -z
-    if x <= _KUMMER_SERIES_LIMIT:
-        transformed = _sum_by_ratio(
-            lambda k: (b - a + k) * x / ((b + k) * (k + 1.0)),
-            f"Kummer-transformed 1F1(a={b - a}, b={b}, z={x})",
-        )
-        return math.exp(z) * transformed
-    return _hyp1f1_large_negative(a, b, x)
-
-
-def _hyp1f1_large_negative(a: float, b: float, x: float) -> float:
-    """1F1(a; b; -x) for x beyond the series range, via the z -> -inf expansion.
-
-    1F1(a; b; -x) ~ [Gamma(b)/Gamma(b-a)] x^{-a} sum_k (a)_k (1+a-b)_k / (k! x^k).
-    The e^{-x} companion term is far below double precision here.
-    """
-    context = f"1F1(a={a}, b={b}, z={-x}) large-argument expansion"
-    if b - a <= 0.0:
-        raise NumericalError(f"{context}: requires b > a")
-    total = 1.0
-    term = 1.0
-    for k in range(1000):
-        nxt = term * (a + k) * (1.0 + a - b + k) / ((k + 1.0) * x)
-        if nxt == 0.0:
-            break
-        if abs(nxt) >= abs(term):
-            # Divergent tail reached before the terms got small enough.
-            if abs(term) > 1e-13 * abs(total):
-                raise NumericalError(f"{context}: asymptotic series does not settle")
-            break
-        term = nxt
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    log_pref = math.lgamma(b) - math.lgamma(b - a) - a * math.log(x)
-    return math.exp(log_pref) * total
+    return _sum_by_ratio(
+        lambda k: (a + k) * z / ((b + k) * (k + 1.0)),
+        f"1F1(a={a}, b={b}, z={z})",
+    )
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -211,9 +172,3 @@ def _touchard_exact(k: int, x: Fraction) -> Fraction:
         power *= x
     return acc
 
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)

@@ -138,6 +138,39 @@ class TestCellularGeneralLaw:
         e_general = cellular_entries(general, 5).values
         np.testing.assert_allclose(e_general, e_gamma, rtol=1e-8)
         assert coverage(general).value == pytest.approx(coverage(gamma).value, rel=1e-9)
+        # Gamma pdfs entry by entry, down to entries many decades below entry 0;
+        # kappa = 0.2 puts an integrable singularity g^-0.8 at the origin
+        for kappa in (0.2, 1.0, 2.5):
+            law = InterfererGainSpec(
+                pdf=lambda g, k=kappa: math.exp((k - 1.0) * math.log(g) - g - math.lgamma(k))
+            )
+            for tau in (1.0, 10.0):
+                for m in (5, 32, 128, 512):
+                    e_general = cellular_entries(cellular_bundle(tau=tau, interferer=law), m).values
+                    e_gamma = cellular_entries(cellular_bundle(tau=tau, kappa=kappa), m).values
+                    np.testing.assert_allclose(e_general, e_gamma, rtol=1e-12, atol=0.0,
+                                               err_msg=f"kappa={kappa} tau={tau} M={m}")
+
+    def test_power_law_pdf_matches_hypergeometric_quadrature(self, cellular_bundle):
+        # entry n = delta/(delta-n) E[(c g)^n/n! 1F1(n-delta; n+1-delta; -c g)],
+        # one scipy quad per entry with scipy's 1F1 against the library's
+        # quadrature of the incomplete-gamma form
+        m, tau, theta, delta = 8, 1.3, 0.8, 0.5
+        c = tau / theta
+
+        def pdf(g):
+            return 2.0 * (1.0 + g) ** -3.0
+
+        expected = np.empty(m)
+        for n in range(m):
+            moment, _ = integrate.quad(
+                lambda g: (c * g) ** n / math.factorial(n)
+                * float(sps.hyp1f1(n - delta, n + 1 - delta, -c * g)) * pdf(g),
+                0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=500,
+            )
+            expected[n] = (delta / (delta - n) if n else 1.0) * moment
+        bundle = cellular_bundle(tau=tau, theta=theta, interferer=InterfererGainSpec(pdf=pdf))
+        np.testing.assert_allclose(cellular_entries(bundle, m).values, expected, rtol=1e-10)
 
     def test_point_mass_law_via_moment_overrides(self, cellular_bundle):
         # deterministic interferer gain g0: moments collapse to evaluations
@@ -199,6 +232,25 @@ class TestAdhoc:
             a = coverage(adhoc_bundle(m=m, lam=0.08, r0=1.0)).value
             b = coverage(adhoc_bundle(m=m, lam=0.08 * 1.0**2 / 2.5**2, r0=2.5)).value
             assert a == pytest.approx(b, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.7, 6.0])
+    def test_entries_are_the_running_product_bit_for_bit(self, adhoc_bundle, alpha):
+        # the vectorized f_n must reproduce the scalar recurrence exactly,
+        # so ad hoc coverage cannot drift by even one rounding
+        bundle = adhoc_bundle(alpha=alpha, noise=0.3, tau=1.7, lam=0.02)
+        mu = adhoc_mu(bundle)
+        s_noise = 1.7 * 1.0**alpha * 0.3
+        delta = 2.0 / alpha
+        expected = np.empty(512)
+        f = 1.0
+        for n in range(512):
+            if n > 0:
+                f *= (n - 1.0 - delta) / n
+            expected[n] = -mu * f
+        expected[0] -= s_noise
+        expected[1] += s_noise
+        for m in range(1, 513):
+            assert np.array_equal(adhoc_entries(bundle, m).values, expected[:m]), m
 
     def test_entry_signs_with_noise(self, adhoc_bundle):
         ent = adhoc_entries(adhoc_bundle(noise=0.4, m=1), 10)

@@ -320,7 +320,7 @@ class TestDecayRateGeneral:
     def test_moment_overrides_alone_are_not_enough(self, cellular_bundle):
         law = InterfererGainSpec(
             delta_moment=lambda d: math.gamma(1.0 + d),
-            f11_moment=lambda n, c: 1.0 / (1.0 + c) ** n,
+            f11_moment=lambda n, d, c: 1.0 / (1.0 + c) ** n,
         )
         with pytest.raises(UnsupportedConfigError, match="pdf"):
             cellular_decay_rate(cellular_bundle(interferer=law))

@@ -78,6 +78,12 @@ class TestValidate:
         law = InterfererGainSpec(pdf=lambda g: math.exp(-g))
         bundle = validate(_scenario(), SIGNAL, law)
         assert not bundle.interferer.is_gamma
+        # light tails whose mass lies far out: their block ratios climb above
+        # one for a while but never settle there, so they are not divergent
+        for pdf in (lambda g: math.exp(-g / 50.0) / 50.0,
+                    lambda g: math.exp(-g / 100.0) / 100.0,
+                    lambda g: math.exp(99.0 * math.log(g) - g - math.lgamma(100.0))):
+            validate(_scenario(), SIGNAL, InterfererGainSpec(pdf=pdf))
 
     def test_general_law_must_normalize(self):
         law = InterfererGainSpec(pdf=lambda g: 2.0 * math.exp(-g))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,12 +80,20 @@ def test_reciprocal_zero_head_rejected():
 
 
 def test_non_finite_result_rejected():
-    # the recursions check their own output once, in place
-    with np.errstate(over="ignore"):
-        with pytest.raises(DomainError, match="finite"):
-            series_exp([0.0, 1e200, 1e200])
-        with pytest.raises(DomainError, match="finite"):
-            series_reciprocal([1.0, -1e200, 1e200])
+    # the recursions check their own output once, in place; an overflow is a
+    # DomainError alone, with no bare OverflowError and no numpy RuntimeWarning
+    cases = [
+        (series_exp, [800.0, 1.0]),
+        (series_exp, [0.0, 1e200, 1e200]),
+        (series_reciprocal, [1.0, -1e200, 1e200]),
+        (series_reciprocal, [1e-300, 1e200, 1e200]),
+        (series_reciprocal, [1e-310, 1.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, coeffs in cases:
+            with pytest.raises(DomainError, match="finite|overflows"):
+                fn(coeffs)
 
 
 def test_series_validation():

@@ -16,44 +16,34 @@ from mimocov.specfun import (
     bessel_k_half,
     hyp1f1,
     hyp2f1,
-    ln_gamma,
     stirling_first,
 )
 
 
 class TestHyp1f1:
     @pytest.mark.parametrize("a", [-0.9, -0.5, 0.5, 1.0, 2.5, 5.0])
-    @pytest.mark.parametrize("z", [-50.0, -5.0, -0.5, 0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("z", [0.5, 5.0, 50.0])
     def test_against_scipy(self, a, z):
         b = a + 1.0  # the parameter pattern every entry evaluation uses
         assert hyp1f1(a, b, z) == pytest.approx(float(sps.hyp1f1(a, b, z)), rel=1e-10)
 
-    @pytest.mark.parametrize("a,b", [(0.5, 1.5), (-0.4, 0.6), (1.2, 3.2)])
-    @pytest.mark.parametrize("z", [-40.0, -3.0, 2.0, 30.0])
-    def test_kummer_identity(self, a, b, z):
-        # 1F1(a; b; z) = e^z 1F1(b-a; b; -z) must hold to near machine level
-        left = hyp1f1(a, b, z)
-        right = math.exp(z) * hyp1f1(b - a, b, -z)
-        assert left == pytest.approx(right, rel=1e-10)
-
-    @pytest.mark.parametrize("z", [-700.0, -2000.0, -50000.0])
-    def test_large_negative_argument(self, z):
-        a = 3.0 - 0.5  # n - delta with n = 3, delta = 1/2
-        b = a + 1.0
-        assert hyp1f1(a, b, z) == pytest.approx(float(sps.hyp1f1(a, b, z)), rel=1e-9)
+    @pytest.mark.parametrize("z", [-1e-300, -0.5, -50.0, -math.inf])
+    def test_negative_argument_rejected(self, z):
+        with pytest.raises(DomainError):
+            hyp1f1(0.5, 1.5, z)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("delta", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("y", [0.3, 1.0, 8.0])
     def test_quadrature_oracle(self, delta, y):
-        # 1F1(-delta; 1-delta; -y) = 1 + delta * int_0^1 (1 - e^{-y v}) v^{-1-delta} dv,
+        # 1F1(-delta; 1-delta; y) = 1 - delta * int_0^1 (e^{y v} - 1) v^{-1-delta} dv,
         # an integral representation that exercises exactly the section used
-        # by the ad hoc decay-rate equation.
+        # by the general-law decay-rate equation.
         val, _ = integrate.quad(
-            lambda v: (1.0 - math.exp(-y * v)) * v ** (-1.0 - delta), 0.0, 1.0,
+            lambda v: math.expm1(y * v) * v ** (-1.0 - delta), 0.0, 1.0,
             epsabs=1e-13, epsrel=1e-12, limit=200,
         )
-        assert hyp1f1(-delta, 1.0 - delta, -y) == pytest.approx(1.0 + delta * val, rel=1e-9)
+        assert hyp1f1(-delta, 1.0 - delta, y) == pytest.approx(1.0 - delta * val, rel=1e-9)
 
     def test_degenerate_cases(self):
         assert hyp1f1(0.0, 1.5, 3.0) == 1.0
@@ -194,8 +184,3 @@ class TestExactCombinatorics:
         for n in range(10):
             rhs = x * sum(math.comb(n, k) * _touchard_exact(k, x) for k in range(n + 1))
             assert _touchard_exact(n + 1, x) == rhs
-
-    def test_ln_gamma(self):
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
