@@ -38,6 +38,10 @@ def _num(x) -> str:
     return format(float(x), ".12g")
 
 
+_WINDOW_HELP = ("simulation disc radius (mc only); explicit radius: plain truncation, "
+                "no far-field mean")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     scen = argparse.ArgumentParser(add_help=False)
     grp = scen.add_argument_group("scenario")
@@ -69,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cov = sub.add_parser("coverage", parents=[scen],
                          help="evaluate one scenario")
     cov.add_argument("--method", choices=("analytic", "mc"), default="analytic")
-    cov.add_argument("--window", type=float, help="simulation disc radius (mc only)")
+    cov.add_argument("--window", type=float, help=_WINDOW_HELP)
 
     sw = sub.add_parser("sweep", parents=[scen],
                         help="evaluate along one parameter axis")
@@ -79,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--points", type=int, default=25)
     sw.add_argument("--scale", choices=("linear", "log"), default="linear")
     sw.add_argument("--method", choices=("analytic", "mc"), default="analytic")
-    sw.add_argument("--window", type=float)
+    sw.add_argument("--window", type=float, help=_WINDOW_HELP)
 
     va = sub.add_parser("validate", parents=[scen],
                         help="compare analytic and Monte Carlo values on a grid")
@@ -87,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma separated antenna counts (default 1,2,4,8)")
     va.add_argument("--tau-db-list", default="-5,0,5,10", metavar="LIST",
                     help="comma separated thresholds in dB (default -5,0,5,10)")
-    va.add_argument("--window", type=float)
+    va.add_argument("--window", type=float, help=_WINDOW_HELP)
 
     ins = sub.add_parser("insights", parents=[scen],
                          help="structural diagnostics of a scenario")

@@ -65,20 +65,29 @@ def _sum_blocks(quad, context: str) -> np.ndarray:
 
     A component is done once a block stops mattering to it, or once its
     block ratio settles below one and the geometric remainder gives the
-    same total twice.  A divergent tail g^-p has the constant block ratio
-    4^(1-p) >= 1, so three settled ratios at or above one raise
-    ValidationError; a ratio still moving is a light tail with mass far out.
+    same total twice.  Blocks count only from the first one that leaves
+    some component nonzero, since mass may start far out; components still
+    at zero then finish with the rest, and if every block is zero the zero
+    total is returned after the last one.  A divergent tail g^-p has the
+    constant block ratio 4^(1-p) >= 1, so three settled ratios at or above
+    one raise ValidationError; a ratio still moving is a light tail with
+    mass far out.
     """
     total = quad(0.0, 1.0, 1e-12)
     lo = 1.0
     prev_block = prev_ratio = prev_estimate = np.full(total.shape, np.nan)
     rising = np.zeros(total.shape, dtype=int)
+    seen = False
     for _ in range(120):
         hi = 4.0 * lo
         block = quad(lo, hi, 1e-13)
         total = total + block
         if not np.all(np.isfinite(total)):
             raise ValidationError(f"{context}: integral is not finite")
+        seen = seen or bool(np.any(total != 0.0))
+        if not seen:
+            lo = hi
+            continue
         small = np.abs(block) <= 1e-14 * np.maximum(np.abs(total), 1e-300)
         if np.all(small):
             return total
@@ -98,6 +107,8 @@ def _sum_blocks(quad, context: str) -> np.ndarray:
         prev_estimate = np.where(np.isnan(estimate), prev_estimate, estimate)
         prev_block, prev_ratio = block, ratio
         lo = hi
+    if not seen:
+        return total
     raise ValidationError(f"{context}: could not establish convergence of the tail integral")
 
 

@@ -7,6 +7,17 @@ by the construction rather than assumed.  Everything the analytic engine
 predicts (including the distance distribution itself) is therefore probed
 by an independent mechanism.
 
+The simulated disc has radius R.  By default (``SimConfig.window_radius``
+None, Gamma interferer law) it is a near disc: the points inside R are
+simulated exactly, and the field beyond R is replaced by its mean,
+E[I_far] = 2 pi lam E[g] R^(2 - alpha) / (alpha - 2) (Campbell's theorem),
+added to every trial's interference.  Only a second-order bias, of the order
+of Var I_far = pi lam E[g^2] R^(2 - 2 alpha) / (alpha - 1), is left, so a
+disc of 200 to 1500 points per trial at alpha >= 2.5 does what plain
+truncation needs 7e3 to 7e15 points for (see ``auto_window``).  An explicit ``window_radius``, or a general
+law whose E[g] is unknown, gets plain truncation: points outside R are
+dropped, and nothing is added for them.
+
 Positions are drawn as u = d^2 / R^2, uniform on (0, 1].  In a cellular
 trial with N points the nearest one is drawn directly from the law of the
 minimum of N uniforms, u_min = 1 - (1 - V)^(1/N) for one uniform V, and the
@@ -41,14 +52,20 @@ from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle
 _POINTS_PER_CHUNK = 8_000_000
 _MAX_REDRAW_ROUNDS = 200
 _REDRAW_BUDGET = 0.01  # fraction of trials allowed to come up empty
+_MIN_POINTS = 200.0  # expected points per realization, at least
+_NEAR_VARIANCE = 1e-5  # (R / anchor)^(2 - 2 alpha) left by the far-field mean
+_TRUNCATION_SHARE = 1e-4  # (R / anchor)^(2 - alpha) dropped by plain truncation
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Knobs of one simulation run.
 
-    ``window_radius`` is the radius of the simulated disc; leave it None to
-    size the disc automatically from the scenario (see ``auto_window``).
+    ``window_radius`` is the radius of the simulated disc.  Leave it None to
+    size the disc from the scenario (see ``auto_window``); with a Gamma
+    interferer law the far field beyond it then enters as its mean.  An
+    explicit radius means plain truncation: interferers beyond it are
+    dropped and no far-field mean is added.
     ``batches`` controls the batch-means confidence interval.
     """
 
@@ -73,22 +90,40 @@ class SimConfig:
 
 
 def auto_window(bundle: ScenarioBundle) -> float:
-    """Disc radius that keeps truncation bias out of the statistical noise.
+    """Radius of the disc ``simulate`` scatters points in by default.
 
-    The far field beyond radius R contributes a vanishing share of the
-    interference at the receiver; requiring that share to be 1e-4 of the
-    near-field reference (taken at the typical serving scale) gives the
-    first factor.  The second keeps at least ~200 points per realization
-    so segment statistics stay meaningful at low densities.
+    Distances are measured in the anchor, the scale of the link: r0 for ad
+    hoc, the median serving distance for cellular.  With a Gamma interferer
+    law the far field beyond R enters as its mean, which leaves a bias of
+    the order of its variance, relative size (R / anchor)^(2 - 2 alpha);
+    R makes that 1e-5.  A general law has no known E[g], so the far field
+    is dropped, a share (R / anchor)^(2 - alpha) of the interference; R
+    makes that about 1e-4.  Either way R grows as alpha falls, and is
+    floored so a realization holds at least ~200 points on average.
     """
     sc = bundle.scenario
     if sc.kind == CELLULAR:
         anchor = math.sqrt(math.log(2.0) / (math.pi * sc.lam))  # median serving distance
     else:
         anchor = sc.r0
-    bias_radius = anchor * (1.0 + 1e4) ** (1.0 / (sc.alpha - 2.0))
-    count_radius = math.sqrt(200.0 / (math.pi * sc.lam))
+    if bundle.interferer.is_gamma:
+        bias_radius = anchor * (1.0 / _NEAR_VARIANCE) ** (1.0 / (2.0 * sc.alpha - 2.0))
+    else:
+        bias_radius = anchor * (1.0 + 1.0 / _TRUNCATION_SHARE) ** (1.0 / (sc.alpha - 2.0))
+    count_radius = math.sqrt(_MIN_POINTS / (math.pi * sc.lam))
     return max(bias_radius, count_radius)
+
+
+def _far_field_mean(bundle: ScenarioBundle, radius: float) -> float:
+    """Mean interference from a Gamma-law field beyond ``radius``.
+
+    Campbell's theorem: 2 pi lam E[g] R^(2 - alpha) / (alpha - 2), with
+    E[g] = kappa beta.
+    """
+    sc = bundle.scenario
+    law = bundle.interferer
+    return (2.0 * math.pi * sc.lam * law.kappa * law.beta
+            * radius ** (2.0 - sc.alpha) / (sc.alpha - 2.0))
 
 
 def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -117,7 +152,11 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
 def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
     """Estimate coverage by simulation, for either scenario kind."""
     sc = bundle.scenario
-    radius = config.window_radius if config.window_radius is not None else auto_window(bundle)
+    if config.window_radius is not None:
+        radius, far_mean = config.window_radius, 0.0
+    else:
+        radius = auto_window(bundle)
+        far_mean = _far_field_mean(bundle, radius) if bundle.interferer.is_gamma else 0.0
     mean_points = sc.lam * math.pi * radius * radius
     if mean_points > _POINTS_PER_CHUNK:
         raise ConfigurationError(
@@ -130,6 +169,9 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     fast_alpha4 = sc.alpha == 4.0
     cellular = sc.kind == CELLULAR
     tau = sc.threshold
+    # the far mean joins at the comparison: the segment reduction below
+    # assigns into the interference array rather than adding to it
+    floor = sc.noise + far_mean
     theta = bundle.signal.scale
     m_ant = bundle.signal.shape
 
@@ -192,7 +234,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 interference[lo:hi][nz] = np.add.reduceat(w, _segment_starts(seg[nz]))
             lo = hi
 
-        covered = int(np.count_nonzero(gain > tau * serve_alpha * (sc.noise + interference)))
+        covered = int(np.count_nonzero(gain > tau * serve_alpha * (floor + interference)))
         return covered, redraws
 
     covered, redraws = np.array([run_batch(b) for b in range(config.batches)]).T

@@ -99,10 +99,19 @@ class TestCoverageCommand:
         code, out, err = run_cli(capsys, ["coverage", "--kind", "cellular",
                                           "--alpha", "2.5", "--m", "1",
                                           "--tau-db", "0", "--method", "mc",
-                                          "--trials", "1000"])
+                                          "--trials", "1000", "--window", "1e5"])
         assert code == 2
         assert out == ""
         assert "window_radius" in err
+
+    def test_heavy_tail_runs_on_the_automatic_window(self, capsys):
+        # plain truncation at alpha = 3 would need ~7e7 points per trial
+        code, out, _ = run_cli(capsys, ["coverage", "--kind", "cellular",
+                                        "--alpha", "3", "--m", "4", "--method", "mc",
+                                        "--trials", "2000"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert 0.0 < float(rows[0]["p_c"]) < 1.0
 
     def test_missing_alpha_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, ["coverage", "--kind", "cellular"])

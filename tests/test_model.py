@@ -17,7 +17,13 @@ from mimocov import (
     parse_config,
     validate,
 )
-from mimocov.model import METHOD_MC, METHOD_RECURSION, load_config, resolve_threshold
+from mimocov.model import (
+    METHOD_MC,
+    METHOD_RECURSION,
+    _integral_on_half_line,
+    load_config,
+    resolve_threshold,
+)
 
 
 def _scenario(**kw):
@@ -84,6 +90,19 @@ class TestValidate:
                     lambda g: math.exp(-g / 100.0) / 100.0,
                     lambda g: math.exp(99.0 * math.log(g) - g - math.lgamma(100.0))):
             validate(_scenario(), SIGNAL, InterfererGainSpec(pdf=pdf))
+
+    def test_law_with_mass_only_far_out(self):
+        # every block up to g = 4 is zero; the sum must not stop there
+        def uniform(g):
+            return 0.01 if 100.0 < g < 200.0 else 0.0
+
+        validate(_scenario(), SIGNAL, InterfererGainSpec(pdf=uniform))
+        mean = _integral_on_half_line(lambda g: g * uniform(g), "mean")
+        assert mean == pytest.approx(150.0, abs=1e-9)
+
+    def test_identically_zero_integrand_finishes(self):
+        got = _integral_on_half_line(lambda g: np.zeros(3), "zero")
+        assert np.array_equal(got, np.zeros(3))
 
     def test_general_law_must_normalize(self):
         law = InterfererGainSpec(pdf=lambda g: 2.0 * math.exp(-g))

@@ -7,9 +7,15 @@ from mimocov import InterfererGainSpec, coverage, montecarlo
 from mimocov.errors import ConfigurationError, ValidationError
 from mimocov.montecarlo import (
     SimConfig,
+    _far_field_mean,
     _interferer_draw,
     auto_window,
     simulate,
+)
+
+EXP_SAMPLER_LAW = InterfererGainSpec(
+    pdf=lambda g: math.exp(-g) if g >= 0.0 else 0.0,
+    sampler=lambda rng, size: rng.standard_exponential(size, dtype=np.float32),
 )
 
 
@@ -40,9 +46,14 @@ class TestSimConfig:
 
 class TestAutoWindow:
     def test_cellular_window_is_bias_limited(self, cellular_bundle):
-        # at this density the far-field bias requirement dominates the
-        # points-per-realization floor
-        w = auto_window(cellular_bundle(lam=1e-3))
+        # at alpha = 3 the far-field variance requirement, anchor * 1e5^(1/4),
+        # dominates the points-per-realization floor
+        w = auto_window(cellular_bundle(alpha=3.0, lam=1e-3))
+        assert w == pytest.approx(264.1422021185886, rel=1e-12)
+
+    def test_general_law_keeps_the_truncation_window(self, cellular_bundle):
+        # no known E[g], so no far-field mean: anchor * (1 + 1e4)^(1/2) at alpha = 4
+        w = auto_window(cellular_bundle(lam=1e-3, interferer=EXP_SAMPLER_LAW))
         assert w == pytest.approx(1485.4550269619974, rel=1e-12)
 
     def test_adhoc_window_is_count_limited(self, adhoc_bundle):
@@ -51,8 +62,8 @@ class TestAutoWindow:
         assert w == pytest.approx(math.sqrt(200.0 / math.pi), rel=1e-12)
 
     def test_adhoc_window_scales_with_link_distance(self, adhoc_bundle):
-        w = auto_window(adhoc_bundle(r0=1.0, lam=0.05))
-        assert w == pytest.approx(100.00499987500625, rel=1e-12)
+        w = auto_window(adhoc_bundle(r0=10.0, lam=0.05))
+        assert w == pytest.approx(68.12920690579613, rel=1e-12)
 
     def test_heavier_tails_need_larger_windows(self, cellular_bundle):
         assert auto_window(cellular_bundle(alpha=3.0)) > auto_window(
@@ -71,8 +82,8 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self, adhoc_bundle):
         bundle = adhoc_bundle()
-        a = simulate(bundle, SimConfig(trials=2000, seed=1, batches=4))
-        b = simulate(bundle, SimConfig(trials=2000, seed=2, batches=4))
+        a = simulate(bundle, SimConfig(trials=2000, seed=1, window_radius=100.0, batches=4))
+        b = simulate(bundle, SimConfig(trials=2000, seed=2, window_radius=100.0, batches=4))
         assert a.value != b.value
 
 
@@ -81,7 +92,8 @@ class TestStreams:
     SCENARIOS = {
         "cellular": (dict(), SimConfig(trials=20_000, seed=7, window_radius=300.0,
                                        batches=10)),
-        "adhoc": (dict(m=2), SimConfig(trials=20_000, seed=7, batches=20)),
+        "adhoc": (dict(m=2), SimConfig(trials=20_000, seed=7, window_radius=100.0,
+                                       batches=20)),
     }
 
     def _simulate(self, request, kind):
@@ -105,6 +117,37 @@ class TestStreams:
         assert chunked.ci_halfwidth == reference.ci_halfwidth
         assert len(draws) > 2 * self.SCENARIOS[kind][1].batches
         assert max(draws) <= 200_000
+
+
+class TestFarField:
+    def test_mean_is_campbells_formula(self, cellular_bundle):
+        bundle = cellular_bundle(alpha=3.5, lam=2e-3, kappa=2.0, beta=0.7)
+        expected = 2.0 * math.pi * 2e-3 * 2.0 * 0.7 * 250.0**-1.5 / 1.5
+        assert _far_field_mean(bundle, 250.0) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    def test_mean_is_added_to_every_trial(self, request, kind):
+        # the automatic run draws what a truncated run of the same radius
+        # draws, and sees the far mean exactly as extra noise would
+        make = request.getfixturevalue(f"{kind}_bundle")
+        bundle = make(alpha=3.0, m=2, noise=0.05)
+        radius = auto_window(bundle)
+        far = _far_field_mean(bundle, radius)
+        auto = simulate(bundle, SimConfig(trials=2000, seed=3, batches=4))
+        shifted = simulate(make(alpha=3.0, m=2, noise=0.05 + far),
+                           SimConfig(trials=2000, seed=3, window_radius=radius, batches=4))
+        assert far > 0.0
+        assert (auto.value, auto.ci_halfwidth) == (shifted.value, shifted.ci_halfwidth)
+
+    def test_explicit_window_and_general_law_truncate_plainly(self, cellular_bundle,
+                                                              adhoc_bundle):
+        # pinned estimates of plain truncation, which both rules keep bit for bit
+        est = simulate(cellular_bundle(alpha=3.0, m=2),
+                       SimConfig(trials=2000, seed=5, window_radius=300.0, batches=4))
+        assert (est.value, est.ci_halfwidth) == (0.581, 0.01727322398009896)
+        est = simulate(adhoc_bundle(m=2, interferer=EXP_SAMPLER_LAW),
+                       SimConfig(trials=2000, seed=9, batches=4))
+        assert (est.value, est.ci_halfwidth) == (0.8875, 0.007398837746565341)
 
 
 class TestAgreementWithAnalytic:
@@ -142,6 +185,20 @@ class TestAgreementWithAnalytic:
         assert abs(est.value - exact) < 2.2 * est.ci_halfwidth
 
 
+class TestAutomaticWindowAgreement:
+    # heavy path-loss tails, where plain truncation would need 1e7 to 1e16
+    # points per trial for its bias to hide in the noise
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0])
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    def test_near_disc_with_far_mean(self, request, kind, alpha, m):
+        bundle = request.getfixturevalue(f"{kind}_bundle")(alpha=alpha, m=m)
+        exact = coverage(bundle).value
+        est = simulate(bundle, SimConfig(trials=100_000, seed=m))
+        z = (est.value - exact) / (est.ci_halfwidth / 1.96)
+        assert abs(z) <= 3.0
+
+
 class TestInterfererDraw:
     def test_gamma_law_moments(self, cellular_bundle):
         bundle = cellular_bundle(kappa=2.5, beta=0.8)
@@ -160,12 +217,8 @@ class TestInterfererDraw:
     def test_sampler_path_matches_gamma_fast_path(self, adhoc_bundle):
         # an Exp(1) sampler makes the identical generator calls as the
         # built-in unit-gamma path, so the estimates agree bit for bit
-        law = InterfererGainSpec(
-            pdf=lambda g: math.exp(-g) if g >= 0.0 else 0.0,
-            sampler=lambda rng, size: rng.standard_exponential(size, dtype=np.float32),
-        )
-        config = SimConfig(trials=20_000, seed=2, batches=20)
-        via_sampler = simulate(adhoc_bundle(m=2, interferer=law), config)
+        config = SimConfig(trials=20_000, seed=2, window_radius=100.0, batches=20)
+        via_sampler = simulate(adhoc_bundle(m=2, interferer=EXP_SAMPLER_LAW), config)
         via_gamma = simulate(adhoc_bundle(m=2), config)
         assert via_sampler.value == via_gamma.value
 
@@ -186,10 +239,10 @@ class TestEdgeCases:
         assert 0.99 < est.value <= 1.0
 
     def test_point_count_is_refused_before_allocation(self, cellular_bundle):
-        # at alpha = 2.5 the automatic window needs ~7e15 points per trial
-        config = SimConfig(trials=1000, seed=0, batches=2)
-        with pytest.raises(ConfigurationError, match=r"e\+15 points.*window_radius"):
-            simulate(cellular_bundle(alpha=2.5), config)
+        # a disc of radius 1e5 holds ~3e7 points per trial at this density
+        config = SimConfig(trials=1000, seed=0, window_radius=1e5, batches=2)
+        with pytest.raises(ConfigurationError, match=r"e\+07 points.*window_radius"):
+            simulate(cellular_bundle(), config)
 
     def test_cellular_window_too_small(self, cellular_bundle):
         config = SimConfig(trials=1000, seed=0, window_radius=5.0, batches=2)
