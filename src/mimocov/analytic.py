@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,20 @@ def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
 # ---------------------------------------------------------------------------
 # coverage
 
+def _rounded_estimate(total: float, order: int) -> CoverageEstimate:
+    """Estimate from a coverage sum of ``order`` coefficients.
+
+    Rounding in the recursion and the sum can carry a coverage near 0 or 1
+    a few ulps out of [0, 1]; a sum within 4 order eps of the interval is
+    mapped onto it, and anything further out is left for CoverageEstimate
+    to refuse.
+    """
+    slack = 4.0 * order * sys.float_info.epsilon
+    if -slack <= total <= 1.0 + slack:
+        total = min(max(total, 0.0), 1.0)
+    return CoverageEstimate(value=total, method=METHOD_RECURSION)
+
+
 def cellular_coverage(bundle: ScenarioBundle) -> CoverageEstimate:
     sc = bundle.scenario
     if sc.kind != CELLULAR:
@@ -241,7 +256,7 @@ def cellular_coverage(bundle: ScenarioBundle) -> CoverageEstimate:
         )
     entries = cellular_entries(bundle, bundle.signal.shape)
     recips = series_reciprocal(entries.values)
-    return CoverageEstimate(value=coeff_sum(recips), method=METHOD_RECURSION)
+    return _rounded_estimate(coeff_sum(recips), bundle.signal.shape)
 
 
 def adhoc_coverage(bundle: ScenarioBundle) -> CoverageEstimate:
@@ -250,7 +265,7 @@ def adhoc_coverage(bundle: ScenarioBundle) -> CoverageEstimate:
         raise ValidationError("adhoc_coverage needs an ad hoc scenario")
     entries = adhoc_entries(bundle, bundle.signal.shape)
     probs = series_exp(entries.values)
-    return CoverageEstimate(value=coeff_sum(probs), method=METHOD_RECURSION)
+    return _rounded_estimate(coeff_sum(probs), bundle.signal.shape)
 
 
 def coverage(bundle: ScenarioBundle) -> CoverageEstimate:
@@ -271,10 +286,12 @@ def coverage_general_pdf(bundle: ScenarioBundle, signal_pdf: GeneralSignalPdf) -
     term coverage exactly.
     """
     total = 1.0
+    orders = 0
     for order_m, scale, weight in signal_pdf.weights():
         sub = dataclasses.replace(bundle, signal=SignalGainSpec(shape=order_m, scale=scale))
         total += weight * (coverage(sub).value - 1.0)
-    return CoverageEstimate(value=total, method=METHOD_RECURSION)
+        orders += order_m
+    return _rounded_estimate(total, orders)
 
 
 def coverage_non_poisson(bundle: ScenarioBundle, deployment_gain: float) -> CoverageEstimate:

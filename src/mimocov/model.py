@@ -154,8 +154,8 @@ class GeneralSignalPdf:
                 raise ValidationError("signal pdf coefficient varphi must be finite")
             clean.append((int(p), int(q), float(phi), float(varphi)))
         object.__setattr__(self, "terms", tuple(clean))
-        mass = _integral_on_half_line(self.pdf, "signal pdf normalization")
-        if abs(mass - 1.0) > _NORMALIZATION_TOL:
+        mass = sum(w for _, _, w in self.weights())
+        if not abs(mass - 1.0) <= _NORMALIZATION_TOL:
             raise ValidationError(
                 f"signal pdf must integrate to 1 within {_NORMALIZATION_TOL:g}, got {mass!r}"
             )
@@ -168,10 +168,17 @@ class GeneralSignalPdf:
 
     def weights(self):
         """(order, scale, weight) per term: the term contributes ``weight``
-        times the coverage of a Gamma(order, scale) signal law."""
+        times the coverage of a Gamma(order, scale) signal law.  The weight
+        is the term's mass, varphi q! / phi^(q+1), so the weights sum to the
+        mass of the pdf."""
         out = []
         for _, q, phi, varphi in self.terms:
-            w = varphi * math.factorial(q) / phi ** (q + 1)
+            log_mass = math.lgamma(q + 1) - (q + 1) * math.log(phi)
+            # past e^709, q! / phi^(q+1) overflows; no normal varphi brings it back to 1
+            if log_mass < 709.0:
+                w = varphi * math.exp(log_mass)
+            else:
+                w = math.copysign(math.inf, varphi)
             out.append((q + 1, 1.0 / phi, w))
         return out
 

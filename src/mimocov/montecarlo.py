@@ -26,16 +26,22 @@ uniform points with the nearest one singled out, so no search for it is
 needed.  Points are generated in float32 and aggregated per trial with
 segmented ufunc reductions; statistics are accumulated in float64.
 
-Each batch of the batch-means interval owns four SFC64 streams spawned from
-``SeedSequence([seed, batch])``: Poisson counts (with the redraws of empty
-cellular trials), positions, interferer gains and signal gains.  A batch
-draws its counts, its nearest-point uniforms and its signal gains up front,
-then its points chunk by chunk, each kind from its own stream in trial
-order, so splitting a batch into chunks cannot change any draw.  So an
-estimate is reproducible bit for bit from its seed, whatever the chunk
-size.  Batches run one after another in the calling thread: a simulation
-uses one core, and its run time does not hinge on whether other cores are
-free.
+One simulation draws from four SFC64 streams spawned once from
+``SeedSequence(seed)``: Poisson counts (with the redraws of empty cellular
+trials), positions, interferer gains and signal gains.  The trials are
+split into a fixed 100 batches, which only partition them for the
+batch-means confidence interval.  Batch by batch, the counts, the
+nearest-point uniforms and the signal gains are drawn up front, then the
+points chunk by chunk, each kind from its own stream in trial order, so
+splitting a batch into chunks cannot change any draw.  So an estimate is
+reproducible bit for bit from its seed, whatever the chunk size.  The
+simulation runs in the calling thread, on one core, so its run time does
+not hinge on whether other cores are free.
+
+A cellular trial needs at least one point to serve from; one with none is
+redrawn.  A window whose empty share, P(N = 0) = exp(-lam pi R^2), exceeds
+1% is refused before anything is drawn, so the redraws stay rare and end
+within a few rounds.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ from .errors import ConfigurationError, ValidationError
 from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle
 
 _POINTS_PER_CHUNK = 8_000_000
-_MAX_REDRAW_ROUNDS = 200
-_REDRAW_BUDGET = 0.01  # fraction of trials allowed to come up empty
+_BATCHES = 100  # partition of the trials for the batch-means interval
+_EMPTY_BUDGET = 0.01  # share of cellular trials allowed to come up empty
 _MIN_POINTS = 200.0  # expected points per realization, at least
 _NEAR_VARIANCE = 1e-5  # (R / anchor)^(2 - 2 alpha) left by the far-field mean
 _TRUNCATION_SHARE = 1e-4  # (R / anchor)^(2 - alpha) dropped by plain truncation
@@ -65,22 +71,19 @@ class SimConfig:
     size the disc from the scenario (see ``auto_window``); with a Gamma
     interferer law the far field beyond it then enters as its mean.  An
     explicit radius means plain truncation: interferers beyond it are
-    dropped and no far-field mean is added.
-    ``batches`` controls the batch-means confidence interval.
+    dropped and no far-field mean is added.  A cellular window must hold
+    a point in at least 99% of the realizations, or ``simulate`` refuses it.
+    The confidence interval comes from batch means over 100 batches, so
+    ``trials`` is at least 100.
     """
 
     trials: int = 100_000
     seed: int = 0
     window_radius: Optional[float] = None
-    batches: int = 100
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 100:
-            raise ValidationError("trials must be an integer of at least 100")
-        if not isinstance(self.batches, int) or self.batches < 2:
-            raise ValidationError("batches must be an integer of at least 2")
-        if self.trials < self.batches:
-            raise ValidationError("trials must be at least the number of batches")
+        if not isinstance(self.trials, int) or self.trials < _BATCHES:
+            raise ValidationError(f"trials must be an integer of at least {_BATCHES}")
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise ValidationError("seed must be an integer in [0, 2^64)")
         if self.window_radius is not None and not (
@@ -164,10 +167,16 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
             f"radius {radius:.6g}, more than the {_POINTS_PER_CHUNK} points simulated "
             "at once; choose a smaller window_radius"
         )
+    cellular = sc.kind == CELLULAR
+    empty_share = math.exp(-mean_points)
+    if cellular and empty_share > _EMPTY_BUDGET:
+        raise ConfigurationError(
+            f"a disc of radius {radius:.6g} holds no point in {empty_share:.3g} of the "
+            f"realizations, more than the {_EMPTY_BUDGET:.0%} budget; enlarge window_radius"
+        )
     r_sq = radius * radius
     alpha_half = sc.alpha / 2.0
     fast_alpha4 = sc.alpha == 4.0
-    cellular = sc.kind == CELLULAR
     tau = sc.threshold
     # the far mean joins at the comparison: the segment reduction below
     # assigns into the interference array rather than adding to it
@@ -175,31 +184,20 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     theta = bundle.signal.scale
     m_ant = bundle.signal.shape
 
-    sizes = np.full(config.batches, config.trials // config.batches)
-    sizes[: config.trials % config.batches] += 1
-
-    def run_batch(b: int) -> tuple:
-        count_rng, position_rng, gain_rng, signal_rng = (
-            np.random.Generator(np.random.SFC64(child))
-            for child in np.random.SeedSequence([config.seed, b]).spawn(4)
-        )
-        n_batch = int(sizes[b])
+    count_rng, position_rng, gain_rng, signal_rng = (
+        np.random.Generator(np.random.SFC64(child))
+        for child in np.random.SeedSequence(config.seed).spawn(4)
+    )
+    sizes = np.full(_BATCHES, config.trials // _BATCHES)
+    sizes[: config.trials % _BATCHES] += 1
+    covered = np.empty(_BATCHES, dtype=np.int64)
+    for b, n_batch in enumerate(sizes.tolist()):
         counts = count_rng.poisson(mean_points, n_batch)
-        redraws = 0
         if cellular:
-            empty = counts == 0
-            rounds = 0
-            while np.any(empty):
-                n_empty = int(empty.sum())
-                redraws += n_empty
-                counts[empty] = count_rng.poisson(mean_points, n_empty)
-                empty = counts == 0
-                rounds += 1
-                if rounds >= _MAX_REDRAW_ROUNDS:
-                    raise ConfigurationError(
-                        "the window is far too small: realizations stay empty "
-                        f"after {rounds} redraw rounds; enlarge window_radius"
-                    )
+            empty = np.flatnonzero(counts == 0)
+            while empty.size:
+                counts[empty] = count_rng.poisson(mean_points, empty.size)
+                empty = empty[counts[empty] == 0]
             # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
             # the other N - 1 are then uniform on (u_min, 1]
             log_q = np.log1p(-position_rng.random(n_batch)) / counts
@@ -234,19 +232,10 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 interference[lo:hi][nz] = np.add.reduceat(w, _segment_starts(seg[nz]))
             lo = hi
 
-        covered = int(np.count_nonzero(gain > tau * serve_alpha * (floor + interference)))
-        return covered, redraws
+        covered[b] = np.count_nonzero(gain > tau * serve_alpha * (floor + interference))
 
-    covered, redraws = np.array([run_batch(b) for b in range(config.batches)]).T
     batch_means = covered / sizes
-    redraws = int(redraws.sum())
-    if redraws > _REDRAW_BUDGET * config.trials:
-        raise ConfigurationError(
-            f"{redraws} of {config.trials} realizations came up empty and were redrawn "
-            f"(budget {_REDRAW_BUDGET:.0%}); enlarge window_radius"
-        )
-
-    halfwidth = 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(config.batches)
+    halfwidth = 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(_BATCHES)
     return CoverageEstimate(
         value=int(covered.sum()) / config.trials,
         method=METHOD_MC,

@@ -12,6 +12,7 @@ from scipy import integrate
 from mimocov import (
     ADHOC,
     CELLULAR,
+    CoverageRangeError,
     EntrySequence,
     InterfererGainSpec,
     NumericalError,
@@ -26,6 +27,7 @@ from mimocov import (
     coverage_general_pdf,
     coverage_non_poisson,
 )
+from mimocov.analytic import _rounded_estimate
 from mimocov.model import GeneralSignalPdf
 from toeplitz_oracle import toeplitz_coverage
 
@@ -127,6 +129,25 @@ class TestCellular:
     def test_kind_guard(self, adhoc_bundle):
         with pytest.raises(ValidationError, match="cellular"):
             cellular_coverage(adhoc_bundle())
+
+
+class TestRoundingAtTheEdges:
+    def test_near_full_coverage_stays_in_range(self, cellular_bundle):
+        # at low thresholds the coefficient sum lands up to M eps / 8 above 1
+        for alpha in (2.1, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0):
+            for tau_db in range(-60, 11, 10):
+                for m in (1, 2, 8, 64, 512):
+                    for kappa in (0.3, 1.0, 4.0):
+                        bundle = cellular_bundle(m=m, tau=10.0 ** (tau_db / 10.0),
+                                                 alpha=alpha, kappa=kappa)
+                        assert 0.0 <= coverage(bundle).value <= 1.0
+
+    def test_beyond_rounding_is_still_refused(self):
+        with pytest.raises(CoverageRangeError):
+            _rounded_estimate(1.0 + 1e-9, 512)
+        with pytest.raises(CoverageRangeError):
+            _rounded_estimate(-1e-9, 512)
+        assert _rounded_estimate(1.0 + 1e-13, 512).value == 1.0
 
 
 class TestCellularGeneralLaw:

@@ -104,6 +104,14 @@ class TestCoverageCommand:
         assert out == ""
         assert "window_radius" in err
 
+    def test_mostly_empty_cellular_window_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["coverage", "--kind", "cellular",
+                                          "--alpha", "4", "--method", "mc",
+                                          "--window", "5"])
+        assert code == 2
+        assert out == ""
+        assert "enlarge window_radius" in err
+
     def test_heavy_tail_runs_on_the_automatic_window(self, capsys):
         # plain truncation at alpha = 3 would need ~7e7 points per trial
         code, out, _ = run_cli(capsys, ["coverage", "--kind", "cellular",
@@ -404,7 +412,7 @@ class TestColdStart:
                 "alpha=4.0, threshold=1.0, r0=1.0), mc.SignalGainSpec(shape=4), "
                 "mc.InterfererGainSpec(kappa=1.0, beta=1.0)); "
                 "mc.coverage(b); mc.density_profile(b).coverage_at(0.1); "
-                "mc.simulate(b, mc.SimConfig(trials=200, seed=1, batches=2)); "
+                "mc.simulate(b, mc.SimConfig(trials=200, seed=1)); "
                 "print('scipy.special' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -140,6 +140,8 @@ class TestGeneralSignalPdf:
     def test_normalization_enforced(self):
         with pytest.raises(ValidationError, match="integrate to 1"):
             GeneralSignalPdf(terms=((0, 0, 1.0, 1.5),))
+        with pytest.raises(ValidationError, match="integrate to 1"):
+            GeneralSignalPdf(terms=((0, 200, 1.0, 1.0),))
 
     def test_term_validation(self):
         with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ import pytest
 from mimocov import InterfererGainSpec, coverage, montecarlo
 from mimocov.errors import ConfigurationError, ValidationError
 from mimocov.montecarlo import (
+    _BATCHES,
     SimConfig,
     _far_field_mean,
     _interferer_draw,
@@ -25,8 +26,6 @@ class TestSimConfig:
         [
             {"trials": 50},
             {"trials": 1000.0},
-            {"batches": 1},
-            {"trials": 100, "batches": 200},
             {"seed": -1},
             {"seed": 2**64},
             {"window_radius": 0.0},
@@ -74,7 +73,7 @@ class TestAutoWindow:
 class TestDeterminism:
     def test_same_seed_bit_identical(self, cellular_bundle):
         bundle = cellular_bundle()
-        config = SimConfig(trials=2000, seed=42, window_radius=300.0, batches=4)
+        config = SimConfig(trials=2000, seed=42, window_radius=300.0)
         a = simulate(bundle, config)
         b = simulate(bundle, config)
         assert a.value == b.value
@@ -82,18 +81,16 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self, adhoc_bundle):
         bundle = adhoc_bundle()
-        a = simulate(bundle, SimConfig(trials=2000, seed=1, window_radius=100.0, batches=4))
-        b = simulate(bundle, SimConfig(trials=2000, seed=2, window_radius=100.0, batches=4))
+        a = simulate(bundle, SimConfig(trials=2000, seed=1, window_radius=100.0))
+        b = simulate(bundle, SimConfig(trials=2000, seed=2, window_radius=100.0))
         assert a.value != b.value
 
 
 class TestStreams:
-    # each scenario is simulated with batches of several hundred thousand points
+    # each batch of 200 trials holds 5e4 (cellular) or 3e5 (ad hoc) points
     SCENARIOS = {
-        "cellular": (dict(), SimConfig(trials=20_000, seed=7, window_radius=300.0,
-                                       batches=10)),
-        "adhoc": (dict(m=2), SimConfig(trials=20_000, seed=7, window_radius=100.0,
-                                       batches=20)),
+        "cellular": (dict(), SimConfig(trials=20_000, seed=7, window_radius=300.0)),
+        "adhoc": (dict(m=2), SimConfig(trials=20_000, seed=7, window_radius=100.0)),
     }
 
     def _simulate(self, request, kind):
@@ -110,13 +107,13 @@ class TestStreams:
             draws.append(size)
             return _interferer_draw(bundle, rng, size)
 
-        monkeypatch.setattr(montecarlo, "_POINTS_PER_CHUNK", 200_000)
+        monkeypatch.setattr(montecarlo, "_POINTS_PER_CHUNK", 20_000)
         monkeypatch.setattr(montecarlo, "_interferer_draw", counted)
         chunked = self._simulate(request, kind)
         assert chunked.value == reference.value
         assert chunked.ci_halfwidth == reference.ci_halfwidth
-        assert len(draws) > 2 * self.SCENARIOS[kind][1].batches
-        assert max(draws) <= 200_000
+        assert len(draws) > 2 * _BATCHES
+        assert max(draws) <= 20_000
 
 
 class TestFarField:
@@ -133,9 +130,9 @@ class TestFarField:
         bundle = make(alpha=3.0, m=2, noise=0.05)
         radius = auto_window(bundle)
         far = _far_field_mean(bundle, radius)
-        auto = simulate(bundle, SimConfig(trials=2000, seed=3, batches=4))
+        auto = simulate(bundle, SimConfig(trials=2000, seed=3))
         shifted = simulate(make(alpha=3.0, m=2, noise=0.05 + far),
-                           SimConfig(trials=2000, seed=3, window_radius=radius, batches=4))
+                           SimConfig(trials=2000, seed=3, window_radius=radius))
         assert far > 0.0
         assert (auto.value, auto.ci_halfwidth) == (shifted.value, shifted.ci_halfwidth)
 
@@ -143,11 +140,11 @@ class TestFarField:
                                                               adhoc_bundle):
         # pinned estimates of plain truncation, which both rules keep bit for bit
         est = simulate(cellular_bundle(alpha=3.0, m=2),
-                       SimConfig(trials=2000, seed=5, window_radius=300.0, batches=4))
-        assert (est.value, est.ci_halfwidth) == (0.581, 0.01727322398009896)
+                       SimConfig(trials=2000, seed=5, window_radius=300.0))
+        assert (est.value, est.ci_halfwidth) == (0.5945, 0.021529156082302936)
         est = simulate(adhoc_bundle(m=2, interferer=EXP_SAMPLER_LAW),
-                       SimConfig(trials=2000, seed=9, batches=4))
-        assert (est.value, est.ci_halfwidth) == (0.8875, 0.007398837746565341)
+                       SimConfig(trials=2000, seed=9))
+        assert (est.value, est.ci_halfwidth) == (0.8805, 0.012528074170607481)
 
 
 class TestAgreementWithAnalytic:
@@ -156,7 +153,7 @@ class TestAgreementWithAnalytic:
         exact = coverage(bundle).value
         window = 40.0 * math.sqrt(math.log(2.0) / (math.pi * 1e-3))
         est = simulate(bundle, SimConfig(trials=60_000, seed=11,
-                                         window_radius=window, batches=60))
+                                         window_radius=window))
         assert est.trials == 60_000
         assert est.ci_halfwidth > 0.0
         assert abs(est.value - exact) < 2.2 * est.ci_halfwidth
@@ -181,7 +178,7 @@ class TestAgreementWithAnalytic:
         bundle = cellular_bundle()
         exact = coverage(bundle).value
         est = simulate(bundle, SimConfig(trials=20_000, seed=seed,
-                                         window_radius=window, batches=20))
+                                         window_radius=window))
         assert abs(est.value - exact) < 2.2 * est.ci_halfwidth
 
 
@@ -217,7 +214,7 @@ class TestInterfererDraw:
     def test_sampler_path_matches_gamma_fast_path(self, adhoc_bundle):
         # an Exp(1) sampler makes the identical generator calls as the
         # built-in unit-gamma path, so the estimates agree bit for bit
-        config = SimConfig(trials=20_000, seed=2, window_radius=100.0, batches=20)
+        config = SimConfig(trials=20_000, seed=2, window_radius=100.0)
         via_sampler = simulate(adhoc_bundle(m=2, interferer=EXP_SAMPLER_LAW), config)
         via_gamma = simulate(adhoc_bundle(m=2), config)
         assert via_sampler.value == via_gamma.value
@@ -226,7 +223,7 @@ class TestInterfererDraw:
         law = InterfererGainSpec(pdf=lambda g: math.exp(-g) if g >= 0.0 else 0.0)
         bundle = adhoc_bundle(interferer=law)
         with pytest.raises(ConfigurationError, match="sampler"):
-            simulate(bundle, SimConfig(trials=100, seed=0, batches=2))
+            simulate(bundle, SimConfig(trials=100, seed=0))
 
 
 class TestEdgeCases:
@@ -235,16 +232,41 @@ class TestEdgeCases:
         # bookkeeping must not choke on zero-count trials
         bundle = adhoc_bundle(lam=1e-4)
         est = simulate(bundle, SimConfig(trials=2000, seed=3,
-                                         window_radius=5.0, batches=4))
+                                         window_radius=5.0))
         assert 0.99 < est.value <= 1.0
 
     def test_point_count_is_refused_before_allocation(self, cellular_bundle):
         # a disc of radius 1e5 holds ~3e7 points per trial at this density
-        config = SimConfig(trials=1000, seed=0, window_radius=1e5, batches=2)
+        config = SimConfig(trials=1000, seed=0, window_radius=1e5)
         with pytest.raises(ConfigurationError, match=r"e\+07 points.*window_radius"):
             simulate(cellular_bundle(), config)
 
     def test_cellular_window_too_small(self, cellular_bundle):
-        config = SimConfig(trials=1000, seed=0, window_radius=5.0, batches=2)
+        config = SimConfig(trials=1000, seed=0, window_radius=5.0)
         with pytest.raises(ConfigurationError, match="enlarge window_radius"):
             simulate(cellular_bundle(), config)
+
+
+class TestEmptyWindow:
+    # a disc holding lam pi R^2 = ln(100) points on average is empty in
+    # exactly 1% of the realizations, the most the simulator accepts
+    @staticmethod
+    def _radius(mean_points, lam=1e-3):
+        return math.sqrt(mean_points / (math.pi * lam))
+
+    def test_refused_before_any_stream_is_seeded(self, cellular_bundle, monkeypatch):
+        def unseedable(*args, **kwargs):
+            raise AssertionError("streams were seeded")
+
+        monkeypatch.setattr(np.random, "SeedSequence", unseedable)
+        config = SimConfig(trials=1000, seed=0,
+                           window_radius=self._radius(0.99 * math.log(100.0)))
+        with pytest.raises(ConfigurationError, match="enlarge window_radius"):
+            simulate(cellular_bundle(), config)
+
+    def test_just_inside_the_budget_runs(self, cellular_bundle):
+        config = SimConfig(trials=2000, seed=4,
+                           window_radius=self._radius(1.01 * math.log(100.0)))
+        est = simulate(cellular_bundle(), config)
+        assert 0.0 < est.value < 1.0
+        assert 0.0 < est.ci_halfwidth < math.inf
