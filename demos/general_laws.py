@@ -2,8 +2,7 @@
 
 Three extensions of the baseline model, all running through the same
 series machinery.  Interferer gains can follow any density with a finite
-fractional moment (or be specified through moment callbacks when no pdf
-is available).  Signal gains can follow exponential-polynomial mixtures,
+fractional moment.  Signal gains can follow exponential-polynomial mixtures,
 whose coverage is a weighted combination of plain gamma coverages.  And
 non-Poisson deployments are approximated by a horizontal SIR shift.
 """
@@ -38,7 +37,7 @@ print()
 print("== signal gain as a hyperexponential mixture ==")
 # two exponential branches, rates 1 and 2, equal probability:
 # f(u) = 0.5 e^{-u} + 1.0 e^{-2u}
-mix = GeneralSignalPdf(terms=((0, 0, 1.0, 0.5), (1, 0, 2.0, 1.0)))
+mix = GeneralSignalPdf(terms=((0, 1.0, 0.5), (0, 2.0, 1.0)))
 bundle = validate(scenario, SignalGainSpec(shape=1), as_gamma)
 mixed = coverage_general_pdf(bundle, mix).value
 fast = coverage(validate(scenario, SignalGainSpec(shape=1, scale=1.0), as_gamma)).value

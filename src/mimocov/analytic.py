@@ -73,10 +73,6 @@ class EntrySequence:
                 "the evaluation lost too much precision"
             )
 
-    @property
-    def order(self) -> int:
-        return self.values.size
-
 
 def _check_order(order: int) -> int:
     if not isinstance(order, (int, np.integer)) or order < 1:
@@ -137,8 +133,7 @@ def cellular_entries_general(bundle: ScenarioBundle, order: int) -> EntrySequenc
     """Entries for a cellular scenario with an arbitrary interferer gain law.
 
     Entry n is delta/(delta-n) E[x^n/n! 1F1(n-delta; n+1-delta; -x)] with
-    x = c g and c = tau/theta; a supplied ``f11_moment`` gives the 1F1
-    moment directly.  Otherwise 1F1(a; a+1; -x) = a x^-a gamma(a, x)
+    x = c g and c = tau/theta.  1F1(a; a+1; -x) = a x^-a gamma(a, x)
     (DLMF 13.6.5 and 8.5.1), plus for n = 0 one step of the recurrence in
     a, gives regularized lower incomplete gamma functions P:
 
@@ -152,14 +147,6 @@ def cellular_entries_general(bundle: ScenarioBundle, order: int) -> EntrySequenc
     law = bundle.interferer
     delta = bundle.delta
     c = bundle.scenario.threshold / bundle.signal.scale
-
-    if law.f11_moment is not None:
-        vals = np.empty(order, dtype=np.float64)
-        for n in range(order):
-            ratio = delta / (delta - n) if n else 1.0
-            scale = math.exp(n * math.log(c) - math.lgamma(n + 1.0)) if n else 1.0
-            vals[n] = ratio * scale * law.f11_moment(n, delta, c)
-        return EntrySequence(values=vals, flavor=CELLULAR)
 
     from scipy import special as sp  # imported on first use: only these entries need it
 
@@ -188,23 +175,15 @@ def adhoc_mu(bundle: ScenarioBundle) -> float:
 
     This single number carries the whole interference field into the ad hoc
     series; coverage with one antenna and no noise is exactly exp(-mu).
+    E[g^delta] is the one ``validate`` cached.
     """
     sc = bundle.scenario
-    law = bundle.interferer
     delta = bundle.delta
-    if law.is_gamma:
-        moment = law.beta**delta * math.exp(math.lgamma(delta + law.kappa) - math.lgamma(law.kappa))
-    elif law.delta_moment is not None:
-        moment = law.delta_moment(delta)
-    else:
-        moment = _integral_on_half_line(lambda g: g**delta * law.pdf(g), "delta moment")
-    if not (moment > 0.0 and math.isfinite(moment)):
-        raise NumericalError(f"delta moment of the interferer law is {moment!r}")
     return (
         math.pi * sc.lam * sc.r0**2
         * math.gamma(1.0 - delta)
         * (sc.threshold / bundle.signal.scale) ** delta
-        * moment
+        * bundle.delta_moment
     )
 
 

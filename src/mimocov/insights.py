@@ -163,7 +163,6 @@ class ImprovementSequence:
     """
 
     values: np.ndarray
-    flavor: str
 
     def coverage_at(self, m: int) -> float:
         if not (1 <= m <= self.values.size):
@@ -177,7 +176,7 @@ def improvement_sequence(bundle: ScenarioBundle, order: int) -> ImprovementSeque
         vals = series_reciprocal(cellular_entries(bundle, order).values)
     else:
         vals = series_exp(adhoc_entries(bundle, order).values)
-    return ImprovementSequence(values=vals, flavor=bundle.scenario.kind)
+    return ImprovementSequence(values=vals)
 
 
 @dataclass(frozen=True)
@@ -258,17 +257,31 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
             "stays positive (this happens for kappa below 1 - delta, and for "
             "roots within 5e-4 of the singular endpoint)"
         )
-    # Illinois false position needs about 10 evaluations where bisection
-    # needs about 45.  The endpoint that stays put twice in a row has its value
-    # halved, so both ends converge on the (simple) root; each step lands at
-    # least a quarter of the final width inside the bracket, so that once
-    # one end sits on the root the next step closes the bracket.
+    lo, _, hi, _ = _false_position(lhs, lo, f_lo, hi, f_hi)
+    return 1.0 + 0.5 * (lo + hi) * scale
+
+
+def _false_position(lhs, lo: float, f_lo: float, hi: float, f_hi: float) -> tuple:
+    """Shrink a bracket lhs(lo) = f_lo > 0 >= f_hi = lhs(hi) onto the root
+    of the decreasing lhs, and return the final bracket (lo, f_lo, hi, f_hi).
+
+    Illinois false position needs about 10 evaluations where bisection
+    needs about 45.  The endpoint that stays put twice in a row has its value
+    halved, so both ends converge on the (simple) root; each step lands at
+    least a quarter of the final width inside the bracket, so that once
+    one end sits on the root the next step closes the bracket.  An end
+    where lhs is -inf (no longer defined) has no slope to follow, so the
+    step toward it bisects.
+    """
     moved = 0  # -1 after lo moved, +1 after hi moved
     for _ in range(200):
         if hi - lo <= 1e-15 * hi:
             break
-        step = 2.5e-16 * hi
-        w = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + step), hi - step)
+        if f_hi == -math.inf:
+            w = 0.5 * (lo + hi)
+        else:
+            step = 2.5e-16 * hi
+            w = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + step), hi - step)
         val = lhs(w)
         if val > 0.0:
             lo, f_lo = w, val
@@ -280,7 +293,7 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
             if moved > 0:
                 f_lo *= 0.5
             moved = 1
-    return 1.0 + 0.5 * (lo + hi) * scale
+    return lo, f_lo, hi, f_hi
 
 
 def _tail_rules_out_geometric_decay(pdf) -> bool:
@@ -317,15 +330,14 @@ def _tail_rules_out_geometric_decay(pdf) -> bool:
 
 
 def _rc_general(bundle: ScenarioBundle) -> float:
+    # The root h* of E[1F1(-delta; 1-delta; h tau g / theta)] = 0 over the
+    # interferer gain g gives the rate 1 + h*.
+    from scipy import special as sp  # imported on first use: only general laws need it
+
     sc = bundle.scenario
     law = bundle.interferer
     delta = bundle.delta
     theta = bundle.signal.scale
-    if law.pdf is None:
-        raise UnsupportedConfigError(
-            "the decay rate for a general interferer law needs its pdf; "
-            "moment overrides alone are not enough"
-        )
     if _tail_rules_out_geometric_decay(law.pdf):
         raise RootNotFoundError(
             "no geometric decay: the interferer density's tail decays slower "
@@ -333,14 +345,20 @@ def _rc_general(bundle: ScenarioBundle) -> float:
             "geometric limit"
         )
 
-    if law.delta_moment is not None:
-        dm = law.delta_moment(delta)
-    else:
-        dm = _integral_on_half_line(lambda g: g**delta * law.pdf(g), "delta moment")
-
     def lhs(h: float) -> float:
+        rate = h * sc.threshold / theta
+
+        # Kummer: 1F1(-delta; 1-delta; y) = e^y 1F1(1; 1-delta; -y), and the
+        # second factor is bounded (about -delta / y for large y).  e^y alone
+        # overflows past y = 709 while pdf(g) e^y stays finite as long as the
+        # tail decays faster than e^(-rate g), so e^y joins the pdf in log form.
         def integrand(g):
-            return specfun.hyp1f1(-delta, 1.0 - delta, h * sc.threshold * g / theta) * law.pdf(g)
+            p = law.pdf(g)
+            if p == 0.0:
+                return 0.0
+            y = rate * g
+            weight = math.copysign(math.exp(math.log(abs(p)) + y), p)  # pdf(g) e^y
+            return weight * sp.hyp1f1(1.0, 1.0 - delta, -y)
 
         try:
             return _integral_on_half_line(integrand, "decay-rate expectation")
@@ -350,26 +368,30 @@ def _rc_general(bundle: ScenarioBundle) -> float:
             # so a divergent evaluation counts as "past the root".
             return -math.inf
 
-    lo = 0.0
-    hi = theta / (sc.threshold * dm ** (1.0 / delta) * 8.0)
+    lo, f_lo = 0.0, 1.0
+    hi = theta / (sc.threshold * bundle.delta_moment ** (1.0 / delta) * 8.0)
     for _ in range(64):
-        if lhs(hi) <= 0.0:
+        f_hi = lhs(hi)
+        if f_hi <= 0.0:
             break
-        lo, hi = hi, 2.0 * hi
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
     else:
         raise RootNotFoundError("could not bracket the decay-rate root in 64 doublings")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * hi:
-            break
-        if lhs(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, _, hi, f_hi = _false_position(lhs, lo, f_lo, hi, f_hi)
     if lo == 0.0:
         raise RootNotFoundError(
             "no geometric decay: the expectation diverges at every positive step, "
             "so the improvement ratios have no finite limit"
+        )
+    if f_hi == -math.inf:
+        # The bracket closed on the first step that could not be evaluated,
+        # not on a sign change: either the expectation stays positive up to
+        # the exponential-moment boundary (no root), or the pdf underflows to
+        # 0 while pdf(g) e^y is still sizeable, so its tail goes missing.
+        raise RootNotFoundError(
+            "no decay rate located: the ratio-limit equation stays positive up "
+            f"to a rate of {1.0 + lo:.6g}, past which its expectation could not "
+            "be evaluated"
         )
     return 1.0 + 0.5 * (lo + hi)
 

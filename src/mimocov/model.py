@@ -39,8 +39,11 @@ def _integral_on_half_line(f, context: str):
 
     if np.ndim(f(1.0)) == 0:
         def quad(lo, hi, epsabs):
-            val, _ = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=200)
-            return np.array([val])
+            out = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=200,
+                                 full_output=1)
+            if len(out) > 3:  # a failure message follows the info dict
+                raise NumericalError(f"{context}: {out[3]}")
+            return np.array([out[0]])
 
         return float(_sum_blocks(quad, context)[0])
 
@@ -91,8 +94,9 @@ def _sum_blocks(quad, context: str) -> np.ndarray:
         small = np.abs(block) <= 1e-14 * np.maximum(np.abs(total), 1e-300)
         if np.all(small):
             return total
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # nan wherever the previous block was zero or absent: no verdict
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # nan wherever the previous block was zero or absent: no verdict;
+            # a fast-growing tail may overflow the estimate it then discards
             ratio = np.where(prev_block != 0.0, np.abs(block) / np.abs(prev_block), np.nan)
             settled = np.abs(ratio - prev_ratio) <= 0.05 * prev_ratio
             rising = np.where((ratio >= 0.999) & settled, rising + 1, 0)
@@ -127,9 +131,9 @@ class SignalGainSpec:
 
 @dataclass(frozen=True)
 class GeneralSignalPdf:
-    """Signal gain density of the form sum_p e^{-phi_p u} sum_q varphi_pq u^q.
+    """Signal gain density of the form sum_k varphi_k u^q_k e^{-phi_k u}.
 
-    ``terms`` holds (p, q, phi_p, varphi_pq) tuples.  The class of
+    ``terms`` holds (q, phi, varphi) tuples.  The class of
     exponential-polynomial mixtures covers gamma mixtures and phase-type
     laws; coverage for such a law is a weighted combination of plain
     gamma-signal coverages, see ``analytic.coverage_general_pdf``.
@@ -143,16 +147,16 @@ class GeneralSignalPdf:
         clean = []
         for item in self.terms:
             try:
-                p, q, phi, varphi = item
+                q, phi, varphi = item
             except (TypeError, ValueError):
-                raise ValidationError("each signal pdf term must be (p, q, phi, varphi)") from None
+                raise ValidationError("each signal pdf term must be (q, phi, varphi)") from None
             if int(q) != q or q < 0:
                 raise ValidationError("signal pdf exponent q must be a non-negative integer")
             if not (phi > 0.0 and math.isfinite(phi)):
                 raise ValidationError("signal pdf decay rate phi must be positive and finite")
             if not math.isfinite(varphi):
                 raise ValidationError("signal pdf coefficient varphi must be finite")
-            clean.append((int(p), int(q), float(phi), float(varphi)))
+            clean.append((int(q), float(phi), float(varphi)))
         object.__setattr__(self, "terms", tuple(clean))
         mass = sum(w for _, _, w in self.weights())
         if not abs(mass - 1.0) <= _NORMALIZATION_TOL:
@@ -161,10 +165,11 @@ class GeneralSignalPdf:
             )
 
     def pdf(self, u: float) -> float:
-        total = 0.0
-        for _, q, phi, varphi in self.terms:
-            total += varphi * u**q * math.exp(-phi * u)
-        return total
+        """Density at u >= 0.  Each term is varphi exp(q ln u - phi u), so u^q
+        cannot overflow where e^(-phi u) brings the product back into range."""
+        log_u = math.log(u) if u > 0.0 else -math.inf
+        return sum(varphi * math.exp((q * log_u if q else 0.0) - phi * u)
+                   for q, phi, varphi in self.terms)
 
     def weights(self):
         """(order, scale, weight) per term: the term contributes ``weight``
@@ -172,7 +177,7 @@ class GeneralSignalPdf:
         is the term's mass, varphi q! / phi^(q+1), so the weights sum to the
         mass of the pdf."""
         out = []
-        for _, q, phi, varphi in self.terms:
+        for q, phi, varphi in self.terms:
             log_mass = math.lgamma(q + 1) - (q + 1) * math.log(phi)
             # past e^709, q! / phi^(q+1) overflows; no normal varphi brings it back to 1
             if log_mass < 709.0:
@@ -188,27 +193,23 @@ class InterfererGainSpec:
     """Interferer power-gain law.
 
     Either a Gamma(kappa, beta) law, which unlocks the closed-form entry
-    path, or a general law given by ``pdf`` on (0, inf).  For general laws
-    the analytic path needs moments; ``delta_moment`` (E[g^delta]) and
-    ``f11_moment`` (E[g^n 1F1(n-delta; n+1-delta; -c g)], called as
-    f(n, delta, c)) may be supplied directly, otherwise they are computed by
-    adaptive quadrature against the pdf: by 1F1(a; a+1; -x) = a x^-a gamma(a, x)
-    the 1F1 moments become expectations of e^-x and of incomplete gamma
-    functions, see ``analytic.cellular_entries_general``.  ``sampler(rng,
-    size)`` is only required for Monte Carlo runs.
+    path, or a general law given by its ``pdf`` on (0, inf).  Everything
+    analytic about a general law comes from the pdf by adaptive quadrature:
+    ``validate`` checks its mass and caches E[g^delta], the cellular
+    entries integrate incomplete gamma functions against it (see
+    ``analytic.cellular_entries_general``), and the decay rate integrates a
+    confluent hypergeometric section.  ``sampler(rng, size)`` draws the
+    gains, and only Monte Carlo runs need it.
     """
 
     kappa: Optional[float] = None
     beta: Optional[float] = None
     pdf: Optional[Callable[[float], float]] = None
-    delta_moment: Optional[Callable[[float], float]] = None
-    f11_moment: Optional[Callable[[int, float, float], float]] = None
     sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
     @property
     def is_gamma(self) -> bool:
-        return (self.pdf is None and self.delta_moment is None
-                and self.f11_moment is None and self.sampler is None)
+        return self.pdf is None and self.sampler is None
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,7 @@ class ScenarioBundle:
     signal: SignalGainSpec
     interferer: InterfererGainSpec
     delta: float  # 2 / alpha, cached by validate()
+    delta_moment: float  # E[g^delta] of the interferer gain, cached by validate()
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,8 @@ class CoverageEstimate:
 
 def validate(scenario: NetworkScenario, signal: SignalGainSpec,
              interferer: InterfererGainSpec) -> ScenarioBundle:
-    """Check every scenario invariant and return the bundle with delta cached.
+    """Check every scenario invariant and return the bundle with delta and
+    the interferer's E[g^delta] cached.
 
     Each violated invariant raises a ValidationError naming the offending
     parameter, so CLI users see exactly what to fix.
@@ -296,31 +299,28 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
             raise ValidationError("interferer gamma shape kappa must be positive")
         if not (interferer.beta > 0.0 and math.isfinite(interferer.beta)):
             raise ValidationError("interferer gamma scale beta must be positive")
+        kappa = interferer.kappa
+        moment = interferer.beta**delta * math.exp(math.lgamma(kappa + delta) - math.lgamma(kappa))
     else:
         if interferer.kappa is not None or interferer.beta is not None:
             raise ValidationError("specify either a gamma interferer law or a general law, not both")
-        if interferer.pdf is not None:
-            if not callable(interferer.pdf):
-                raise ValidationError("general interferer law requires a callable pdf")
-            mass = _integral_on_half_line(interferer.pdf, "interferer pdf normalization")
-            if abs(mass - 1.0) > _NORMALIZATION_TOL:
-                raise ValidationError(
-                    f"interferer pdf must integrate to 1 within {_NORMALIZATION_TOL:g}, got {mass!r}"
-                )
-            if interferer.delta_moment is None:
-                # The 2/alpha-th moment must exist for the interference to be
-                # almost surely finite; a divergent tail raises here.
-                _integral_on_half_line(
-                    lambda g: g**delta * interferer.pdf(g),
-                    "interferer delta-moment",
-                )
-        elif interferer.delta_moment is None or interferer.f11_moment is None:
+        if not callable(interferer.pdf):
+            raise ValidationError("general interferer law requires a callable pdf")
+        mass = _integral_on_half_line(interferer.pdf, "interferer pdf normalization")
+        if abs(mass - 1.0) > _NORMALIZATION_TOL:
             raise ValidationError(
-                "a general interferer law without a pdf needs both delta_moment "
-                "and f11_moment so the entries stay computable"
+                f"interferer pdf must integrate to 1 within {_NORMALIZATION_TOL:g}, got {mass!r}"
             )
+        # The 2/alpha-th moment must exist for the interference to be almost
+        # surely finite; a divergent tail raises here.
+        moment = _integral_on_half_line(lambda g: g**delta * interferer.pdf(g),
+                                        "interferer delta-moment")
+    if not (moment > 0.0 and math.isfinite(moment)):
+        raise ValidationError(f"interferer delta-moment E[g^delta] must be positive and finite, "
+                              f"got {moment!r}")
 
-    return ScenarioBundle(scenario=scenario, signal=signal, interferer=interferer, delta=delta)
+    return ScenarioBundle(scenario=scenario, signal=signal, interferer=interferer, delta=delta,
+                          delta_moment=moment)
 
 
 # ---------------------------------------------------------------------------

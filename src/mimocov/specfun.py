@@ -1,13 +1,12 @@
 """Scalar special functions backing the closed-form coverage entries.
 
 Everything in this module is a pure function of plain Python numbers.  The
-hypergeometric evaluators sum their defining series on the non-negative
-arguments that decay-rate root finding produces: 1F1(a; b; z) with z >= 0
-and 2F1(a, b; c; z) with 0 <= z < 1.  The cellular interference entries
-call neither at negative argument: ``analytic`` evaluates them through
-incomplete beta and incomplete gamma functions.  Series are summed with a
-relative term cutoff and a hard iteration cap; hitting the cap raises
-instead of returning a truncated sum.
+hypergeometric evaluator sums the defining series of 2F1(a, b; c; z) on the
+arguments 0 <= z < 1 that decay-rate root finding produces.  The cellular
+interference entries do not call it at negative argument: ``analytic``
+evaluates them through incomplete beta and incomplete gamma functions.
+The series is summed with a relative term cutoff and a hard iteration cap;
+hitting the cap raises instead of returning a truncated sum.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NumericalError
 
-# Series controls shared by both hypergeometric evaluators.
+# Series controls of the hypergeometric evaluator.
 _MAX_TERMS = 100_000
 _TERM_RTOL = 1e-16
 
@@ -55,30 +54,6 @@ def _sum_by_ratio(ratio, context: str) -> float:
         if not math.isfinite(total):
             raise NumericalError(f"series overflowed for {context}")
     raise NumericalError(f"series failed to converge within {_MAX_TERMS} terms for {context}")
-
-
-def hyp1f1(a: float, b: float, z: float) -> float:
-    """Kummer's confluent hypergeometric function 1F1(a; b; z) for z >= 0.
-
-    Sums the defining series.  Negative arguments raise ``DomainError``, as
-    in ``hyp2f1``: the alternating series loses all precision long before
-    z = -30, and the entry-shaped 1F1(a; a+1; -x) = a x^-a gamma(a, x) is
-    evaluated in ``analytic.cellular_entries_general`` through incomplete
-    gamma functions.
-    """
-    _check_finite(a=a, b=b, z=z)
-    if b <= 0.0 and b == math.floor(b):
-        raise DomainError(f"1F1 undefined for non-positive integer b = {b}")
-    if z < 0.0:
-        raise DomainError(f"1F1 is evaluated on z >= 0 only, got z = {z}")
-    if z == 0.0 or a == 0.0:
-        return 1.0
-    if a == b:
-        return math.exp(z)
-    return _sum_by_ratio(
-        lambda k: (a + k) * z / ((b + k) * (k + 1.0)),
-        f"1F1(a={a}, b={b}, z={z})",
-    )
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:

@@ -242,7 +242,7 @@ def test_09_signal_mixture_reduction():
         for theta in (1.0, 1.3):
             bundle = _cellular(m=m, theta=theta)
             pdf = GeneralSignalPdf(terms=(
-                (0, m - 1, 1.0 / theta, 1.0 / (theta**m * math.gamma(m))),
+                (m - 1, 1.0 / theta, 1.0 / (theta**m * math.gamma(m))),
             ))
             via_mixture = coverage_general_pdf(bundle, pdf).value
             direct = coverage(bundle).value

@@ -193,28 +193,6 @@ class TestCellularGeneralLaw:
         bundle = cellular_bundle(tau=tau, theta=theta, interferer=InterfererGainSpec(pdf=pdf))
         np.testing.assert_allclose(cellular_entries(bundle, m).values, expected, rtol=1e-10)
 
-    def test_point_mass_law_via_moment_overrides(self, cellular_bundle):
-        # deterministic interferer gain g0: moments collapse to evaluations
-        g0, delta, tau, m = 1.7, 0.5, 1.2, 4
-
-        law = InterfererGainSpec(
-            delta_moment=lambda d: g0**d,
-            f11_moment=lambda n, d, c: g0**n * float(sps.hyp1f1(n - d, n + 1 - d, -c * g0)),
-        )
-        bundle = cellular_bundle(m=m, tau=tau, interferer=law)
-        got = coverage(bundle).value
-
-        c_entries = np.empty(m)
-        for n in range(m):
-            ratio = delta / (delta - n) if n else 1.0
-            c_entries[n] = (ratio * (tau * g0) ** n / math.factorial(n)
-                            * float(sps.hyp1f1(n - delta, n + 1 - delta, -tau * g0)))
-        t = np.zeros((m, m))
-        for i in range(m):
-            t[i:, i] = c_entries[: m - i]
-        expected = float(np.linalg.solve(t, np.eye(m)[:, 0]).sum())
-        assert got == pytest.approx(expected, rel=1e-10)
-
 
 class TestAdhoc:
     def test_single_antenna_closed_form(self, adhoc_bundle):
@@ -246,6 +224,21 @@ class TestAdhoc:
         gamma = adhoc_bundle(lam=0.03)
         general = adhoc_bundle(lam=0.03, interferer=InterfererGainSpec(pdf=lambda g: math.exp(-g)))
         assert adhoc_mu(general) == pytest.approx(adhoc_mu(gamma), rel=1e-10)
+
+    def test_general_law_coverage_reads_the_cached_moment(self, adhoc_bundle):
+        # validate integrates E[g^delta] once; coverage must not touch the pdf again
+        calls = []
+
+        def pdf(g):
+            calls.append(g)
+            return math.exp(-g)
+
+        general = adhoc_bundle(m=4, lam=0.03, interferer=InterfererGainSpec(pdf=pdf))
+        assert calls
+        calls.clear()
+        value = coverage(general).value
+        assert len(calls) == 0
+        assert value == pytest.approx(coverage(adhoc_bundle(m=4, lam=0.03)).value, rel=1e-10)
 
     def test_duality_in_density_and_distance(self, adhoc_bundle):
         # scaling the dipole distance is the same as scaling the density
@@ -309,7 +302,7 @@ class TestRepresentationEquivalence:
 class TestGeneralSignalPdf:
     @pytest.mark.parametrize("m,theta", [(1, 1.0), (2, 0.7), (4, 1.4)])
     def test_gamma_pdf_reduces_to_gamma_branch(self, cellular_bundle, m, theta):
-        pdf = GeneralSignalPdf(terms=((0, m - 1, 1.0 / theta, 1.0 / (theta**m * math.gamma(m))),))
+        pdf = GeneralSignalPdf(terms=((m - 1, 1.0 / theta, 1.0 / (theta**m * math.gamma(m))),))
         bundle = cellular_bundle(m=m, theta=theta)
         combined = coverage_general_pdf(bundle, pdf).value
         assert combined == pytest.approx(cellular_coverage(bundle).value, rel=1e-12)
@@ -318,7 +311,7 @@ class TestGeneralSignalPdf:
         # w1 Exp(phi1) + w2 Exp(phi2): coverage is the same mixture of
         # single-antenna coverages with scales 1/phi
         w1, w2, phi1, phi2 = 0.35, 0.65, 2.0, 0.5
-        pdf = GeneralSignalPdf(terms=((0, 0, phi1, w1 * phi1), (1, 0, phi2, w2 * phi2)))
+        pdf = GeneralSignalPdf(terms=((0, phi1, w1 * phi1), (0, phi2, w2 * phi2)))
         bundle = cellular_bundle(m=1)
         direct = (
             w1 * coverage(cellular_bundle(m=1, theta=1.0 / phi1)).value
@@ -327,7 +320,7 @@ class TestGeneralSignalPdf:
         assert coverage_general_pdf(bundle, pdf).value == pytest.approx(direct, rel=1e-12)
 
     def test_works_for_adhoc_too(self, adhoc_bundle):
-        pdf = GeneralSignalPdf(terms=((0, 1, 1.0, 1.0),))  # Gamma(2, 1)
+        pdf = GeneralSignalPdf(terms=((1, 1.0, 1.0),))  # Gamma(2, 1)
         bundle = adhoc_bundle(m=2)
         assert coverage_general_pdf(bundle, pdf).value == pytest.approx(
             adhoc_coverage(bundle).value, rel=1e-12)

@@ -299,11 +299,34 @@ class TestDecayRateGamma:
 
 
 class TestDecayRateGeneral:
-    def test_exponential_pdf_matches_gamma_branch(self, cellular_bundle):
-        law = InterfererGainSpec(pdf=lambda g: math.exp(-g) if g >= 0.0 else 0.0)
-        general = cellular_decay_rate(cellular_bundle(interferer=law))
-        gamma = cellular_decay_rate(cellular_bundle(kappa=1.0, beta=1.0))
+    @pytest.mark.parametrize("alpha,kappa,beta", [
+        (4.0, 1.0, 1.0), (5.0, 1.0, 1.0), (6.0, 1.0, 1.0), (8.0, 1.0, 1.0),
+        (4.0, 1.0, 2.0), (6.0, 1.0, 2.0), (4.0, 0.7, 1.0),
+    ])
+    def test_exponential_pdf_matches_gamma_branch(self, cellular_bundle, alpha, kappa, beta):
+        # except at (4, 1, 1), the root h lies where e^(h tau g / theta)
+        # alone overflows inside the expectation, which stays finite
+        if kappa == 1.0:
+            law = InterfererGainSpec(pdf=lambda g: math.exp(-g / beta) / beta)
+        else:
+            log_norm = math.lgamma(kappa) + kappa * math.log(beta)
+            law = InterfererGainSpec(pdf=lambda g: math.exp(
+                (kappa - 1.0) * math.log(g) - g / beta - log_norm))
+        general = cellular_decay_rate(cellular_bundle(alpha=alpha, interferer=law))
+        gamma = cellular_decay_rate(cellular_bundle(alpha=alpha, kappa=kappa, beta=beta))
         assert general == pytest.approx(gamma, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha,kappa", [(12.0, 1.0), (10.0, 0.8)])
+    def test_root_past_the_evaluable_range_is_refused(self, cellular_bundle, alpha, kappa):
+        # Gamma(kappa, 1) pdfs whose expectation cannot be evaluated up to a
+        # sign change: at kappa = 1 the root lies within 0.004 of the
+        # exponential-moment boundary, where the pdf's tail past its
+        # underflow still carries weight; at kappa = 0.8 < 1 - delta there
+        # is no root at all, as the Gamma branch says
+        law = InterfererGainSpec(pdf=lambda g: math.exp(
+            (kappa - 1.0) * math.log(g) - g - math.lgamma(kappa)))
+        with pytest.raises(RootNotFoundError, match="no decay rate located"):
+            cellular_decay_rate(cellular_bundle(alpha=alpha, interferer=law))
 
     def test_power_tail_has_no_geometric_decay(self, cellular_bundle):
         law = InterfererGainSpec(pdf=lambda g: 2.0 * (1.0 + g) ** -3.0)
@@ -316,14 +339,6 @@ class TestDecayRateGeneral:
             pdf=lambda g: norm * (1.0 + g) ** -3.0 if g <= 10.0 else 0.0
         )
         assert cellular_decay_rate(cellular_bundle(interferer=law)) > 1.0
-
-    def test_moment_overrides_alone_are_not_enough(self, cellular_bundle):
-        law = InterfererGainSpec(
-            delta_moment=lambda d: math.gamma(1.0 + d),
-            f11_moment=lambda n, d, c: 1.0 / (1.0 + c) ** n,
-        )
-        with pytest.raises(UnsupportedConfigError, match="pdf"):
-            cellular_decay_rate(cellular_bundle(interferer=law))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mimocov import (
     GeneralSignalPdf,
     InterfererGainSpec,
     NetworkScenario,
+    NumericalError,
     SignalGainSpec,
     ValidationError,
     bundle_from_params,
@@ -40,6 +41,18 @@ class TestValidate:
     def test_delta_is_cached(self):
         bundle = validate(_scenario(alpha=5.0), SIGNAL, GAMMA_LAW)
         assert bundle.delta == pytest.approx(0.4)
+
+    def test_delta_moment_is_cached(self):
+        # E[g^delta] of Gamma(kappa, beta) is beta^delta Gamma(kappa+delta)/Gamma(kappa),
+        # in closed form for the gamma law and by quadrature for its pdf
+        kappa, beta, delta = 2.5, 0.7, 0.4
+        expected = beta**delta * math.gamma(kappa + delta) / math.gamma(kappa)
+        gamma = validate(_scenario(alpha=5.0), SIGNAL, InterfererGainSpec(kappa=kappa, beta=beta))
+        law = InterfererGainSpec(pdf=lambda g: math.exp(
+            (kappa - 1.0) * math.log(g) - g / beta - math.lgamma(kappa) - kappa * math.log(beta)))
+        general = validate(_scenario(alpha=5.0), SIGNAL, law)
+        assert gamma.delta_moment == pytest.approx(expected, rel=1e-14)
+        assert general.delta_moment == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(kind="mesh"), "kind"),
@@ -80,6 +93,11 @@ class TestValidate:
         with pytest.raises(ValidationError, match=fragment):
             validate(_scenario(), SIGNAL, law)
 
+    def test_sampler_only_law_is_refused(self):
+        law = InterfererGainSpec(sampler=lambda rng, size: rng.standard_exponential(size))
+        with pytest.raises(ValidationError, match="callable pdf"):
+            validate(_scenario(), SIGNAL, law)
+
     def test_general_law_accepted(self):
         law = InterfererGainSpec(pdf=lambda g: math.exp(-g))
         bundle = validate(_scenario(), SIGNAL, law)
@@ -100,6 +118,12 @@ class TestValidate:
         mean = _integral_on_half_line(lambda g: g * uniform(g), "mean")
         assert mean == pytest.approx(150.0, abs=1e-9)
 
+    def test_scalar_quadrature_failure_is_reported(self):
+        # sin(1/g)/g oscillates without bound toward g = 0, which QUADPACK
+        # cannot resolve; the failure must raise, not warn and return
+        with pytest.raises(NumericalError, match="oscillating"):
+            _integral_on_half_line(lambda g: math.sin(1.0 / g) / g, "oscillating")
+
     def test_identically_zero_integrand_finishes(self):
         got = _integral_on_half_line(lambda g: np.zeros(3), "zero")
         assert np.array_equal(got, np.zeros(3))
@@ -115,41 +139,47 @@ class TestValidate:
         with pytest.raises(ValidationError, match="delta-moment"):
             validate(_scenario(alpha=4.0), SIGNAL, law)
 
-    def test_divergent_moment_skipped_with_override(self):
-        # a supplied delta_moment bypasses the quadrature probe entirely
-        law = InterfererGainSpec(pdf=lambda g: 0.25 * (1.0 + g) ** -1.25,
-                                 delta_moment=lambda d: 1.0)
-        bundle = validate(_scenario(alpha=4.0), SIGNAL, law)
-        assert bundle.interferer.delta_moment(0.5) == 1.0
-
 
 class TestGeneralSignalPdf:
     def test_gamma_term_weights(self):
         m, theta = 3, 0.8
-        pdf = GeneralSignalPdf(terms=((0, m - 1, 1.0 / theta, 1.0 / (theta**m * math.gamma(m))),))
+        pdf = GeneralSignalPdf(terms=((m - 1, 1.0 / theta, 1.0 / (theta**m * math.gamma(m))),))
         ((order, scale, weight),) = pdf.weights()
         assert order == m
         assert scale == pytest.approx(theta)
         assert weight == pytest.approx(1.0, rel=1e-12)
 
     def test_mixture_weights_sum_to_one(self):
-        pdf = GeneralSignalPdf(terms=((0, 0, 2.0, 0.8), (1, 0, 0.5, 0.3)))
+        pdf = GeneralSignalPdf(terms=((0, 2.0, 0.8), (0, 0.5, 0.3)))
         total = sum(w for _, _, w in pdf.weights())
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_normalization_enforced(self):
         with pytest.raises(ValidationError, match="integrate to 1"):
-            GeneralSignalPdf(terms=((0, 0, 1.0, 1.5),))
+            GeneralSignalPdf(terms=((0, 1.0, 1.5),))
         with pytest.raises(ValidationError, match="integrate to 1"):
-            GeneralSignalPdf(terms=((0, 200, 1.0, 1.0),))
+            GeneralSignalPdf(terms=((200, 1.0, 1.0),))
 
     def test_term_validation(self):
         with pytest.raises(ValidationError):
             GeneralSignalPdf(terms=())
         with pytest.raises(ValidationError, match="non-negative integer"):
-            GeneralSignalPdf(terms=((0, -1, 1.0, 1.0),))
+            GeneralSignalPdf(terms=((-1, 1.0, 1.0),))
         with pytest.raises(ValidationError, match="phi"):
-            GeneralSignalPdf(terms=((0, 0, 0.0, 1.0),))
+            GeneralSignalPdf(terms=((0, 0.0, 1.0),))
+        with pytest.raises(ValidationError, match=r"\(q, phi, varphi\)"):
+            GeneralSignalPdf(terms=((0, 0, 1.0, 1.0),))
+
+    @pytest.mark.parametrize("u", [0.0, 5.0, 40.0])
+    def test_high_order_term_pdf(self, u):
+        # normalized Gamma(201, 1/30): u^200 alone overflows at u = 40
+        from scipy import stats
+
+        q, phi = 200, 30.0
+        varphi = math.exp((q + 1) * math.log(phi) - math.lgamma(q + 1))
+        pdf = GeneralSignalPdf(terms=((q, phi, varphi),))
+        assert pdf.pdf(u) == pytest.approx(float(stats.gamma.pdf(u, q + 1, scale=1.0 / phi)),
+                                           rel=1e-11, abs=0.0)
 
 
 class TestCoverageEstimate:

@@ -14,51 +14,9 @@ from mimocov import DomainError, NumericalError, cellular_entries
 from mimocov.specfun import (
     _touchard_exact,
     bessel_k_half,
-    hyp1f1,
     hyp2f1,
     stirling_first,
 )
-
-
-class TestHyp1f1:
-    @pytest.mark.parametrize("a", [-0.9, -0.5, 0.5, 1.0, 2.5, 5.0])
-    @pytest.mark.parametrize("z", [0.5, 5.0, 50.0])
-    def test_against_scipy(self, a, z):
-        b = a + 1.0  # the parameter pattern every entry evaluation uses
-        assert hyp1f1(a, b, z) == pytest.approx(float(sps.hyp1f1(a, b, z)), rel=1e-10)
-
-    @pytest.mark.parametrize("z", [-1e-300, -0.5, -50.0, -math.inf])
-    def test_negative_argument_rejected(self, z):
-        with pytest.raises(DomainError):
-            hyp1f1(0.5, 1.5, z)
-
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    @pytest.mark.parametrize("delta", [0.3, 0.5, 0.8])
-    @pytest.mark.parametrize("y", [0.3, 1.0, 8.0])
-    def test_quadrature_oracle(self, delta, y):
-        # 1F1(-delta; 1-delta; y) = 1 - delta * int_0^1 (e^{y v} - 1) v^{-1-delta} dv,
-        # an integral representation that exercises exactly the section used
-        # by the general-law decay-rate equation.
-        val, _ = integrate.quad(
-            lambda v: math.expm1(y * v) * v ** (-1.0 - delta), 0.0, 1.0,
-            epsabs=1e-13, epsrel=1e-12, limit=200,
-        )
-        assert hyp1f1(-delta, 1.0 - delta, y) == pytest.approx(1.0 - delta * val, rel=1e-9)
-
-    def test_degenerate_cases(self):
-        assert hyp1f1(0.0, 1.5, 3.0) == 1.0
-        assert hyp1f1(2.0, 2.0, 1.25) == pytest.approx(math.exp(1.25), rel=1e-14)
-        assert hyp1f1(1.0, 2.0, 0.0) == 1.0
-
-    def test_nonpositive_integer_denominator_rejected(self):
-        with pytest.raises(DomainError):
-            hyp1f1(1.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            hyp1f1(1.0, -3.0, 1.0)
-
-    def test_overflow_is_reported(self):
-        with pytest.raises(NumericalError):
-            hyp1f1(5.0, 5.5, 800.0)
 
 
 def _entry_hyp2f1(cellular_bundle, a, b, c, z):
