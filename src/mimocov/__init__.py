@@ -5,8 +5,8 @@ reduces to the head of a single power series built from the interference
 geometry; this package evaluates that series exactly (by coefficient
 recursions, which the tests check against the Toeplitz matrix route),
 simulates the same networks from scratch for validation, and exposes the
-structural consequences (density response, per-antenna decay, closed-form
-coefficient identities).
+structural consequences (density response, per-antenna decay, where the
+improvements peak).
 """
 
 from .errors import (
@@ -38,10 +38,8 @@ from .model import (
 )
 from .analytic import (
     EntrySequence,
-    adhoc_coverage,
     adhoc_entries,
     adhoc_mu,
-    cellular_coverage,
     cellular_entries,
     coverage,
     coverage_general_pdf,
@@ -53,8 +51,6 @@ from .insights import (
     ImprovementSequence,
     PeakBound,
     adhoc_peak_bound,
-    adhoc_pbar_bessel,
-    adhoc_pbar_closed_form,
     cellular_decay_rate,
     density_profile,
     improvement_sequence,
@@ -90,15 +86,11 @@ __all__ = [
     "SingularityError",
     "UnsupportedConfigError",
     "ValidationError",
-    "adhoc_coverage",
     "adhoc_entries",
     "adhoc_mu",
-    "adhoc_pbar_bessel",
-    "adhoc_pbar_closed_form",
     "adhoc_peak_bound",
     "auto_window",
     "bundle_from_params",
-    "cellular_coverage",
     "cellular_decay_rate",
     "cellular_entries",
     "coverage",

@@ -224,35 +224,29 @@ def _rounded_estimate(total: float, order: int) -> CoverageEstimate:
     return CoverageEstimate(value=total, method=METHOD_RECURSION)
 
 
-def cellular_coverage(bundle: ScenarioBundle) -> CoverageEstimate:
-    sc = bundle.scenario
-    if sc.kind != CELLULAR:
-        raise ValidationError("cellular_coverage needs a cellular scenario")
-    if sc.noise > 0.0:
+def _refuse_cellular_noise(bundle: ScenarioBundle) -> None:
+    if bundle.scenario.kind == CELLULAR and bundle.scenario.noise > 0.0:
         raise UnsupportedConfigError(
             "cellular coverage with noise has no finite-order series form; "
             "use the Monte Carlo path"
         )
-    entries = cellular_entries(bundle, bundle.signal.shape)
-    recips = series_reciprocal(entries.values)
-    return _rounded_estimate(coeff_sum(recips), bundle.signal.shape)
 
 
-def adhoc_coverage(bundle: ScenarioBundle) -> CoverageEstimate:
-    sc = bundle.scenario
-    if sc.kind != ADHOC:
-        raise ValidationError("adhoc_coverage needs an ad hoc scenario")
-    entries = adhoc_entries(bundle, bundle.signal.shape)
-    probs = series_exp(entries.values)
-    return _rounded_estimate(coeff_sum(probs), bundle.signal.shape)
+def _improvements(bundle: ScenarioBundle, order: int) -> np.ndarray:
+    """The first ``order`` coefficients p_bar[n] of 1/C(z) (cellular) or
+    exp(A(z)) (ad hoc): the coverage gain of antenna n + 1, so that coverage
+    with M antennas is the sum of the first M."""
+    _refuse_cellular_noise(bundle)
+    if bundle.scenario.kind == CELLULAR:
+        return series_reciprocal(cellular_entries(bundle, order).values)
+    return series_exp(adhoc_entries(bundle, order).values)
 
 
 def coverage(bundle: ScenarioBundle) -> CoverageEstimate:
     """Exact coverage probability of the bundled scenario: the sum of the
     first M coefficients of 1/C(z) (cellular) or exp(A(z)) (ad hoc)."""
-    if bundle.scenario.kind == CELLULAR:
-        return cellular_coverage(bundle)
-    return adhoc_coverage(bundle)
+    m = bundle.signal.shape
+    return _rounded_estimate(coeff_sum(_improvements(bundle, m)), m)
 
 
 def coverage_general_pdf(bundle: ScenarioBundle, signal_pdf: GeneralSignalPdf) -> CoverageEstimate:
@@ -291,4 +285,4 @@ def coverage_non_poisson(bundle: ScenarioBundle, deployment_gain: float) -> Cove
             bundle.scenario, threshold=bundle.scenario.threshold / deployment_gain
         ),
     )
-    return cellular_coverage(shifted)
+    return coverage(shifted)

@@ -1,26 +1,25 @@
 """Structural consequences of the series form: density response, antenna
-scaling, and closed-form ad hoc coefficient identities.
+scaling, and where the ad hoc improvements peak.
 
 Everything here is derived from the same entry sequences as the coverage
 values themselves, so these helpers double as consistency probes: the
-density profile must reproduce pointwise coverage, the per-antenna
-improvement ratios must approach the decay rate, and the two ad hoc
-closed forms must match the generic recursion coefficient by coefficient.
+density profile must reproduce pointwise coverage, and the per-antenna
+improvement ratios must approach the decay rate.  The Stirling/Touchard
+and Bessel closed forms of the ad hoc improvements live in the tests, as
+the reference the series coefficients must match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import specfun
 from .errors import NumericalError, RootNotFoundError, UnsupportedConfigError, ValidationError
 from .model import ADHOC, CELLULAR, ScenarioBundle, _integral_on_half_line
-from .analytic import _check_order, adhoc_entries, adhoc_mu, cellular_entries
-from .series import series_exp, series_reciprocal
+from .analytic import _check_order, _improvements, _refuse_cellular_noise, _rounded_estimate, adhoc_mu
 
 _UNDERFLOW_FLOOR = 1e-300
 
@@ -157,9 +156,10 @@ def density_profile(bundle: ScenarioBundle) -> DensityProfile:
 class ImprovementSequence:
     """Coverage gains p_bar[n] from raising the antenna count past n.
 
-    Partial sums recover coverage: sum(values[:m]) is the coverage with m
-    antennas.  The terms are positive and eventually decay geometrically at
-    the rate returned by ``cellular_decay_rate``.
+    Partial sums recover coverage: ``coverage_at(m)`` is sum(values[:m]),
+    rounded onto [0, 1] as ``coverage`` rounds it, and equals the coverage
+    with m antennas.  The terms are positive and eventually decay
+    geometrically at the rate returned by ``cellular_decay_rate``.
     """
 
     values: np.ndarray
@@ -167,16 +167,11 @@ class ImprovementSequence:
     def coverage_at(self, m: int) -> float:
         if not (1 <= m <= self.values.size):
             raise ValidationError(f"antenna count {m} outside the computed range")
-        return float(np.sum(self.values[:m]))
+        return _rounded_estimate(float(np.sum(self.values[:m])), m).value
 
 
 def improvement_sequence(bundle: ScenarioBundle, order: int) -> ImprovementSequence:
-    order = _check_order(order)
-    if bundle.scenario.kind == CELLULAR:
-        vals = series_reciprocal(cellular_entries(bundle, order).values)
-    else:
-        vals = series_exp(adhoc_entries(bundle, order).values)
-    return ImprovementSequence(values=vals)
+    return ImprovementSequence(values=_improvements(bundle, order))
 
 
 @dataclass(frozen=True)
@@ -404,58 +399,14 @@ def cellular_decay_rate(bundle: ScenarioBundle) -> float:
     """
     if bundle.scenario.kind != CELLULAR:
         raise ValidationError("the decay rate is defined for cellular scenarios")
+    _refuse_cellular_noise(bundle)
     if bundle.interferer.is_gamma:
         return _rc_gamma(bundle)
     return _rc_general(bundle)
 
 
 # ---------------------------------------------------------------------------
-# ad hoc closed forms
-
-def _require_plain_adhoc(bundle: ScenarioBundle, context: str) -> None:
-    if bundle.scenario.kind != ADHOC:
-        raise UnsupportedConfigError(f"{context} applies to ad hoc scenarios")
-    if bundle.scenario.noise != 0.0:
-        raise UnsupportedConfigError(f"{context} requires zero noise")
-
-
-def adhoc_pbar_closed_form(bundle: ScenarioBundle, n: int) -> float:
-    """Improvement coefficient n from the Stirling/Touchard identity.
-
-    The identity is evaluated in exact rational arithmetic (Stirling numbers
-    are integers; mu and delta enter as dyadic rationals) with a single
-    rounding at the end, so it is a trustworthy reference for the floating
-    recursion up to the order guard.
-    """
-    _require_plain_adhoc(bundle, "the Stirling closed form")
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError(f"coefficient index must be a non-negative integer, got {n!r}")
-    mu = adhoc_mu(bundle)
-    if n == 0:
-        return math.exp(-mu)
-    mu_frac = Fraction(mu)
-    delta_frac = Fraction(bundle.delta)
-    acc = Fraction(0)
-    dpow = Fraction(1)
-    for k in range(1, n + 1):
-        dpow *= delta_frac
-        acc += specfun.stirling_first(n, k) * specfun._touchard_exact(k, -mu_frac) * dpow
-    signed = acc if n % 2 == 0 else -acc
-    return math.exp(-mu) * float(signed / math.factorial(n))
-
-
-def adhoc_pbar_bessel(bundle: ScenarioBundle, n: int) -> float:
-    """Improvement coefficient n from the Bessel identity (alpha = 4 only)."""
-    _require_plain_adhoc(bundle, "the Bessel closed form")
-    if bundle.scenario.alpha != 4.0:
-        raise UnsupportedConfigError("the Bessel closed form needs alpha = 4")
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError(f"coefficient index must be a non-negative integer, got {n!r}")
-    mu = adhoc_mu(bundle)
-    front = math.sqrt(2.0 * mu / math.pi)
-    log_w = n * math.log(mu / 2.0) - math.lgamma(n + 1.0) if n else 0.0
-    return front * math.exp(log_w) * specfun.bessel_k_half(n, mu)
-
+# ad hoc peak location
 
 @dataclass(frozen=True)
 class PeakBound:
@@ -470,7 +421,10 @@ def adhoc_peak_bound(bundle: ScenarioBundle) -> PeakBound:
     For mu < 2 the sequence decreases from the start; otherwise the peak
     index is bounded by ceil(mu^2 / 4 - 1) + 1.
     """
-    _require_plain_adhoc(bundle, "the peak-location bound")
+    if bundle.scenario.kind != ADHOC:
+        raise UnsupportedConfigError("the peak-location bound applies to ad hoc scenarios")
+    if bundle.scenario.noise != 0.0:
+        raise UnsupportedConfigError("the peak-location bound requires zero noise")
     mu = adhoc_mu(bundle)
     bound = math.ceil(mu * mu / 4.0 - 1.0) + 1
     return PeakBound(mu=mu, index_bound=max(bound, 1), monotone=mu < 2.0)

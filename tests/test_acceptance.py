@@ -18,8 +18,6 @@ from mimocov import (
     InterfererGainSpec,
     NetworkScenario,
     SignalGainSpec,
-    adhoc_pbar_bessel,
-    adhoc_pbar_closed_form,
     adhoc_peak_bound,
     cellular_decay_rate,
     coverage,
@@ -30,6 +28,7 @@ from mimocov import (
     validate,
 )
 from mimocov.montecarlo import SimConfig, simulate
+from closed_form_oracle import adhoc_pbar_bessel, adhoc_pbar_closed_form
 from toeplitz_oracle import toeplitz_coverage
 
 _ANCHOR = math.sqrt(math.log(2.0) / (math.pi * 1e-3))  # median cellular serving distance

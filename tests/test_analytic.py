@@ -18,14 +18,13 @@ from mimocov import (
     NumericalError,
     UnsupportedConfigError,
     ValidationError,
-    adhoc_coverage,
     adhoc_entries,
     adhoc_mu,
-    cellular_coverage,
     cellular_entries,
     coverage,
     coverage_general_pdf,
     coverage_non_poisson,
+    improvement_sequence,
 )
 from mimocov.analytic import _rounded_estimate
 from mimocov.model import GeneralSignalPdf
@@ -126,10 +125,6 @@ class TestCellular:
                 value = coverage(bundle).value
                 assert math.isfinite(value) and 0.0 <= value <= 1.0
 
-    def test_kind_guard(self, adhoc_bundle):
-        with pytest.raises(ValidationError, match="cellular"):
-            cellular_coverage(adhoc_bundle())
-
 
 class TestRoundingAtTheEdges:
     def test_near_full_coverage_stays_in_range(self, cellular_bundle):
@@ -140,7 +135,9 @@ class TestRoundingAtTheEdges:
                     for kappa in (0.3, 1.0, 4.0):
                         bundle = cellular_bundle(m=m, tau=10.0 ** (tau_db / 10.0),
                                                  alpha=alpha, kappa=kappa)
-                        assert 0.0 <= coverage(bundle).value <= 1.0
+                        value = coverage(bundle).value
+                        assert 0.0 <= value <= 1.0
+                        assert improvement_sequence(bundle, m).coverage_at(m) == value
 
     def test_beyond_rounding_is_still_refused(self):
         with pytest.raises(CoverageRangeError):
@@ -271,10 +268,6 @@ class TestAdhoc:
         assert ent.values[0] < 0.0
         assert np.all(ent.values[1:] > 0.0)
 
-    def test_kind_guard(self, cellular_bundle):
-        with pytest.raises(ValidationError, match="ad hoc"):
-            adhoc_coverage(cellular_bundle())
-
 
 class TestRepresentationEquivalence:
     def test_random_bundles(self, cellular_bundle, adhoc_bundle):
@@ -305,7 +298,7 @@ class TestGeneralSignalPdf:
         pdf = GeneralSignalPdf(terms=((m - 1, 1.0 / theta, 1.0 / (theta**m * math.gamma(m))),))
         bundle = cellular_bundle(m=m, theta=theta)
         combined = coverage_general_pdf(bundle, pdf).value
-        assert combined == pytest.approx(cellular_coverage(bundle).value, rel=1e-12)
+        assert combined == pytest.approx(coverage(bundle).value, rel=1e-12)
 
     def test_hyperexponential_mixture(self, cellular_bundle):
         # w1 Exp(phi1) + w2 Exp(phi2): coverage is the same mixture of
@@ -323,7 +316,7 @@ class TestGeneralSignalPdf:
         pdf = GeneralSignalPdf(terms=((1, 1.0, 1.0),))  # Gamma(2, 1)
         bundle = adhoc_bundle(m=2)
         assert coverage_general_pdf(bundle, pdf).value == pytest.approx(
-            adhoc_coverage(bundle).value, rel=1e-12)
+            coverage(bundle).value, rel=1e-12)
 
 
 class TestNonPoissonGain:

@@ -360,6 +360,14 @@ class TestInsightsCommand:
         assert out == ""
         assert "not finite" in err
 
+    def test_cellular_noise_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, ["insights", "--kind", "cellular",
+                                          "--alpha", "4", "--noise", "0.5",
+                                          "--rc", "--ratios", "4"])
+        assert code == 2
+        assert out == ""
+        assert "noise" in err
+
     def test_needs_at_least_one_flag(self, capsys):
         code, _, err = run_cli(capsys, ["insights", "--kind", "cellular",
                                         "--alpha", "4"])
@@ -394,10 +402,10 @@ class TestStdoutPurity:
 class TestColdStart:
     def test_import_leaves_quadrature_and_linear_algebra_unloaded(self):
         # only general laws need quadrature, on first use; the library never
-        # imports scipy.linalg
+        # imports scipy.linalg, nor exact rational arithmetic
         src = os.path.dirname(os.path.dirname(mimocov.__file__))
         code = ("import sys, mimocov; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'fractions') "
                 "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -8,8 +8,6 @@ import scipy.special
 from mimocov import (
     DensityProfile,
     InterfererGainSpec,
-    adhoc_pbar_bessel,
-    adhoc_pbar_closed_form,
     adhoc_peak_bound,
     cellular_decay_rate,
     coverage,
@@ -20,12 +18,12 @@ from mimocov import (
 from mimocov import specfun
 from mimocov.analytic import adhoc_entries
 from mimocov.errors import (
-    DomainError,
     NumericalError,
     RootNotFoundError,
     UnsupportedConfigError,
     ValidationError,
 )
+from closed_form_oracle import adhoc_pbar_bessel, adhoc_pbar_closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +184,17 @@ class TestImprovementSequence:
     def test_order_guard(self, cellular_bundle, order):
         with pytest.raises(ValidationError):
             improvement_sequence(cellular_bundle(), order=order)
+
+    @pytest.mark.parametrize("insight", [
+        lambda b: improvement_sequence(b, order=4),
+        lambda b: outage_decay_check(b, order=4),
+        cellular_decay_rate,
+    ], ids=["improvement_sequence", "outage_decay_check", "cellular_decay_rate"])
+    def test_cellular_noise_is_refused(self, cellular_bundle, insight):
+        # coverage() refuses SINR with noise; the same series must not
+        # answer for it with noiseless (SIR) numbers
+        with pytest.raises(UnsupportedConfigError, match="noise"):
+            insight(cellular_bundle(m=4, noise=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +413,6 @@ class TestClosedForms:
         assert value > 1e-300
         limit = mu / (2.0 * math.sqrt(math.pi)) * 30.0**-1.5
         assert value / limit == pytest.approx(1.0, abs=2e-2)
-
-    def test_closed_form_guards(self, adhoc_for_mu, adhoc_bundle, cellular_bundle):
-        with pytest.raises(UnsupportedConfigError, match="ad hoc"):
-            adhoc_pbar_closed_form(cellular_bundle(), 1)
-        with pytest.raises(UnsupportedConfigError, match="noise"):
-            adhoc_pbar_closed_form(adhoc_bundle(noise=0.1), 1)
-        with pytest.raises(UnsupportedConfigError, match="alpha = 4"):
-            adhoc_pbar_bessel(adhoc_bundle(alpha=3.0), 1)
-        with pytest.raises(ValidationError, match="non-negative integer"):
-            adhoc_pbar_closed_form(adhoc_for_mu(1.0), -1)
-        with pytest.raises(ValidationError, match="non-negative integer"):
-            adhoc_pbar_bessel(adhoc_for_mu(1.0), 1.5)
-
-    def test_exact_arithmetic_order_limit(self, adhoc_for_mu):
-        with pytest.raises(DomainError):
-            adhoc_pbar_closed_form(adhoc_for_mu(1.0), 70)
 
 
 # ---------------------------------------------------------------------------
