@@ -2,11 +2,11 @@
 
 The coverage probability of a maximum-ratio combined link with M antennas
 reduces to the head of a single power series built from the interference
-geometry; this package evaluates that series exactly (by coefficient
-recursions, which the tests check against the Toeplitz matrix route),
-simulates the same networks from scratch for validation, and exposes the
-structural consequences (density response, per-antenna decay, where the
-improvements peak).
+geometry; this package evaluates that series exactly (by a coefficient
+recursion and a Newton doubling, which the tests check against the
+Toeplitz matrix route), simulates the same networks from scratch for
+validation, and exposes the structural consequences (density response,
+per-antenna decay, where the improvements peak).
 """
 
 from .errors import (

@@ -1,4 +1,4 @@
-"""Exact coverage probability via power-series coefficient recursions.
+"""Exact coverage probability via the coefficients of one power series.
 
 The SIR (or SINR, in the ad hoc case) distribution with a Gamma(M, theta)
 signal gain reduces to the first M coefficients of a single power series:
@@ -11,10 +11,11 @@ signal gain reduces to the first M coefficients of a single power series:
   from one interference functional mu; coverage is the sum of the first M
   coefficients of exp(A(z)).
 
-Both are evaluated by coefficient recursions on the first column of the
-lower-triangular Toeplitz matrix the series represents.  The matrix route
-(a triangular solve and a nilpotent exponential) lives in the tests as the
-reference the recursions must match.
+Both are evaluated on the first column of the lower-triangular Toeplitz
+matrix the series represents: the exponential by a coefficient recursion,
+the reciprocal by Newton doubling (``series``).  The matrix route (a
+triangular solve and a nilpotent exponential) lives in the tests as the
+reference these kernels must match.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .model import (
     ScenarioBundle,
     SignalGainSpec,
     _integral_on_half_line,
+    _positive_integer,
 )
 from .series import MAX_ORDER, coeff_sum, series, series_exp, series_reciprocal
 
@@ -75,11 +77,10 @@ class EntrySequence:
 
 
 def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValidationError("order must be a positive integer")
+    order = _positive_integer(order, "order")
     if order > MAX_ORDER:
         raise ValidationError(f"order {order} exceeds the supported maximum {MAX_ORDER}")
-    return int(order)
+    return order
 
 
 def _f_coefficients(delta: float, order: int) -> np.ndarray:
@@ -213,7 +214,7 @@ def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
 def _rounded_estimate(total: float, order: int) -> CoverageEstimate:
     """Estimate from a coverage sum of ``order`` coefficients.
 
-    Rounding in the recursion and the sum can carry a coverage near 0 or 1
+    Rounding in the series kernel and the sum can carry a coverage near 0 or 1
     a few ulps out of [0, 1]; a sum within 4 order eps of the interval is
     mapped onto it, and anything further out is left for CoverageEstimate
     to refuse.

@@ -10,7 +10,8 @@ built directly, from a key = value configuration file, or from CLI flags
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +25,20 @@ METHOD_RECURSION = "finite-sum"
 METHOD_MC = "monte-carlo"
 
 _NORMALIZATION_TOL = 1e-9
+
+
+def _positive_integer(value, what: str) -> int:
+    """``value`` as a plain int if it is a positive integer (a Python or
+    numpy integer, but not a bool); otherwise a ValidationError naming
+    ``what``.  Antenna counts and series orders both pass through here."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            count = 0
+        if count >= 1:
+            return count
+    raise ValidationError(f"{what} must be a positive integer")
 
 
 def _integral_on_half_line(f, context: str):
@@ -285,8 +300,9 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
         if scenario.r0 is None or not (scenario.r0 > 0.0 and math.isfinite(scenario.r0)):
             raise ValidationError("ad hoc scenarios require a positive dipole distance r0")
 
-    if not isinstance(signal.shape, int) or signal.shape < 1:
-        raise ValidationError("antenna count M must be a positive integer")
+    m = _positive_integer(signal.shape, "antenna count M")
+    if type(signal.shape) is not int:
+        signal = replace(signal, shape=m)
     if not (signal.scale > 0.0 and math.isfinite(signal.scale)):
         raise ValidationError("signal gain scale theta must be positive")
 

@@ -5,8 +5,16 @@ A series of order M is a length-M float array holding Taylor coefficients
 lower-triangular Toeplitz matrix, and that identification is the whole
 point: the exponential and the inverse of such a matrix are again
 lower-triangular Toeplitz, so every operation below works on first columns
-only and no M x M matrix is ever materialized.  The matrix forms live in
-the tests, as the reference these recursions must match.
+only and no M x M matrix is ever materialized.
+
+``series_exp`` runs the logarithmic-derivative recursion, one inner product
+per coefficient.  ``series_reciprocal`` seeds the first few coefficients by
+the scalar recursion and then doubles the number of known ones per Newton
+step (Kung 1974, "On computing reciprocals of power series"), two
+convolutions each.  For the cellular entries (c_0 > 0, c_j <= 0 beyond)
+every product in those convolutions has one sign, so nothing cancels.  The
+matrix forms and the per-coefficient recursion live in the tests, as the
+references these kernels must match.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import numpy as np
 from .errors import DomainError, SingularityError
 
 MAX_ORDER = 512
+_SEED_ORDER = 8  # coefficients of 1/C(z) from the scalar recursion
 
 
 def series(coeffs) -> np.ndarray:
@@ -31,7 +40,7 @@ def series(coeffs) -> np.ndarray:
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
-    """Check a float64 array for finiteness in place.  The recursions' own
+    """Check a float64 array for finiteness in place.  The kernels' own
     outputs are fresh arrays of a validated order, so this is all they need."""
     if not np.all(np.isfinite(arr)):
         raise DomainError("series coefficients must all be finite")
@@ -62,17 +71,43 @@ def series_exp(t) -> np.ndarray:
 def series_reciprocal(c) -> np.ndarray:
     """Coefficients of 1 / C(z) given the coefficients of C(z).
 
-    b_0 = 1/c_0,  b_n = -(1/c_0) sum_{k=1}^{n} c_k b_{n-k}.
+    The first min(M, 8) coefficients come from the scalar recursion
+    b_0 = 1/c_0,  b_n = -(1/c_0) sum_{k=1}^{n} c_k b_{n-k},
+    on Python floats.  Each Newton step then takes the k known coefficients
+    B_k to k + h of them, h = min(k, M - k), by
+    B_{k+h} = B_k (2 - C B_k) mod z^{k+h}  (Kung 1974).
+    C B_k is 1 + z^k E(z) + O(z^{k+h}); one convolution gives the h
+    coefficients of E (never the exact zeros of C B_k below z^k), and a
+    second gives b_{k+j} = -sum_{i<=j} b_i e_{j-i}.  That is 2 ceil(log2(M/8))
+    convolutions in place of M inner products.
+
+    For cellular entries (c_0 > 0 and c_j <= 0 for j >= 1, the pattern
+    ``EntrySequence`` asserts) every b_n is non-negative, every e_j is
+    non-positive, and every product inside both convolutions has the same
+    sign.  So no sum cancels, and the deep coefficients that coverage and
+    the decay ratios read keep their relative accuracy.
     """
     c = series(c)
     if c[0] == 0.0:
         raise SingularityError("series reciprocal undefined: leading coefficient is zero")
     m = c.size
+    head = c[:_SEED_ORDER].tolist()
+    seed = [1.0 / head[0]]
+    for n in range(1, len(head)):
+        seed.append(-sum(head[j] * seed[n - j] for j in range(1, n + 1)) / head[0])
     b = np.zeros(m)
+    k = len(seed)
+    b[:k] = seed
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        b[0] = 1.0 / c[0]
-        for n in range(1, m):
-            b[n] = -np.dot(c[1 : n + 1], b[n - 1 :: -1]) / c[0]
+        while k < m:
+            h = min(k, m - k)
+            # e carries one spare term, never used, so that all h outputs of
+            # the second convolution lie in numpy's partial-overlap range,
+            # where output j is the same (j+1)-term dot product whatever the
+            # lengths: b_n then does not depend on the order M.
+            e = np.convolve(c[1 : k + h], b[:k])[k - 1 : k + h]
+            b[k : k + h] = -np.convolve(b[: h + 1], e)[:h]
+            k += h
     return _finite(b)
 
 

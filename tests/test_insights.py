@@ -180,10 +180,14 @@ class TestImprovementSequence:
         with pytest.raises(ValidationError, match="outside"):
             seq.coverage_at(m)
 
-    @pytest.mark.parametrize("order", [0, 513])
+    @pytest.mark.parametrize("order", [0, 513, True, np.True_])
     def test_order_guard(self, cellular_bundle, order):
         with pytest.raises(ValidationError):
             improvement_sequence(cellular_bundle(), order=order)
+
+    def test_numpy_integer_order_is_accepted(self, cellular_bundle):
+        seq = improvement_sequence(cellular_bundle(), order=np.int64(4))
+        np.testing.assert_array_equal(seq.values, improvement_sequence(cellular_bundle(), order=4).values)
 
     @pytest.mark.parametrize("insight", [
         lambda b: improvement_sequence(b, order=4),

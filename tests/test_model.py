@@ -78,10 +78,16 @@ class TestValidate:
         (SignalGainSpec(shape=0), "antenna count"),
         (SignalGainSpec(shape=1.0), "antenna count"),
         (SignalGainSpec(shape=2, scale=0.0), "theta"),
+        (SignalGainSpec(shape=True), "antenna count"),
+        (SignalGainSpec(shape=np.True_), "antenna count"),
     ])
     def test_bad_signal(self, signal, fragment):
         with pytest.raises(ValidationError, match=fragment):
             validate(_scenario(), signal, GAMMA_LAW)
+
+    def test_numpy_integer_antenna_count_is_stored_as_int(self):
+        bundle = validate(_scenario(), SignalGainSpec(shape=np.int64(4)), GAMMA_LAW)
+        assert type(bundle.signal.shape) is int and bundle.signal.shape == 4
 
     @pytest.mark.parametrize("law,fragment", [
         (InterfererGainSpec(kappa=0.0, beta=1.0), "kappa"),

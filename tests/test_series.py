@@ -1,9 +1,18 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from mimocov import (
+    CELLULAR,
+    InterfererGainSpec,
+    NetworkScenario,
+    SignalGainSpec,
+    cellular_entries,
+    validate,
+)
 from mimocov.errors import DomainError, SingularityError
 from mimocov.series import (
     MAX_ORDER,
@@ -12,7 +21,10 @@ from mimocov.series import (
     series_exp,
     series_reciprocal,
 )
-from toeplitz_oracle import toeplitz_exp_nilpotent
+from toeplitz_oracle import recursive_reciprocal, toeplitz_exp_nilpotent, toeplitz_reciprocal
+
+# every order up to 40, and each side of the Newton doubling's power-of-two edges
+RECIPROCAL_ORDERS = list(range(1, 41)) + [63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512]
 
 
 def test_exp_small_example():
@@ -42,6 +54,58 @@ def test_reciprocal_inverts_convolution():
     expected = np.zeros(12)
     expected[0] = 1.0
     np.testing.assert_allclose(product, expected, atol=1e-13)
+
+
+@pytest.fixture(scope="module")
+def cellular_entry_grid():
+    """Order-512 cellular entries over alpha x tau x kappa (27 scenarios)."""
+    grid = []
+    for alpha, tau, kappa in itertools.product((2.5, 4.0, 8.0), (1e-3, 1.0, 1e3), (0.5, 1.0, 4.0)):
+        bundle = validate(NetworkScenario(kind=CELLULAR, lam=1e-3, alpha=alpha, threshold=tau),
+                          SignalGainSpec(shape=MAX_ORDER), InterfererGainSpec(kappa=kappa, beta=1.0))
+        grid.append(cellular_entries(bundle, MAX_ORDER).values)
+    return grid
+
+
+def test_reciprocal_of_cellular_entries_matches_the_recursion(cellular_entry_grid):
+    # one-signed sums keep every coefficient to its relative accuracy, however
+    # deep; a coefficient of order m is the same number at every longer order
+    for c in cellular_entry_grid:
+        full = series_reciprocal(c)
+        for m in RECIPROCAL_ORDERS:
+            b = series_reciprocal(c[:m])
+            ref = recursive_reciprocal(c[:m])
+            assert np.all(b >= 0.0)
+            kept = ref > 1e-290
+            np.testing.assert_allclose(b[kept], ref[kept], rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(b, full[:m])
+
+
+def test_reciprocal_of_mixed_signs_matches_toeplitz_solve():
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=MAX_ORDER)
+    c[0] = 1.5
+    ref = toeplitz_reciprocal(c)
+    np.testing.assert_allclose(series_reciprocal(c), ref, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_reciprocal_makes_logarithmically_many_convolutions(monkeypatch):
+    calls = []
+    convolve = np.convolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting)
+    c = np.full(MAX_ORDER, -0.5 / MAX_ORDER)
+    c[0] = 1.0
+    for m in range(1, 9):
+        series_reciprocal(c[:m])
+    assert not calls
+    series_reciprocal(c)
+    assert 0 < len(calls) <= 2 * math.ceil(math.log2(MAX_ORDER / 8))
 
 
 def test_exp_matches_toeplitz_route():

@@ -2,9 +2,12 @@
 
 Coverage is the l1 column sum of exp(A) (ad hoc) or C^-1 (cellular), where
 A and C are the lower-triangular Toeplitz matrices whose first columns are
-the library's entry sequences.  The library evaluates that column by
-coefficient recursions (``series_exp``, ``series_reciprocal``); this module
-gets it from the matrices themselves, sharing no code with the recursions.
+the library's entry sequences.  The library evaluates that column by series
+kernels (``series_exp``, a coefficient recursion, and ``series_reciprocal``,
+a Newton doubling); this module gets it from the matrices themselves,
+sharing no code with the kernels.  It also keeps the per-coefficient
+reciprocal recursion that the Newton doubling replaced, as the reference
+the doubling must match coefficient by coefficient.
 """
 
 import math
@@ -13,6 +16,25 @@ import numpy as np
 from scipy import linalg
 
 from mimocov import CELLULAR, adhoc_entries, cellular_entries
+from mimocov.errors import SingularityError
+from mimocov.series import _finite, series
+
+
+def recursive_reciprocal(c) -> np.ndarray:
+    """Coefficients of 1 / C(z) given the coefficients of C(z).
+
+    b_0 = 1/c_0,  b_n = -(1/c_0) sum_{k=1}^{n} c_k b_{n-k}.
+    """
+    c = series(c)
+    if c[0] == 0.0:
+        raise SingularityError("series reciprocal undefined: leading coefficient is zero")
+    m = c.size
+    b = np.zeros(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        b[0] = 1.0 / c[0]
+        for n in range(1, m):
+            b[n] = -np.dot(c[1 : n + 1], b[n - 1 :: -1]) / c[0]
+    return _finite(b)
 
 
 def toeplitz_reciprocal(c) -> np.ndarray:
