@@ -42,7 +42,7 @@ def series(coeffs) -> np.ndarray:
 def _finite(arr: np.ndarray) -> np.ndarray:
     """Check a float64 array for finiteness in place.  The kernels' own
     outputs are fresh arrays of a validated order, so this is all they need."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("series coefficients must all be finite")
     return arr
 
@@ -114,4 +114,4 @@ def series_reciprocal(c) -> np.ndarray:
 def coeff_sum(p) -> float:
     """Sum of the coefficients, i.e. the l1 column sum of the Toeplitz matrix
     the series represents (all coverage outputs are such sums)."""
-    return float(np.sum(p))
+    return float(np.add.reduce(p))

@@ -3,10 +3,11 @@
 ``hyp2f1`` is a pure function of plain Python numbers.  It sums the
 defining series of 2F1(a, b; c; z) on the arguments 0 <= z < 1 that
 decay-rate root finding produces.  The cellular interference entries do not
-call it at negative argument: ``analytic`` evaluates them through
-incomplete beta and incomplete gamma functions.  The series is summed with
-a relative term cutoff and a hard iteration cap; hitting the cap raises
-instead of returning a truncated sum.
+call it at negative argument: ``analytic`` evaluates them through an
+incomplete-beta recurrence (Gamma laws) and incomplete gamma functions
+(general laws).  The series is summed with a relative term cutoff and a
+hard iteration cap; hitting the cap raises instead of returning a
+truncated sum.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
     Sums the defining series.  Negative arguments raise ``DomainError``:
     the entry-shaped 2F1(n+kappa, n-delta; n+1-delta; -x) is evaluated in
-    ``analytic.cellular_entries_gamma`` through incomplete beta functions.
+    ``analytic.cellular_entries_gamma`` by the incomplete-beta recurrence.
     """
     _check_finite(a=a, b=b, c=c, z=z)
     if c <= 0.0 and c == math.floor(c):

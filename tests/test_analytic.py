@@ -1,6 +1,7 @@
 """Coverage values are checked against closed forms, against an
 independently coded matrix oracle built on scipy's own special functions,
-and against the Toeplitz matrix route on the library's own entries."""
+and against the Toeplitz matrix route on the library's own entries; the
+Gamma-law entries also against 40-digit mpmath values of their 2F1."""
 
 import math
 
@@ -15,6 +16,7 @@ from mimocov import (
     CoverageRangeError,
     EntrySequence,
     InterfererGainSpec,
+    MimocovError,
     NumericalError,
     UnsupportedConfigError,
     ValidationError,
@@ -124,6 +126,133 @@ class TestCellular:
                 bundle = cellular_bundle(m=m, tau=10.0 ** (tau_db / 10.0), alpha=alpha, kappa=kappa)
                 value = coverage(bundle).value
                 assert math.isfinite(value) and 0.0 <= value <= 1.0
+
+
+def _mp_entry(mp, n, delta, kappa, x):
+    """Cellular entry n from its definition, Gamma(kappa+n)/(Gamma(kappa) n!)
+    delta/(delta-n) x^n 2F1(n+kappa, n-delta; n+1-delta; -x), in mpmath."""
+    d, k, x = mp.mpf(delta), mp.mpf(kappa), mp.mpf(x)
+    return (mp.gamma(k + n) / (mp.gamma(k) * mp.factorial(n)) * d / (d - n) * x**n
+            * mp.hyp2f1(n + k, n - d, n + 1 - d, -x))
+
+
+def _crossover_tau(order, delta, kappa):
+    """Threshold (beta = theta = 1) at which the entry column of this order
+    leaves the tail series for the complement: w = (a+1)/(a+q+2) with
+    a = max(order-1, 1) - delta, q = kappa + delta and w = tau/(1+tau)."""
+    a = max(order - 1, 1) - delta
+    w = (a + 1.0) / (a + kappa + delta + 2.0)
+    return w / (1.0 - w)
+
+
+class TestCellularEntryColumn:
+    """The Gamma-law entries come from one positive incomplete-beta
+    recurrence; they are pinned to 40-digit values of their defining 2F1,
+    across orders, and at the edges of the double range."""
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("kappa", [0.05, 0.5, 1.0, 4.0, 30.0])
+    def test_against_mpmath(self, cellular_bundle, delta, kappa):
+        # delta = 0.05, kappa = 30, tau = 0.1 includes entry 307 at order 512:
+        # -1.21647e-283 at 40 digits, where scipy's betainc route read
+        # -1.21840e-283 (its I_w(307-delta, q) was 9.4355e-280, not 9.42063e-280)
+        mp = pytest.importorskip("mpmath")
+        cases = [(m, tau) for m in (2, 16, 512) for tau in (1e-3, 0.1, 1.0, 10.0, 1e3)]
+        cases += [(m, _crossover_tau(m, delta, kappa) * f) for m in (2, 16, 512) for f in (0.999, 1.001)]
+        checked = 0
+        with mp.workdps(40):
+            for m, tau in cases:
+                bundle = cellular_bundle(tau=tau, alpha=2.0 / delta, kappa=kappa)
+                ours = cellular_entries(bundle, m).values
+                for n in sorted({0, 1, 3, 17, 100, 307, m - 1} & set(range(m))):
+                    ref = _mp_entry(mp, n, bundle.delta, kappa, tau)
+                    if abs(ref) > 1e-300:
+                        assert abs(ours[n] - ref) <= 1e-13 * abs(ref), (m, tau, n)
+                        checked += 1
+        assert checked >= 70
+
+    def test_prefix_of_a_longer_column(self, cellular_bundle):
+        # an order sets where the recurrence is anchored and which series
+        # anchors it, so the first m entries at order 512 match order m to
+        # rounding, not bit for bit
+        orders = list(range(1, 17)) + [31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511]
+        for alpha, kappa, tau in [(4.0, 1.0, 1.0), (2.5, 0.05, 30.0), (40.0, 0.05, 1e3),
+                                  (3.0, 30.0, 0.1), (6.0, 2.0, 100.0), (4.0, 0.5, 3.0)]:
+            bundle = cellular_bundle(tau=tau, alpha=alpha, kappa=kappa)
+            full = cellular_entries(bundle, 512).values
+            for m in orders:
+                np.testing.assert_allclose(cellular_entries(bundle, m).values, full[:m],
+                                           rtol=1e-13, atol=1e-290,
+                                           err_msg=f"alpha={alpha} kappa={kappa} tau={tau} m={m}")
+
+    @pytest.mark.parametrize("tau", [1e16, 1e100, 1e300, 1e-300, 5e-324])
+    def test_thresholds_at_the_edges_of_the_double_range(self, cellular_bundle, tau):
+        # x/(1+x) rounds to 1 from x = 1e16 on, so 1 - w is formed as 1/(1+x);
+        # a RuntimeWarning fails the suite
+        for alpha in (2.05, 4.0, 12.0):
+            for kappa in (0.05, 1.0, 30.0):
+                for m in (1, 2, 64, 512):
+                    bundle = cellular_bundle(m=m, tau=tau, alpha=alpha, kappa=kappa)
+                    try:
+                        values = cellular_entries(bundle, m).values
+                        value = coverage(bundle).value
+                    except MimocovError:
+                        continue
+                    assert np.all(np.isfinite(values))
+                    assert values[0] > 0.0 and np.all(values[1:] <= 0.0)
+                    assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("m", [1, 16, 512])
+    def test_large_interferer_shape(self, cellular_bundle, m):
+        # nearly deterministic interferer gains: (1+x)^-kappa is formed as
+        # exp(-kappa log1p(x)), since kappa times the rounding of 1+x put
+        # coverage up to 8e-14 above 1 at low thresholds for kappa = 1e3
+        for kappa in (1e3, 1e4):
+            for tau_db in range(-60, 41, 10):
+                bundle = cellular_bundle(m=m, tau=10.0 ** (tau_db / 10.0), kappa=kappa, beta=1.0 / kappa)
+                assert 0.0 <= coverage(bundle).value <= 1.0
+
+    @pytest.mark.parametrize("alpha, kappa", [(4.0, 1e3), (40.0, 1e3), (2.0 / 0.95, 1e3),
+                                              (4.0, 1e4), (40.0, 1e4), (2.0 / 0.95, 1e4),
+                                              (100.0, 1e-3), (40.0, 1e-3), (100.0, 0.05)])
+    def test_extreme_shapes_against_mpmath(self, cellular_bundle, alpha, kappa):
+        # kappa = 1e3 and 1e4 run products of up to 2^18 ratios and take
+        # Gamma(q)/Gamma(kappa) from Stirling's series (lgamma differences
+        # were 7e-13 and 1.3e-11 off); q = kappa + delta below 0.1 is where
+        # the complement cancels, up to 2e-13 off just past the crossover,
+        # so the positive tail is summed there instead
+        mp = pytest.importorskip("mpmath")
+        delta = 2.0 / alpha
+        checked = 0
+        with mp.workdps(40):
+            for m in (2, 16, 512):
+                for f in (0.999, 1.001, 2.0):
+                    tau = _crossover_tau(m, delta, kappa) * f
+                    bundle = cellular_bundle(tau=tau, alpha=alpha, kappa=kappa)
+                    ours = cellular_entries(bundle, m).values
+                    for n in sorted({0, 1, 3, 17, 100, 307, m - 1} & set(range(m))):
+                        ref = _mp_entry(mp, n, bundle.delta, kappa, tau)
+                        if abs(ref) > 1e-300:
+                            assert abs(ours[n] - ref) <= 1e-13 * abs(ref), (m, f, n)
+                            checked += 1
+        assert checked >= 30
+
+    def test_huge_interferer_shape_against_mpmath(self, cellular_bundle):
+        # near the crossover both positive series run past 2^18 terms for
+        # kappa from about 1e4 on; those entries are scipy's betainc values,
+        # the rest come from the recurrence
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for kappa in (1e5, 1e6):
+                for tau_db in (10, 20):
+                    for m in (1, 2, 3, 16):
+                        tau = 10.0 ** (tau_db / 10.0)
+                        bundle = cellular_bundle(m=m, tau=tau, kappa=kappa, beta=1.0 / kappa)
+                        ours = cellular_entries(bundle, m).values
+                        for n in range(m):
+                            ref = _mp_entry(mp, n, bundle.delta, kappa, tau / kappa)
+                            assert abs(ours[n] - ref) <= 1e-13 * abs(ref), (kappa, tau_db, m, n)
+                        assert 0.0 <= coverage(bundle).value <= 1.0
 
 
 class TestRoundingAtTheEdges:

@@ -399,30 +399,61 @@ class TestStdoutPurity:
         assert "note:" not in out
 
 
+def _python(*args):
+    """Run the interpreter on the package under test; return (stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(mimocov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout, done.stderr
+
+
 class TestColdStart:
     def test_import_leaves_quadrature_and_linear_algebra_unloaded(self):
         # only general laws need quadrature, on first use; the library never
         # imports scipy.linalg, nor exact rational arithmetic
-        src = os.path.dirname(os.path.dirname(mimocov.__file__))
-        code = ("import sys, mimocov; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'fractions') "
-                "if m in sys.modules))")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        out, _ = _python("-c", "import sys, mimocov; "
+                         "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'fractions') "
+                         "if m in sys.modules))")
         assert out.strip() == "[]"
 
     def test_adhoc_work_and_simulation_leave_special_functions_unloaded(self):
-        # only the cellular entries need scipy.special, on first use
-        src = os.path.dirname(os.path.dirname(mimocov.__file__))
-        code = ("import sys, mimocov as mc; "
-                "b = mc.validate(mc.NetworkScenario(kind=mc.ADHOC, lam=0.05, "
-                "alpha=4.0, threshold=1.0, r0=1.0), mc.SignalGainSpec(shape=4), "
-                "mc.InterfererGainSpec(kappa=1.0, beta=1.0)); "
-                "mc.coverage(b); mc.density_profile(b).coverage_at(0.1); "
-                "mc.simulate(b, mc.SimConfig(trials=200, seed=1)); "
-                "print('scipy.special' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        # only general interferer laws (and Gamma shapes beyond about 1e4)
+        # need scipy.special, on first use
+        out, _ = _python("-c", "import sys, mimocov as mc; "
+                         "b = mc.validate(mc.NetworkScenario(kind=mc.ADHOC, lam=0.05, "
+                         "alpha=4.0, threshold=1.0, r0=1.0), mc.SignalGainSpec(shape=4), "
+                         "mc.InterfererGainSpec(kappa=1.0, beta=1.0)); "
+                         "mc.coverage(b); mc.density_profile(b).coverage_at(0.1); "
+                         "mc.simulate(b, mc.SimConfig(trials=200, seed=1)); "
+                         "print('scipy.special' in sys.modules)")
         assert out.strip() == "False"
+
+    def test_gamma_cellular_work_leaves_special_functions_unloaded(self):
+        # the Gamma-law entries are a NumPy recurrence; a general law still
+        # integrates incomplete gamma functions from scipy.special
+        out, _ = _python("-c", "import sys, math, mimocov as mc; "
+                         "sc = mc.NetworkScenario(kind=mc.CELLULAR, lam=1e-3, alpha=4.0, threshold=3.0); "
+                         "b = mc.validate(sc, mc.SignalGainSpec(shape=64), "
+                         "mc.InterfererGainSpec(kappa=1.5, beta=1.0)); "
+                         "mc.coverage(b); mc.improvement_sequence(b, 64); mc.cellular_decay_rate(b); "
+                         "print('scipy.special' in sys.modules); "
+                         "g = mc.validate(sc, mc.SignalGainSpec(shape=4), "
+                         "mc.InterfererGainSpec(pdf=lambda x: math.exp(-x))); "
+                         "mc.cellular_entries(g, 4); "
+                         "print('scipy.special' in sys.modules)")
+        assert out.split() == ["False", "True"]
+
+    @pytest.mark.parametrize("command", [
+        ["coverage", "--m", "16", "--tau-db", "7"],
+        ["sweep", "--m", "4", "--axis", "tau_db", "--start", "-10", "--stop", "20", "--points", "7"],
+        ["insights", "--kappa", "2", "--rc", "--ratios", "24"],
+    ], ids=["coverage", "sweep", "insights"])
+    def test_cellular_commands_leave_special_functions_unloaded(self, command):
+        out, err = _python("-X", "importtime", "-m", "mimocov", *command,
+                           "--kind", "cellular", "--alpha", "4")
+        assert len(out.splitlines()) >= 2  # a CSV header and its rows
+        imported = [line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+                    if line.startswith("import time:")]
+        assert "mimocov.analytic" in imported
+        assert not [m for m in imported if m.startswith("scipy.special")]
