@@ -8,9 +8,9 @@ signal gain reduces to the first M coefficients of a single power series:
   of 1/C(z) and does not depend on the transmitter density.  For Gamma
   interferer gains the factors are regularized incomplete beta functions,
   all M of them from one recurrence of positive terms (DLMF 8.17.20) in
-  NumPy; a general gain law integrates incomplete gamma functions.  Only
-  that route, and Gamma shapes beyond about 1e4 near the crossover of the
-  recurrence's two series, load scipy,
+  NumPy; a general gain law integrates incomplete gamma functions, and
+  only it loads scipy, apart from one anchor value of the recurrence for
+  Gamma shapes beyond about 1e4 near the crossover of its two series,
 * ad hoc: the exponential of a series A(z) with elementary entries built
   from one interference functional mu; coverage is the sum of the first M
   coefficients of exp(A(z)).
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, UnsupportedConfigError, ValidationError
+from .errors import DomainError, NumericalError, UnsupportedConfigError, ValidationError
 from .model import (
     ADHOC,
     CELLULAR,
@@ -40,10 +40,11 @@ from .model import (
     GeneralSignalPdf,
     ScenarioBundle,
     SignalGainSpec,
+    _gamma_ratio,
     _integral_on_half_line,
     _positive_integer,
 )
-from .series import MAX_ORDER, coeff_sum, series, series_exp, series_reciprocal
+from .series import MAX_ORDER, coeff_sum, series_exp, series_reciprocal
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,22 @@ class EntrySequence:
 
     ``flavor`` records which series the entries describe: "cellular" entries
     feed a series reciprocal, "adhoc" entries feed a series exponential.
-    The sign pattern (head positive, tail negative for cellular; head
-    negative, tail positive for ad hoc) is structural, so it is asserted at
-    construction; a violation means the numerics broke.
+    Construction is the one place a column is converted to a fresh 1-D
+    float array and checked for finiteness (the series kernels take it as
+    given), and then for its sign pattern (head positive, tail negative
+    for cellular; head negative, tail positive for ad hoc), which is
+    structural: a violation means the numerics broke.
     """
 
     values: np.ndarray
     flavor: str
 
     def __post_init__(self):
-        vals = series(self.values)
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 1 or vals.size == 0:
+            raise DomainError("an entry sequence must be a non-empty 1-D array")
+        if not np.isfinite(vals).all():
+            raise DomainError(f"{self.flavor} entries must all be finite")
         object.__setattr__(self, "values", vals)
         # exact zeros are allowed in the tail: deep entries underflow for
         # extreme thresholds, and that is loss of magnitude, not of sign
@@ -121,21 +128,6 @@ def _series_terms(z: float, b: float, c: float) -> float:
     return n if n <= _MAX_TERMS else math.inf
 
 
-def _gamma_ratio(kappa: float, delta: float) -> float:
-    """Gamma(kappa+delta)/Gamma(kappa) for 0 < delta < 1.  Below kappa+delta = 20
-    a quotient of math.gamma values (within 4e-15); above it the difference
-    of Stirling's series for log Gamma (DLMF 5.11.1) to z^-7, with the large
-    terms paired so that nothing cancels (within 2e-15 up to kappa = 1e4),
-    where the math.gamma quotient errs by up to 6e-14 near its overflow and
-    lgamma differences by 7e-13 at kappa = 1e3."""
-    q = kappa + delta
-    if q < 20.0:
-        return math.gamma(q) / math.gamma(kappa)
-    stirling = sum(c * (q**-k - kappa**-k)
-                   for c, k in ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7)))
-    return math.exp(delta * math.log(q) + (kappa - 0.5) * math.log1p(delta / kappa) - delta + stirling)
-
-
 def _entry_scale(x: float, kappa: float, delta: float, threshold: float) -> float:
     """s = x^delta Gamma(1-delta) Gamma(kappa+delta)/Gamma(kappa), or NumericalError."""
     try:
@@ -155,13 +147,24 @@ def _drift(value: float, num: int, den: int) -> float:
     return (num * vd - den * vn) / (den * vn)
 
 
-def _ratio_series(z: float, drift: float, b: float, c: float, terms: int) -> float:
-    """sum_{j<terms} prod_{i<j} z (b+c+i)/(b+i), a partial sum of 2F1(b+c, 1; b; z).
+def _ratio_terms(z: float, drift: float, b: float, c: float, terms: int, first: float) -> np.ndarray:
+    """t_j = first prod_{i<j} z (b+c+i)/(b+i), j < ``terms``: one running product
+    from ``first`` (scaled afterwards, it can leave the double range), with
+    ratios formed as z + z c/(b+i).  t_j carries z^j, so the rounding
+    ``drift`` of z enters as j drift, and is undone."""
+    j = np.arange(float(terms))
+    t = z + z * c / (b - 1.0 + j)
+    t[0] = first
+    np.multiply.accumulate(t, out=t)
+    t *= 1.0 + drift * j
+    return t
 
-    The ratios are formed as z + z c/(b+i), and term j carries z^j, so the
-    rounding ``drift`` of z enters as j drift.  Up to _SCALAR_TERMS terms a
-    Python loop sums them: below about 35 terms it costs less than the NumPy
-    calls (0.17 against 4.1 us at 1 term, 4.1 against 4.6 at 32).
+
+def _ratio_series(z: float, drift: float, b: float, c: float, terms: int) -> float:
+    """sum_{j<terms} prod_{i<j} z (b+c+i)/(b+i), a partial sum of 2F1(b+c, 1; b; z):
+    the sum of ``_ratio_terms`` from 1.  Up to _SCALAR_TERMS terms a Python
+    loop sums them: below about 35 terms it costs less than the NumPy calls
+    (0.17 against 4.1 us at 1 term, 4.1 against 4.6 at 32).
     """
     if terms <= _SCALAR_TERMS:
         total, moment, term = 1.0, 0.0, 1.0
@@ -170,21 +173,7 @@ def _ratio_series(z: float, drift: float, b: float, c: float, terms: int) -> flo
             total += term
             moment += j * term
         return total + drift * moment
-    j = np.arange(1.0, terms)
-    t = np.multiply.accumulate(z + z * c / (b - 1.0 + j))
-    return 1.0 + np.add.reduce(t) + drift * (j @ t)
-
-
-def _scaled_differences(w: float, drift: float, q: float, delta: float, first: float, size: int) -> np.ndarray:
-    """s d_1, ..., s d_size from s d_1 = ``first``, as one running product of
-    the ratios d_{k+1}/d_k = w (a_k+q)/(a_k+1), formed as w + w (q-1)/(a_k+1).
-    d_n carries w^n, so the rounding ``drift`` of w enters as n drift."""
-    k = np.arange(float(size))
-    sd = w + w * (q - 1.0) / (k + (1.0 - delta))
-    sd[0] = first
-    np.multiply.accumulate(sd, out=sd)
-    sd *= (1.0 + drift) + drift * k
-    return sd
+    return np.add.reduce(_ratio_terms(z, drift, b, c, terms, 1.0))
 
 
 def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
@@ -229,7 +218,7 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
     products raise w and 1-w to powers up to 2^18, so their rounding is
     measured exactly and undone.  Where both series would need more than
     2^18 terms (interferer shapes from about 1e4 on, near the crossover)
-    the I_n are scipy's betainc values instead.
+    I_top alone is scipy's betainc value instead.
     """
     order = _check_order(order)
     kappa, beta = bundle.interferer.kappa, bundle.interferer.beta
@@ -250,28 +239,28 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
     else:
         comp_terms = _series_terms(w_c, q + 1.0, a_top - 1.0)
 
-    if min(tail_terms, comp_terms) > _MAX_TERMS:
-        from scipy import special as sp  # imported on first use: only these inputs and general laws need it
-
-        si = _entry_scale(x, kappa, delta, threshold) * sp.betainc(np.arange(1.0, top + 1.0) - delta, q, w)
-    else:
-        xn, xd = x.as_integer_ratio()  # w = xn/(xd+xn) and 1-w = xd/(xd+xn) exactly
-        w_drift = _drift(w, xn, xd + xn) if xn else 0.0
-        sd1 = kappa / (1.0 - delta) * w * head  # s d_1
-        tail = tail_terms <= comp_terms
-        if not tail:
-            sd = _scaled_differences(w, w_drift, q, delta, sd1, top)
-            s = _entry_scale(x, kappa, delta, threshold)
+    xn, xd = x.as_integer_ratio()  # w = xn/(xd+xn) and 1-w = xd/(xd+xn) exactly
+    w_drift = _drift(w, xn, xd + xn) if xn else 0.0
+    sd1 = kappa / (1.0 - delta) * w * head * (1.0 + w_drift)  # s d_1, its one power of w undone
+    tail = tail_terms <= min(comp_terms, _MAX_TERMS)
+    if not tail:
+        sd = _ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top, sd1)  # s d_1, ..., s d_top
+        s = _entry_scale(x, kappa, delta, threshold)
+        if comp_terms <= _MAX_TERMS:
             comp = sd[-1] * a_top / q * _ratio_series(
                 w_c, _drift(w_c, xd, xd + xn), q + 1.0, a_top - 1.0, comp_terms)
             # the subtraction loses a factor comp / (s - comp); past 8 (q well
             # below 1) the positive tail is summed instead, if it is not too long
             tail = comp > _MAX_LOSS * (s - comp) and tail_terms <= _MAX_TERMS
             sd[-1] = s - comp
-        if tail:
-            sd = _scaled_differences(w, w_drift, q, delta, sd1, top - 1 + tail_terms)
-            sd[top - 1] = np.add.reduce(sd[top - 1:])
-        si = np.add.accumulate(sd[top - 1::-1])[::-1]  # s I_1, ..., s I_top
+        else:
+            from scipy import special as sp  # imported on first use: only these inputs and general laws need it
+
+            sd[-1] = s * sp.betainc(a_top, q, w)
+    if tail:
+        sd = _ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top - 1 + tail_terms, sd1)
+        sd[top - 1] = np.add.reduce(sd[top - 1:])
+    si = np.add.accumulate(sd[top - 1::-1])[::-1]  # s I_1, ..., s I_top
 
     vals = _f_coefficients(delta, order)
     vals[0] = head + si[0]

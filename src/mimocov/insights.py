@@ -20,6 +20,7 @@ from . import specfun
 from .errors import NumericalError, RootNotFoundError, UnsupportedConfigError, ValidationError
 from .model import ADHOC, CELLULAR, ScenarioBundle, _integral_on_half_line
 from .analytic import _check_order, _improvements, _refuse_cellular_noise, _rounded_estimate, adhoc_mu
+from .series import coeff_sum
 
 _UNDERFLOW_FLOOR = 1e-300
 
@@ -156,10 +157,12 @@ def density_profile(bundle: ScenarioBundle) -> DensityProfile:
 class ImprovementSequence:
     """Coverage gains p_bar[n] from raising the antenna count past n.
 
-    Partial sums recover coverage: ``coverage_at(m)`` is sum(values[:m]),
-    rounded onto [0, 1] as ``coverage`` rounds it, and equals the coverage
-    with m antennas.  The terms are positive and eventually decay
-    geometrically at the rate returned by ``cellular_decay_rate``.
+    Partial sums recover coverage: ``coverage_at(m)`` sums values[:m] and
+    rounds onto [0, 1] as ``coverage`` does; at m = order it is the value
+    ``coverage`` gives with m antennas, below it that value to rounding (a
+    longer cellular column anchors its recurrence deeper).  The terms are
+    positive and eventually decay geometrically at the rate returned by
+    ``cellular_decay_rate``.
     """
 
     values: np.ndarray
@@ -167,7 +170,7 @@ class ImprovementSequence:
     def coverage_at(self, m: int) -> float:
         if not (1 <= m <= self.values.size):
             raise ValidationError(f"antenna count {m} outside the computed range")
-        return _rounded_estimate(float(np.sum(self.values[:m])), m).value
+        return _rounded_estimate(coeff_sum(self.values[:m]), m).value
 
 
 def improvement_sequence(bundle: ScenarioBundle, order: int) -> ImprovementSequence:

@@ -41,6 +41,22 @@ def _positive_integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be a positive integer")
 
 
+def _gamma_ratio(kappa: float, delta: float) -> float:
+    """Gamma(q)/Gamma(kappa), q = kappa+delta, 0 < delta < 1.  Below q = 20 a
+    quotient of math.gamma values (within 6e-15), with Gamma(kappa) = 1/kappa
+    below 1e-300, where that is exact in double precision and math.gamma
+    overflows soon after; above q = 20, q^delta times the exponential of the
+    difference of Stirling's series for log Gamma (DLMF 5.11.1) to z^-7,
+    paired so that nothing cancels (within 8e-16 up to kappa = 1e200).  An
+    lgamma difference cancels: 7e-13 off at kappa = 1e3, 72% at 1e15."""
+    q = kappa + delta
+    if q < 20.0:
+        return math.gamma(q) / math.gamma(kappa) if kappa > 1e-300 else math.gamma(q) * kappa
+    stirling = sum(c * (q**-k - kappa**-k)
+                   for c, k in ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7)))
+    return q**delta * math.exp((kappa - 0.5) * math.log1p(delta / kappa) - delta + stirling)
+
+
 def _integral_on_half_line(f, context: str):
     """Adaptive quadrature of f over (0, inf) by geometric blocks.
 
@@ -315,8 +331,7 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
             raise ValidationError("interferer gamma shape kappa must be positive")
         if not (interferer.beta > 0.0 and math.isfinite(interferer.beta)):
             raise ValidationError("interferer gamma scale beta must be positive")
-        kappa = interferer.kappa
-        moment = interferer.beta**delta * math.exp(math.lgamma(kappa + delta) - math.lgamma(kappa))
+        moment = interferer.beta**delta * _gamma_ratio(interferer.kappa, delta)
     else:
         if interferer.kappa is not None or interferer.beta is not None:
             raise ValidationError("specify either a gamma interferer law or a general law, not both")

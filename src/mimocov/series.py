@@ -14,7 +14,9 @@ step (Kung 1974, "On computing reciprocals of power series"), two
 convolutions each.  For the cellular entries (c_0 > 0, c_j <= 0 beyond)
 every product in those convolutions has one sign, so nothing cancels.  The
 matrix forms and the per-coefficient recursion live in the tests, as the
-references these kernels must match.
+references these kernels must match.  The kernels take their input as
+given (``analytic.EntrySequence`` checks each column once, where it is
+built) and check only their own output, for overflow.
 """
 
 from __future__ import annotations
@@ -29,19 +31,9 @@ MAX_ORDER = 512
 _SEED_ORDER = 8  # coefficients of 1/C(z) from the scalar recursion
 
 
-def series(coeffs) -> np.ndarray:
-    """Validate and return a fresh float64 coefficient array."""
-    arr = np.array(coeffs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("a series must be a non-empty 1-D coefficient array")
-    if arr.size > MAX_ORDER:
-        raise DomainError(f"series order {arr.size} exceeds the guard {MAX_ORDER}")
-    return _finite(arr)
-
-
 def _finite(arr: np.ndarray) -> np.ndarray:
-    """Check a float64 array for finiteness in place.  The kernels' own
-    outputs are fresh arrays of a validated order, so this is all they need."""
+    """Check a kernel's output for finiteness: overflow inside a kernel is a
+    real failure even when its input was finite."""
     if not np.isfinite(arr).all():
         raise DomainError("series coefficients must all be finite")
     return arr
@@ -54,7 +46,7 @@ def series_exp(t) -> np.ndarray:
     p_0 = e^{t_0},  p_n = (1/n) sum_{i=0}^{n-1} (n - i) t_{n-i} p_i,
     which costs O(M^2) and never forms a factorial.
     """
-    t = series(t)
+    t = np.asarray(t, dtype=float)
     m = t.size
     p = np.zeros(m)
     try:
@@ -87,7 +79,7 @@ def series_reciprocal(c) -> np.ndarray:
     sign.  So no sum cancels, and the deep coefficients that coverage and
     the decay ratios read keep their relative accuracy.
     """
-    c = series(c)
+    c = np.asarray(c, dtype=float)
     if c[0] == 0.0:
         raise SingularityError("series reciprocal undefined: leading coefficient is zero")
     m = c.size

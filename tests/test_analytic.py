@@ -14,6 +14,7 @@ from mimocov import (
     ADHOC,
     CELLULAR,
     CoverageRangeError,
+    DomainError,
     EntrySequence,
     InterfererGainSpec,
     MimocovError,
@@ -237,21 +238,32 @@ class TestCellularEntryColumn:
                             checked += 1
         assert checked >= 30
 
-    def test_huge_interferer_shape_against_mpmath(self, cellular_bundle):
+    def test_huge_interferer_shape_against_mpmath(self, cellular_bundle, monkeypatch):
         # near the crossover both positive series run past 2^18 terms for
-        # kappa from about 1e4 on; those entries are scipy's betainc values,
-        # the rest come from the recurrence
+        # kappa from about 1e4 on; there I_top is one scalar scipy betainc
+        # value and the recurrence gives every other entry from it, so the
+        # deep entries of a long column rest on that one anchor
         mp = pytest.importorskip("mpmath")
+        from scipy import special
+
+        calls = []
+        betainc = special.betainc
+        monkeypatch.setattr(special, "betainc", lambda *args: calls.append(args) or betainc(*args))
         with mp.workdps(40):
             for kappa in (1e5, 1e6):
-                for tau_db in (10, 20):
-                    for m in (1, 2, 3, 16):
-                        tau = 10.0 ** (tau_db / 10.0)
+                for m in (1, 2, 3, 16, 64, 512):
+                    crossover = _crossover_tau(m, 0.5, kappa) * kappa  # beta = 1/kappa
+                    for tau in (10.0, 100.0, crossover):
                         bundle = cellular_bundle(m=m, tau=tau, kappa=kappa, beta=1.0 / kappa)
+                        calls.clear()
                         ours = cellular_entries(bundle, m).values
-                        for n in range(m):
+                        assert len(calls) <= 1, (kappa, tau, m)
+                        if tau == crossover:
+                            assert len(calls) == 1 and all(np.ndim(a) == 0 for a in calls[0]), (kappa, m)
+                        for n in sorted(set(range(min(m, 16))) | ({17, 100, 307, m - 1} & set(range(m)))):
                             ref = _mp_entry(mp, n, bundle.delta, kappa, tau / kappa)
-                            assert abs(ours[n] - ref) <= 1e-13 * abs(ref), (kappa, tau_db, m, n)
+                            if abs(ref) > 1e-300:
+                                assert abs(ours[n] - ref) <= 1e-13 * abs(ref), (kappa, tau, m, n)
                         assert 0.0 <= coverage(bundle).value <= 1.0
 
 
@@ -475,6 +487,18 @@ class TestEntrySequence:
     def test_unknown_flavor(self):
         with pytest.raises(ValidationError):
             EntrySequence(values=np.array([1.0]), flavor="mesh")
+
+    def test_validation(self):
+        # the one check of a column: the series kernels take it as given
+        for values in ([], [[1.0, -2.0], [-3.0, -4.0]], [1.0, math.nan], [math.inf, -1.0]):
+            with pytest.raises(DomainError):
+                EntrySequence(values=values, flavor=CELLULAR)
+
+    def test_values_are_a_fresh_copy(self):
+        src = np.array([1.0, -2.0])
+        entries = EntrySequence(values=src, flavor=CELLULAR)
+        entries.values[0] = 9.0
+        assert src[0] == 1.0
 
     def test_order_guards(self, cellular_bundle):
         with pytest.raises(ValidationError):

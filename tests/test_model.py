@@ -15,6 +15,7 @@ from mimocov import (
     SignalGainSpec,
     ValidationError,
     bundle_from_params,
+    coverage,
     parse_config,
     validate,
 )
@@ -53,6 +54,27 @@ class TestValidate:
         general = validate(_scenario(alpha=5.0), SIGNAL, law)
         assert gamma.delta_moment == pytest.approx(expected, rel=1e-14)
         assert general.delta_moment == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e6, 1e10, 1e15])
+    def test_delta_moment_at_large_shapes(self, kappa):
+        # a difference of lgamma values cancels here: at kappa = 1e15 it put
+        # this ad hoc coverage at 0.92475 instead of 0.75698
+        mp = pytest.importorskip("mpmath")
+        delta = 0.5
+        with mp.workdps(50):
+            k = mp.mpf(kappa)
+            expected = float(k**-delta * mp.exp(mp.loggamma(k + delta) - mp.loggamma(k)))
+        bundle = validate(_scenario(kind=ADHOC, lam=0.05, alpha=2.0 / delta, r0=1.0), SIGNAL,
+                          InterfererGainSpec(kappa=kappa, beta=1.0 / kappa))
+        assert bundle.delta_moment == pytest.approx(expected, rel=1e-14)
+        mu = math.pi * 0.05 * math.gamma(1.0 - delta) * expected
+        assert coverage(bundle).value == pytest.approx(math.exp(-mu), rel=1e-14)
+
+    def test_delta_moment_where_gamma_of_the_shape_overflows(self):
+        # Gamma(1e-310) is past the double range; Gamma(kappa) = 1/kappa there
+        kappa, delta = 1e-310, 0.5
+        bundle = validate(_scenario(alpha=2.0 / delta), SIGNAL, InterfererGainSpec(kappa=kappa, beta=1.0))
+        assert bundle.delta_moment == pytest.approx(math.gamma(delta) * kappa, rel=1e-12)
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(kind="mesh"), "kind"),

@@ -17,7 +17,6 @@ from mimocov.errors import DomainError, SingularityError
 from mimocov.series import (
     MAX_ORDER,
     coeff_sum,
-    series,
     series_exp,
     series_reciprocal,
 )
@@ -158,21 +157,3 @@ def test_non_finite_result_rejected():
         for fn, coeffs in cases:
             with pytest.raises(DomainError, match="finite|overflows"):
                 fn(coeffs)
-
-
-def test_series_validation():
-    with pytest.raises(DomainError):
-        series([])
-    with pytest.raises(DomainError):
-        series([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(DomainError):
-        series([1.0, math.nan])
-    with pytest.raises(DomainError):
-        series(np.ones(MAX_ORDER + 1))
-
-
-def test_series_returns_fresh_copy():
-    src = np.array([1.0, 2.0])
-    out = series(src)
-    out[0] = 9.0
-    assert src[0] == 1.0

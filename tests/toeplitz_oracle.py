@@ -17,7 +17,7 @@ from scipy import linalg
 
 from mimocov import CELLULAR, adhoc_entries, cellular_entries
 from mimocov.errors import SingularityError
-from mimocov.series import _finite, series
+from mimocov.series import _finite
 
 
 def recursive_reciprocal(c) -> np.ndarray:
@@ -25,7 +25,7 @@ def recursive_reciprocal(c) -> np.ndarray:
 
     b_0 = 1/c_0,  b_n = -(1/c_0) sum_{k=1}^{n} c_k b_{n-k}.
     """
-    c = series(c)
+    c = np.asarray(c, dtype=float)
     if c[0] == 0.0:
         raise SingularityError("series reciprocal undefined: leading coefficient is zero")
     m = c.size
