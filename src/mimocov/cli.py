@@ -8,10 +8,21 @@ Four subcommands cover the workflows the library supports:
 * ``insights``   decay rate, density profile, improvement diagnostics
 
 Scenario parameters come from flags, from a ``key = value`` config file
-(``--config``), or both; flags win.  Results are CSV on stdout (or
-``--out``); everything else goes to stderr.  Exit codes: 0 success,
-2 bad usage or invalid parameters, 3 numerical failure, 4 statistical
-disagreement in ``validate``.
+(``--config``), or both; flags win, and a threshold flag (``--tau`` or
+``--tau-db``) replaces any threshold from the file.  Each scenario flag
+is named by its config key, so flags and file fill one parameter
+mapping; each row applies one grid value to it and leaves every refusal
+to the library.
+
+An antenna sweep runs over 1 <= start <= stop <= 512 and adds a
+``delta_p`` column: the improvement p_c(M) - p_c(M-1), one term of a
+single improvement sequence of order stop (Monte Carlo rows: the
+difference of successive estimates).
+
+Results are CSV on stdout (or ``--out``); everything else goes to
+stderr.  Exit codes: 0 success, 2 bad usage, invalid parameters or an
+unwritable ``--out``, 3 numerical failure, 4 statistical disagreement
+in ``validate``.
 """
 
 from __future__ import annotations
@@ -19,19 +30,21 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import sys
 
 import numpy as np
 
-from . import analytic, insights, model, montecarlo
-from .errors import MimocovError, NumericalError, ValidationError
+from . import analytic, insights, model, montecarlo, series
+from .errors import MimocovError, NumericalError, UnsupportedConfigError, ValidationError
 
 _BASE_HEADER = ["kind", "tau_db", "lambda", "alpha", "r0", "noise", "M",
                 "theta", "kappa", "beta"]
 _POINT_HEADER = _BASE_HEADER + ["method", "p_c", "ci_halfwidth", "trials", "seed"]
 _VALIDATE_HEADER = _BASE_HEADER + ["analytic", "mc", "ci_halfwidth", "z", "trials", "seed"]
 _Z_LIMIT = 4.0
+_AXIS_KEYS = {"tau_db": "tau_db", "lambda": "lambda", "antennas": "m", "r0": "r0"}
 
 
 def _num(x) -> str:
@@ -47,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp = scen.add_argument_group("scenario")
     grp.add_argument("--config", metavar="PATH", help="key = value parameter file")
     grp.add_argument("--kind", choices=(model.CELLULAR, model.ADHOC))
-    grp.add_argument("--lambda", dest="lam", type=float, metavar="DENSITY",
+    grp.add_argument("--lambda", dest="lambda", type=float, metavar="DENSITY",
                      help="transmitter density (per unit area)")
     grp.add_argument("--alpha", type=float, help="path loss exponent, must exceed 2")
     grp.add_argument("--r0", type=float, help="dipole distance (ad hoc only)")
@@ -77,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", parents=[scen],
                         help="evaluate along one parameter axis")
-    sw.add_argument("--axis", choices=("tau_db", "lambda", "antennas", "r0"), required=True)
+    sw.add_argument("--axis", choices=tuple(_AXIS_KEYS), required=True)
     sw.add_argument("--start", type=float, required=True)
     sw.add_argument("--stop", type=float, required=True)
     sw.add_argument("--points", type=int, default=25)
@@ -110,27 +123,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _with(params: dict, update: dict) -> dict:
+    """A copy of ``params`` with ``update`` applied; a threshold in the
+    update (``tau`` or ``tau_db``) replaces both threshold keys, so a
+    threshold from a config file never outranks one set later."""
+    out = dict(params)
+    if "tau" in update or "tau_db" in update:
+        out.pop("tau", None)
+        out.pop("tau_db", None)
+    out.update(update)
+    return out
+
+
 def _collect_params(args) -> dict:
     params = model.load_config(args.config) if args.config else {}
-    flags = {}
-    for key, attr in (("kind", "kind"), ("lambda", "lam"), ("alpha", "alpha"),
-                      ("r0", "r0"), ("noise", "noise"), ("tau", "tau"),
-                      ("tau_db", "tau_db"), ("m", "m"), ("theta", "theta"),
-                      ("kappa", "kappa"), ("beta", "beta")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            flags[key] = value
-    if "tau" in flags or "tau_db" in flags:
-        # an explicit threshold flag replaces any threshold from the file
-        params.pop("tau", None)
-        params.pop("tau_db", None)
-    params.update(flags)
-    return params
+    return _with(params, {key: getattr(args, key) for key in model._CONFIG_KEYS
+                          if getattr(args, key) is not None})
 
 
 def _scenario_fields(bundle: model.ScenarioBundle) -> list:
     sc = bundle.scenario
-    law = bundle.interferer
     return [
         sc.kind,
         _num(10.0 * math.log10(sc.threshold)),
@@ -140,8 +152,8 @@ def _scenario_fields(bundle: model.ScenarioBundle) -> list:
         _num(sc.noise),
         str(bundle.signal.shape),
         _num(bundle.signal.scale),
-        "" if law.kappa is None else _num(law.kappa),
-        "" if law.beta is None else _num(law.beta),
+        _num(bundle.interferer.kappa),
+        _num(bundle.interferer.beta),
     ]
 
 
@@ -155,7 +167,7 @@ def _evaluate(bundle, args, seed) -> model.CoverageEstimate:
     if args.method == "analytic":
         return analytic.coverage(bundle)
     cfg = montecarlo.SimConfig(trials=args.trials, seed=seed,
-                               window_radius=getattr(args, "window", None))
+                               window_radius=args.window)
     return montecarlo.simulate(bundle, cfg)
 
 
@@ -167,10 +179,9 @@ def _cmd_coverage(args):
 
 def _axis_values(args) -> list:
     if args.axis == "antennas":
-        lo, hi = int(args.start), int(args.stop)
-        if lo < 1 or hi < lo:
-            raise ValidationError("antenna sweep needs 1 <= start <= stop")
-        return list(range(lo, hi + 1))
+        if not 1 <= args.start <= args.stop <= series.MAX_ORDER:
+            raise ValidationError(f"antenna sweep needs 1 <= start <= stop <= {series.MAX_ORDER}")
+        return list(range(int(args.start), int(args.stop) + 1))
     if args.points < 1:
         raise ValidationError("points must be at least 1")
     if args.points == 1:
@@ -184,36 +195,28 @@ def _axis_values(args) -> list:
 
 def _cmd_sweep(args):
     base = _collect_params(args)
-    values = _axis_values(args)
-    antenna_axis = args.axis == "antennas"
-    header = _POINT_HEADER + (["delta_p"] if antenna_axis else [])
-    rows = []
-    prev_pc = 0.0
-    noted_flat = False
-    for i, v in enumerate(values):
-        params = dict(base)
-        if args.axis == "tau_db":
-            params.pop("tau", None)
-            params["tau_db"] = v
-        elif args.axis == "lambda":
-            params["lambda"] = v
-        elif args.axis == "r0":
-            params["r0"] = v
-        else:
-            params["m"] = int(v)
-        bundle = model.bundle_from_params(params)
-        if args.axis == "lambda" and bundle.scenario.kind == model.CELLULAR and not noted_flat:
+    key = _AXIS_KEYS[args.axis]
+    rows, estimates = [], []
+    for i, v in enumerate(_axis_values(args)):
+        bundle = model.bundle_from_params(_with(base, {key: v}))
+        if i == 0 and key == "lambda" and bundle.scenario.kind == model.CELLULAR:
             print("note: cellular coverage does not depend on the density; "
                   "expect a flat sweep", file=sys.stderr)
-            noted_flat = True
         seed = args.seed + i
         est = _evaluate(bundle, args, seed)
-        row = _point_row(bundle, est, seed)
-        if antenna_axis:
-            row.append(_num(est.value - prev_pc))
-            prev_pc = est.value
-        rows.append(row)
-    return header, rows, 0
+        rows.append(_point_row(bundle, est, seed))
+        estimates.append(est.value)
+    if key != "m":
+        return _POINT_HEADER, rows, 0
+    if args.method == "analytic":
+        # improvements far below the coverage's last digit vanish from a
+        # difference of rounded coverages; the last bundle has M = stop
+        gains = insights.improvement_sequence(bundle, bundle.signal.shape).values[-len(rows):]
+    else:
+        gains = np.diff(estimates, prepend=0.0)
+    for row, gain in zip(rows, gains):
+        row.append(_num(gain))
+    return _POINT_HEADER + ["delta_p"], rows, 0
 
 
 def _parse_list(text: str, caster, what: str) -> list:
@@ -231,33 +234,26 @@ def _cmd_validate(args):
         raise ValidationError("validate needs at least one antenna count and one threshold")
     rows = []
     worst = 0.0
-    i = 0
-    for m in m_values:
-        for tau_db in tau_values:
-            params = dict(base)
-            params.pop("tau", None)
-            params["tau_db"] = tau_db
-            params["m"] = m
-            bundle = model.bundle_from_params(params)
-            seed = args.seed + i
-            i += 1
-            cfg = montecarlo.SimConfig(trials=args.trials, seed=seed,
-                                       window_radius=args.window)
-            mc = montecarlo.simulate(bundle, cfg)
-            cellular_noise = (bundle.scenario.kind == model.CELLULAR
-                              and bundle.scenario.noise > 0.0)
-            if cellular_noise:
-                exact_field, z_field = "n/a", ""
-            else:
-                exact = analytic.coverage(bundle).value
-                se = mc.ci_halfwidth / 1.96
-                z = (mc.value - exact) / se if se > 0.0 else math.inf
-                worst = max(worst, abs(z))
-                exact_field, z_field = _num(exact), _num(z)
-            rows.append(_scenario_fields(bundle) + [
-                exact_field, _num(mc.value), _num(mc.ci_halfwidth), z_field,
-                str(mc.trials), str(seed),
-            ])
+    for i, (m, tau_db) in enumerate(itertools.product(m_values, tau_values)):
+        bundle = model.bundle_from_params(_with(base, {"m": m, "tau_db": tau_db}))
+        cfg = montecarlo.SimConfig(trials=args.trials, seed=args.seed + i,
+                                   window_radius=args.window)
+        try:
+            exact = analytic.coverage(bundle).value
+        except UnsupportedConfigError:  # cellular noise: no series, so no reference
+            exact = None
+        mc = montecarlo.simulate(bundle, cfg)
+        if exact is None:
+            exact_field, z_field = "n/a", ""
+        else:
+            se = mc.ci_halfwidth / 1.96
+            z = (mc.value - exact) / se if se > 0.0 else math.inf
+            worst = max(worst, abs(z))
+            exact_field, z_field = _num(exact), _num(z)
+        rows.append(_scenario_fields(bundle) + [
+            exact_field, _num(mc.value), _num(mc.ci_halfwidth), z_field,
+            str(mc.trials), str(cfg.seed),
+        ])
     print(f"validate: {len(rows)} grid points, max |z| = {worst:.3g} "
           f"(limit {_Z_LIMIT:g})", file=sys.stderr)
     code = 0 if worst <= _Z_LIMIT else 4
@@ -322,16 +318,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         header, rows, code = _COMMANDS[args.command](args)
+        _emit(header, rows, args.out)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except MimocovError as exc:
+    except (MimocovError, OSError) as exc:  # OSError: an unreadable --config or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(header, rows, args.out)
     return code
 
 

@@ -27,18 +27,25 @@ METHOD_MC = "monte-carlo"
 _NORMALIZATION_TOL = 1e-9
 
 
+def _integer(value) -> Optional[int]:
+    """``value`` as a plain int if it is a Python or numpy integer, but not
+    a bool; otherwise None.  Antenna counts, series orders, trial counts and
+    seeds all pass through here."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _positive_integer(value, what: str) -> int:
-    """``value`` as a plain int if it is a positive integer (a Python or
-    numpy integer, but not a bool); otherwise a ValidationError naming
-    ``what``.  Antenna counts and series orders both pass through here."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            count = operator.index(value)
-        except TypeError:
-            count = 0
-        if count >= 1:
-            return count
-    raise ValidationError(f"{what} must be a positive integer")
+    """``value`` as a plain int if it is a positive integer (see
+    ``_integer``); otherwise a ValidationError naming ``what``."""
+    count = _integer(value)
+    if count is None or count < 1:
+        raise ValidationError(f"{what} must be a positive integer")
+    return count
 
 
 def _gamma_ratio(kappa: float, delta: float) -> float:
@@ -390,7 +397,7 @@ def load_config(path: str) -> dict:
     return parse_config(text)
 
 
-def _as_float(params: dict, key: str, default: float) -> float:
+def _as_float(params: dict, key: str, default: Optional[float]) -> Optional[float]:
     if key not in params or params[key] is None:
         return default
     try:
@@ -441,16 +448,12 @@ def bundle_from_params(params: dict) -> ScenarioBundle:
     except ValueError:
         raise ValidationError(f"antenna count m must be an integer, got {m_raw!r}") from None
 
-    r0 = None
-    if params.get("r0") is not None:
-        r0 = _as_float(params, "r0", 0.0)
-
     scenario = NetworkScenario(
         kind=str(kind).strip().lower(),
         lam=_as_float(params, "lambda", 1e-3),
-        alpha=_as_float(params, "alpha", 4.0),
+        alpha=_as_float(params, "alpha", None),
         threshold=resolve_threshold(params),
-        r0=r0,
+        r0=_as_float(params, "r0", None),
         noise=_as_float(params, "noise", 0.0),
     )
     signal = SignalGainSpec(shape=m, scale=_as_float(params, "theta", 1.0))

@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle
+from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer
 
 _POINTS_PER_CHUNK = 8_000_000
 _BATCHES = 100  # partition of the trials for the batch-means interval
@@ -74,7 +74,9 @@ class SimConfig:
     dropped and no far-field mean is added.  A cellular window must hold
     a point in at least 99% of the realizations, or ``simulate`` refuses it.
     The confidence interval comes from batch means over 100 batches, so
-    ``trials`` is at least 100.
+    ``trials`` is at least 100, and at most 100 times the points simulated
+    at once, so that no per-trial array of a batch outgrows one chunk.
+    ``trials`` and ``seed`` are Python or numpy integers, not bools.
     """
 
     trials: int = 100_000
@@ -82,10 +84,18 @@ class SimConfig:
     window_radius: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < _BATCHES:
+        trials, seed = _integer(self.trials), _integer(self.seed)
+        if trials is None or trials < _BATCHES:
             raise ValidationError(f"trials must be an integer of at least {_BATCHES}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if trials > _BATCHES * _POINTS_PER_CHUNK:
+            raise ConfigurationError(
+                f"trials must be at most {_BATCHES * _POINTS_PER_CHUNK}, so that one "
+                f"batch's per-trial arrays stay within {_POINTS_PER_CHUNK} entries"
+            )
+        if seed is None or not (0 <= seed < 2**64):
             raise ValidationError("seed must be an integer in [0, 2^64)")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
         if self.window_radius is not None and not (
             self.window_radius > 0.0 and math.isfinite(self.window_radius)
         ):
@@ -102,7 +112,9 @@ def auto_window(bundle: ScenarioBundle) -> float:
     R makes that 1e-5.  A general law has no known E[g], so the far field
     is dropped, a share (R / anchor)^(2 - alpha) of the interference; R
     makes that about 1e-4.  Either way R grows as alpha falls, and is
-    floored so a realization holds at least ~200 points on average.
+    floored so a realization holds at least ~200 points on average.  Where
+    R overflows (a general law at alpha just above 2) it is infinite, and
+    ``simulate`` refuses the point count.
     """
     sc = bundle.scenario
     if sc.kind == CELLULAR:
@@ -112,7 +124,10 @@ def auto_window(bundle: ScenarioBundle) -> float:
     if bundle.interferer.is_gamma:
         bias_radius = anchor * (1.0 / _NEAR_VARIANCE) ** (1.0 / (2.0 * sc.alpha - 2.0))
     else:
-        bias_radius = anchor * (1.0 + 1.0 / _TRUNCATION_SHARE) ** (1.0 / (sc.alpha - 2.0))
+        try:
+            bias_radius = anchor * (1.0 + 1.0 / _TRUNCATION_SHARE) ** (1.0 / (sc.alpha - 2.0))
+        except OverflowError:
+            bias_radius = math.inf
     count_radius = math.sqrt(_MIN_POINTS / (math.pi * sc.lam))
     return max(bias_radius, count_radius)
 

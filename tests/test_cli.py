@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import mimocov
-from mimocov import coverage
+from mimocov import analytic, coverage, improvement_sequence, montecarlo
 from mimocov.cli import main
 
 
@@ -137,6 +137,13 @@ class TestCoverageCommand:
         assert header == POINT_HEADER
         assert len(rows) == 1
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, ["coverage", "--kind", "cellular", "--alpha", "4",
+                                          "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "x.csv" in err
+
 
 class TestConfigFile:
     def test_file_supplies_parameters(self, capsys, tmp_path):
@@ -200,6 +207,36 @@ class TestSweepCommand:
             # parsed values carry a couple of ulps more slack
             assert deltas[i] == pytest.approx(pcs[i] - pcs[i - 1], abs=5e-12)
         assert all(b > a for a, b in zip(pcs, pcs[1:]))
+
+    def test_antenna_sweep_deltas_are_the_improvements(self, capsys, cellular_bundle):
+        # past M = 70 the improvements sit below the last digit of p_c, so a
+        # difference of rounded coverages would read 0 there
+        code, out, _ = run_cli(capsys, ["sweep", "--kind", "cellular", "--alpha", "4",
+                                        "--tau-db", "0", "--axis", "antennas",
+                                        "--start", "1", "--stop", "120"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        gains = improvement_sequence(cellular_bundle(m=120), 120).values
+        assert [r["M"] for r in rows] == [str(m) for m in range(1, 121)]
+        assert [r["delta_p"] for r in rows] == [format(g, ".12g") for g in gains]
+        assert all(float(r["delta_p"]) > 0.0 for r in rows)
+        for m in (1, 70, 120):
+            assert rows[m - 1]["p_c"] == format(coverage(cellular_bundle(m=m)).value, ".12g")
+
+    @pytest.mark.parametrize("start, stop", [("1", "514"), ("1", "1e12"), ("0", "4"),
+                                             ("5", "4"), ("1", "inf"), ("nan", "4")])
+    def test_antenna_range_is_checked_before_any_work(self, capsys, monkeypatch, start, stop):
+        calls = []
+        monkeypatch.setattr(analytic, "coverage", lambda *a: calls.append(a))
+        monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+        for method in ("analytic", "mc"):
+            code, out, err = run_cli(capsys, ["sweep", "--kind", "cellular", "--alpha", "4",
+                                              "--axis", "antennas", "--start", start,
+                                              "--stop", stop, "--method", method])
+            assert code == 2
+            assert out == ""
+            assert "start <= stop <= 512" in err
+        assert calls == []
 
     def test_threshold_sweep_is_monotone(self, capsys):
         code, out, _ = run_cli(capsys, ["sweep", "--kind", "cellular",
@@ -283,6 +320,16 @@ class TestValidateCommand:
         _, rows = parse_csv(out)
         assert rows[0]["analytic"] == "n/a"
         assert rows[0]["z"] == ""
+
+    def test_order_past_the_maximum_is_refused_before_any_trial(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, ["validate", "--kind", "cellular", "--alpha", "4",
+                                          "--m-list", "600", "--tau-db-list", "0"])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the supported maximum" in err
+        assert calls == []
 
     def test_bad_list_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["validate", "--kind", "cellular",

@@ -7,6 +7,7 @@ from mimocov import InterfererGainSpec, coverage, montecarlo
 from mimocov.errors import ConfigurationError, ValidationError
 from mimocov.montecarlo import (
     _BATCHES,
+    _POINTS_PER_CHUNK,
     SimConfig,
     _far_field_mean,
     _interferer_draw,
@@ -26,8 +27,11 @@ class TestSimConfig:
         [
             {"trials": 50},
             {"trials": 1000.0},
+            {"trials": True},
             {"seed": -1},
             {"seed": 2**64},
+            {"seed": True},
+            {"seed": 3.0},
             {"window_radius": 0.0},
             {"window_radius": -2.0},
             {"window_radius": math.inf},
@@ -41,6 +45,19 @@ class TestSimConfig:
         config = SimConfig()
         assert config.trials == 100_000
         assert config.window_radius is None
+
+    def test_numpy_integers_become_ints(self):
+        config = SimConfig(trials=np.int64(1000), seed=np.uint32(3))
+        assert (config.trials, config.seed) == (1000, 3)
+        assert type(config.trials) is int and type(config.seed) is int
+
+    def test_trials_are_bounded_by_one_chunk_per_batch(self):
+        # a SimConfig allocates nothing, so the bound is checked at no cost
+        most = _BATCHES * _POINTS_PER_CHUNK
+        assert SimConfig(trials=most).trials == most
+        for trials in (most + 1, 10**11):
+            with pytest.raises(ConfigurationError, match="trials must be at most"):
+                SimConfig(trials=trials)
 
 
 class TestAutoWindow:
@@ -63,6 +80,13 @@ class TestAutoWindow:
     def test_adhoc_window_scales_with_link_distance(self, adhoc_bundle):
         w = auto_window(adhoc_bundle(r0=10.0, lam=0.05))
         assert w == pytest.approx(68.12920690579613, rel=1e-12)
+
+    def test_overflowing_truncation_window_is_refused(self, cellular_bundle):
+        # (1 + 1e4)^(1 / (alpha - 2)) overflows a double at alpha = 2.01
+        bundle = cellular_bundle(alpha=2.01, interferer=EXP_SAMPLER_LAW)
+        assert auto_window(bundle) == math.inf
+        with pytest.raises(ConfigurationError, match="one realization needs inf points"):
+            simulate(bundle, SimConfig(trials=1000, seed=0))
 
     def test_heavier_tails_need_larger_windows(self, cellular_bundle):
         assert auto_window(cellular_bundle(alpha=3.0)) > auto_window(
