@@ -314,16 +314,24 @@ def adhoc_mu(bundle: ScenarioBundle) -> float:
 
     This single number carries the whole interference field into the ad hoc
     series; coverage with one antenna and no noise is exactly exp(-mu).
-    E[g^delta] is the one ``validate`` cached.
+    E[g^delta] is the one ``validate`` cached.  A mu past the double range
+    raises ``NumericalError``.
     """
     sc = bundle.scenario
     delta = bundle.delta
-    return (
-        math.pi * sc.lam * sc.r0**2
+    try:
+        area = math.pi * sc.lam * sc.r0**2
+    except OverflowError:  # r0 past 1e154, where lambda r0^2 may still be finite
+        area = math.pi * sc.lam * sc.r0 * sc.r0
+    mu = (
+        area
         * math.gamma(1.0 - delta)
         * (sc.threshold / bundle.signal.scale) ** delta
         * bundle.delta_moment
     )
+    if not math.isfinite(mu):
+        raise NumericalError("the interference functional mu overflows")
+    return mu
 
 
 def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
@@ -331,12 +339,18 @@ def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
 
     Entry n is -mu f_n, with f_n = f_{n-1} (n-1-delta)/n from f_0 = 1
     (a running product, so every entry is exact to rounding); the noise term
-    s = tau r0^alpha sigma^2 / theta only touches entries 0 and 1.
+    s = tau r0^alpha sigma^2 / theta only touches entries 0 and 1, and is
+    formed only when there is noise.
     """
     order = _check_order(order)
     sc = bundle.scenario
     mu = adhoc_mu(bundle)
-    s_noise = sc.threshold * sc.r0**sc.alpha * sc.noise / bundle.signal.scale
+    s_noise = 0.0
+    if sc.noise > 0.0:
+        try:
+            s_noise = sc.threshold * sc.r0**sc.alpha * sc.noise / bundle.signal.scale
+        except OverflowError:
+            raise NumericalError("the noise term tau r0^alpha sigma^2 / theta overflows") from None
     delta = bundle.delta
 
     vals = -mu * _f_coefficients(delta, order)

@@ -14,10 +14,14 @@ is named by its config key, so flags and file fill one parameter
 mapping; each row applies one grid value to it and leaves every refusal
 to the library.
 
-An antenna sweep runs over 1 <= start <= stop <= 512 and adds a
-``delta_p`` column: the improvement p_c(M) - p_c(M-1), one term of a
-single improvement sequence of order stop (Monte Carlo rows: the
-difference of successive estimates).
+A sweep builds every grid point's scenario before it evaluates any, and
+``validate`` also every analytic reference before its first trial, so a
+bad grid point is refused before any work.  A sweep holds at most 10 000
+points; an antenna sweep runs over integers 1 <= start <= stop <= 512 and
+adds a ``delta_p`` column, the improvement p_c(M) - p_c(M-1).  On the
+analytic path one improvement sequence of order stop gives every row:
+p_c(M) is the sum of its first M terms and delta_p the M-th (Monte Carlo
+rows: the estimates and their successive differences).
 
 Results are CSV on stdout (or ``--out``); everything else goes to
 stderr.  Exit codes: 0 success, 2 bad usage, invalid parameters or an
@@ -45,6 +49,7 @@ _POINT_HEADER = _BASE_HEADER + ["method", "p_c", "ci_halfwidth", "trials", "seed
 _VALIDATE_HEADER = _BASE_HEADER + ["analytic", "mc", "ci_halfwidth", "z", "trials", "seed"]
 _Z_LIMIT = 4.0
 _AXIS_KEYS = {"tau_db": "tau_db", "lambda": "lambda", "antennas": "m", "r0": "r0"}
+_MAX_POINTS = 10_000  # grid points of one sweep
 
 
 def _num(x) -> str:
@@ -163,12 +168,14 @@ def _point_row(bundle, est, seed) -> list:
     ]
 
 
+def _sim_config(args, seed) -> montecarlo.SimConfig:
+    return montecarlo.SimConfig(trials=args.trials, seed=seed, window_radius=args.window)
+
+
 def _evaluate(bundle, args, seed) -> model.CoverageEstimate:
     if args.method == "analytic":
         return analytic.coverage(bundle)
-    cfg = montecarlo.SimConfig(trials=args.trials, seed=seed,
-                               window_radius=args.window)
-    return montecarlo.simulate(bundle, cfg)
+    return montecarlo.simulate(bundle, _sim_config(args, seed))
 
 
 def _cmd_coverage(args):
@@ -181,9 +188,11 @@ def _axis_values(args) -> list:
     if args.axis == "antennas":
         if not 1 <= args.start <= args.stop <= series.MAX_ORDER:
             raise ValidationError(f"antenna sweep needs 1 <= start <= stop <= {series.MAX_ORDER}")
+        if not (args.start.is_integer() and args.stop.is_integer()):
+            raise ValidationError("antenna sweep bounds must be integers")
         return list(range(int(args.start), int(args.stop) + 1))
-    if args.points < 1:
-        raise ValidationError("points must be at least 1")
+    if not 1 <= args.points <= _MAX_POINTS:
+        raise ValidationError(f"points must be between 1 and {_MAX_POINTS}")
     if args.points == 1:
         return [args.start]
     if args.scale == "log":
@@ -196,24 +205,25 @@ def _axis_values(args) -> list:
 def _cmd_sweep(args):
     base = _collect_params(args)
     key = _AXIS_KEYS[args.axis]
-    rows, estimates = [], []
-    for i, v in enumerate(_axis_values(args)):
-        bundle = model.bundle_from_params(_with(base, {key: v}))
-        if i == 0 and key == "lambda" and bundle.scenario.kind == model.CELLULAR:
-            print("note: cellular coverage does not depend on the density; "
-                  "expect a flat sweep", file=sys.stderr)
-        seed = args.seed + i
-        est = _evaluate(bundle, args, seed)
-        rows.append(_point_row(bundle, est, seed))
-        estimates.append(est.value)
+    bundles = [model.bundle_from_params(_with(base, {key: v})) for v in _axis_values(args)]
+    seeds = range(args.seed, args.seed + len(bundles))
+    if key == "lambda" and bundles[0].scenario.kind == model.CELLULAR:
+        print("note: cellular coverage does not depend on the density; "
+              "expect a flat sweep", file=sys.stderr)
+    if key == "m" and args.method == "analytic":
+        # one series of order stop holds every row: p_c(M) sums its first M
+        # improvements, and delta_p is the M-th, however far below the last
+        # digit of p_c it falls
+        seq = insights.improvement_sequence(bundles[-1], bundles[-1].signal.shape)
+        estimates = [model.CoverageEstimate(seq.coverage_at(b.signal.shape),
+                                            model.METHOD_RECURSION) for b in bundles]
+        gains = seq.values[-len(bundles):]
+    else:
+        estimates = [_evaluate(b, args, seed) for b, seed in zip(bundles, seeds)]
+        gains = np.diff([est.value for est in estimates], prepend=0.0)
+    rows = [_point_row(b, est, seed) for b, est, seed in zip(bundles, estimates, seeds)]
     if key != "m":
         return _POINT_HEADER, rows, 0
-    if args.method == "analytic":
-        # improvements far below the coverage's last digit vanish from a
-        # difference of rounded coverages; the last bundle has M = stop
-        gains = insights.improvement_sequence(bundle, bundle.signal.shape).values[-len(rows):]
-    else:
-        gains = np.diff(estimates, prepend=0.0)
     for row, gain in zip(rows, gains):
         row.append(_num(gain))
     return _POINT_HEADER + ["delta_p"], rows, 0
@@ -226,22 +236,26 @@ def _parse_list(text: str, caster, what: str) -> list:
         raise ValidationError(f"could not parse {what} list {text!r}") from None
 
 
+def _reference(bundle):
+    try:
+        return analytic.coverage(bundle).value
+    except UnsupportedConfigError:  # cellular noise: no series, so no reference
+        return None
+
+
 def _cmd_validate(args):
     base = _collect_params(args)
     m_values = _parse_list(args.m_list, int, "antenna")
     tau_values = _parse_list(args.tau_db_list, float, "threshold")
     if not m_values or not tau_values:
         raise ValidationError("validate needs at least one antenna count and one threshold")
+    grid = [model.bundle_from_params(_with(base, {"m": m, "tau_db": tau_db}))
+            for m, tau_db in itertools.product(m_values, tau_values)]
+    configs = [_sim_config(args, args.seed + i) for i in range(len(grid))]
+    references = [_reference(bundle) for bundle in grid]
     rows = []
     worst = 0.0
-    for i, (m, tau_db) in enumerate(itertools.product(m_values, tau_values)):
-        bundle = model.bundle_from_params(_with(base, {"m": m, "tau_db": tau_db}))
-        cfg = montecarlo.SimConfig(trials=args.trials, seed=args.seed + i,
-                                   window_radius=args.window)
-        try:
-            exact = analytic.coverage(bundle).value
-        except UnsupportedConfigError:  # cellular noise: no series, so no reference
-            exact = None
+    for bundle, cfg, exact in zip(grid, configs, references):
         mc = montecarlo.simulate(bundle, cfg)
         if exact is None:
             exact_field, z_field = "n/a", ""

@@ -422,12 +422,15 @@ def adhoc_peak_bound(bundle: ScenarioBundle) -> PeakBound:
     """Where the per-antenna improvements can peak, straight from mu.
 
     For mu < 2 the sequence decreases from the start; otherwise the peak
-    index is bounded by ceil(mu^2 / 4 - 1) + 1.
+    index is bounded by ceil(mu^2 / 4 - 1) + 1.  A bound past the double
+    range raises ``NumericalError``.
     """
     if bundle.scenario.kind != ADHOC:
         raise UnsupportedConfigError("the peak-location bound applies to ad hoc scenarios")
     if bundle.scenario.noise != 0.0:
         raise UnsupportedConfigError("the peak-location bound requires zero noise")
     mu = adhoc_mu(bundle)
+    if not math.isfinite(mu * mu):
+        raise NumericalError(f"the peak index bound overflows at mu = {mu:.6g}")
     bound = math.ceil(mu * mu / 4.0 - 1.0) + 1
     return PeakBound(mu=mu, index_bound=max(bound, 1), monotone=mu < 2.0)

@@ -10,13 +10,23 @@ by an independent mechanism.
 The simulated disc has radius R.  By default (``SimConfig.window_radius``
 None, Gamma interferer law) it is a near disc: the points inside R are
 simulated exactly, and the field beyond R is replaced by its mean,
-E[I_far] = 2 pi lam E[g] R^(2 - alpha) / (alpha - 2) (Campbell's theorem),
-added to every trial's interference.  Only a second-order bias, of the order
-of Var I_far = pi lam E[g^2] R^(2 - 2 alpha) / (alpha - 1), is left, so a
+E[I_far] = 2 pi lam E[g] R^(2 - alpha) / (alpha - 2) (Campbell's theorem,
+taken in anchor units as below), added to every trial's interference.
+Only a second-order bias, of the order of
+Var I_far = pi lam E[g^2] R^(2 - 2 alpha) / (alpha - 1), is left, so a
 disc of 200 to 1500 points per trial at alpha >= 2.5 does what plain
-truncation needs 7e3 to 7e15 points for (see ``auto_window``).  An explicit ``window_radius``, or a general
-law whose E[g] is unknown, gets plain truncation: points outside R are
-dropped, and nothing is added for them.
+truncation needs 7e3 to 7e15 points for (see ``auto_window``).  An
+explicit ``window_radius``, or a general law whose E[g] is unknown, gets
+plain truncation: points outside R are dropped, and nothing is added for
+them.
+
+Distances are measured in the anchor, the scale of the link: r0 for ad
+hoc, the median serving distance sqrt(ln 2 / (pi lam)) for cellular.  So
+an ad hoc serving term is 1, the density is lam anchor^2 points per
+squared anchor, the noise enters as noise anchor^alpha (formed only when
+there is noise; an overflow there raises ``NumericalError``), and the
+float32 positions see the same numbers at every length scale: one seed
+gives one estimate whether lam is 1e-20 or 1e30.
 
 Positions are drawn as u = d^2 / R^2, uniform on (0, 1].  In a cellular
 trial with N points the nearest one is drawn directly from the law of the
@@ -52,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, NumericalError, ValidationError
 from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer
 
 _POINTS_PER_CHUNK = 8_000_000
@@ -102,6 +112,15 @@ class SimConfig:
             raise ValidationError("window_radius must be positive")
 
 
+def _anchor(bundle: ScenarioBundle) -> float:
+    """The scale of the link: r0 for ad hoc, the median serving distance
+    sqrt(ln 2 / (pi lam)) for cellular."""
+    sc = bundle.scenario
+    if sc.kind == CELLULAR:
+        return math.sqrt(math.log(2.0) / (math.pi * sc.lam))
+    return sc.r0
+
+
 def auto_window(bundle: ScenarioBundle) -> float:
     """Radius of the disc ``simulate`` scatters points in by default.
 
@@ -117,10 +136,7 @@ def auto_window(bundle: ScenarioBundle) -> float:
     ``simulate`` refuses the point count.
     """
     sc = bundle.scenario
-    if sc.kind == CELLULAR:
-        anchor = math.sqrt(math.log(2.0) / (math.pi * sc.lam))  # median serving distance
-    else:
-        anchor = sc.r0
+    anchor = _anchor(bundle)
     if bundle.interferer.is_gamma:
         bias_radius = anchor * (1.0 / _NEAR_VARIANCE) ** (1.0 / (2.0 * sc.alpha - 2.0))
     else:
@@ -132,16 +148,18 @@ def auto_window(bundle: ScenarioBundle) -> float:
     return max(bias_radius, count_radius)
 
 
-def _far_field_mean(bundle: ScenarioBundle, radius: float) -> float:
-    """Mean interference from a Gamma-law field beyond ``radius``.
+def _far_field_mean(bundle: ScenarioBundle, radius: float, anchor: float = 1.0) -> float:
+    """Mean interference from a Gamma-law field beyond ``radius``, with
+    distances measured in ``anchor``.
 
-    Campbell's theorem: 2 pi lam E[g] R^(2 - alpha) / (alpha - 2), with
-    E[g] = kappa beta.
+    Campbell's theorem: 2 pi lam' E[g] rho^(2 - alpha) / (alpha - 2), with
+    rho = radius / anchor, lam' = lam anchor^2 the density per squared
+    anchor, and E[g] = kappa beta.
     """
     sc = bundle.scenario
     law = bundle.interferer
-    return (2.0 * math.pi * sc.lam * law.kappa * law.beta
-            * radius ** (2.0 - sc.alpha) / (sc.alpha - 2.0))
+    return (2.0 * math.pi * (sc.lam * anchor * anchor) * law.kappa * law.beta
+            * (radius / anchor) ** (2.0 - sc.alpha) / (sc.alpha - 2.0))
 
 
 def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -170,11 +188,18 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
 def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
     """Estimate coverage by simulation, for either scenario kind."""
     sc = bundle.scenario
+    anchor = _anchor(bundle)
     if config.window_radius is not None:
         radius, far_mean = config.window_radius, 0.0
     else:
         radius = auto_window(bundle)
-        far_mean = _far_field_mean(bundle, radius) if bundle.interferer.is_gamma else 0.0
+        far_mean = _far_field_mean(bundle, radius, anchor) if bundle.interferer.is_gamma else 0.0
+    noise = 0.0  # sigma^2 anchor^alpha: the noise in anchor units
+    if sc.noise > 0.0:
+        try:
+            noise = sc.noise * anchor**sc.alpha
+        except OverflowError:
+            raise NumericalError("the noise in anchor units, noise anchor^alpha, overflows") from None
     mean_points = sc.lam * math.pi * radius * radius
     if mean_points > _POINTS_PER_CHUNK:
         raise ConfigurationError(
@@ -189,13 +214,14 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
             f"a disc of radius {radius:.6g} holds no point in {empty_share:.3g} of the "
             f"realizations, more than the {_EMPTY_BUDGET:.0%} budget; enlarge window_radius"
         )
-    r_sq = radius * radius
+    rho = radius / anchor  # the disc radius in anchors
+    r_sq = rho * rho
     alpha_half = sc.alpha / 2.0
     fast_alpha4 = sc.alpha == 4.0
     tau = sc.threshold
     # the far mean joins at the comparison: the segment reduction below
     # assigns into the interference array rather than adding to it
-    floor = sc.noise + far_mean
+    floor = noise + far_mean
     theta = bundle.signal.scale
     m_ant = bundle.signal.shape
 
@@ -221,7 +247,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
             serve_alpha = t_serv * t_serv if fast_alpha4 else t_serv**alpha_half
             others = counts - 1
         else:
-            serve_alpha = sc.r0**sc.alpha
+            serve_alpha = 1.0  # the serving distance is the anchor
             others = counts
         gain = signal_rng.gamma(m_ant, theta, n_batch)
 

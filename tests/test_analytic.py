@@ -409,6 +409,27 @@ class TestAdhoc:
         assert ent.values[0] < 0.0
         assert np.all(ent.values[1:] > 0.0)
 
+    @pytest.mark.parametrize("r0, lam", [(1e100, 1e-200), (1e150, 1e-300)])
+    def test_any_length_scale_with_lambda_r0_squared_fixed(self, adhoc_bundle, r0, lam):
+        # noiseless coverage depends on lambda r0^2 alone; r0^alpha is never
+        # formed without noise, and r0^2 past the double range is not needed
+        for m in (1, 8):
+            unit = coverage(adhoc_bundle(m=m, lam=1.0, r0=1.0)).value
+            assert coverage(adhoc_bundle(m=m, lam=lam, r0=r0)).value == pytest.approx(
+                unit, abs=1e-12)
+
+    def test_huge_but_finite_mu_gives_zero_coverage(self, adhoc_bundle):
+        # lambda r0^2 = 1e300: r0^2 overflows, the product does not
+        bundle = adhoc_bundle(m=8, lam=1e-300, r0=1e300)
+        assert adhoc_mu(bundle) == pytest.approx(math.pi**2 * 1e300 / 2.0, rel=1e-13)
+        assert coverage(bundle).value == 0.0
+
+    @pytest.mark.parametrize("lam, r0, noise", [(1.0, 1e300, 0.0), (1e-200, 1e100, 1.0)])
+    def test_overflow_is_a_numerical_error(self, adhoc_bundle, lam, r0, noise):
+        # mu past the double range, and the noise term tau r0^alpha sigma^2 / theta
+        with pytest.raises(NumericalError, match="overflows"):
+            coverage(adhoc_bundle(lam=lam, r0=r0, noise=noise))
+
 
 class TestRepresentationEquivalence:
     def test_random_bundles(self, cellular_bundle, adhoc_bundle):

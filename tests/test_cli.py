@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import mimocov
-from mimocov import analytic, coverage, improvement_sequence, montecarlo
+from mimocov import analytic, cli, coverage, improvement_sequence, insights, montecarlo
 from mimocov.cli import main
 
 
@@ -223,11 +223,42 @@ class TestSweepCommand:
         for m in (1, 70, 120):
             assert rows[m - 1]["p_c"] == format(coverage(cellular_bundle(m=m)).value, ".12g")
 
+    @pytest.mark.parametrize("kind, scenario", [
+        ("cellular", ["--alpha", "4", "--tau-db", "0"]),
+        ("adhoc", ["--alpha", "4", "--r0", "1", "--lambda", "0.05", "--noise", "0.3"]),
+    ], ids=["cellular", "adhoc-noise"])
+    def test_analytic_antenna_sweep_is_one_series(self, capsys, monkeypatch, request,
+                                                  kind, scenario):
+        # coverage with M antennas sums the first M improvements, so one
+        # series of order stop gives every row's p_c and delta_p
+        make = request.getfixturevalue(f"{kind}_bundle")
+        noise = 0.3 if kind == "adhoc" else 0.0
+        references = [coverage(make(m=m, noise=noise)).value for m in range(1, 513)]
+        seq = improvement_sequence(make(m=512, noise=noise), 512)
+        kernels = []
+        for name in ("series_exp", "series_reciprocal"):
+            kernel = getattr(analytic, name)
+            monkeypatch.setattr(analytic, name,
+                                lambda c, kernel=kernel: kernels.append(c.size) or kernel(c))
+        monkeypatch.setattr(analytic, "coverage", lambda *a: pytest.fail("coverage() called"))
+        code, out, _ = run_cli(capsys, ["sweep", "--kind", kind, *scenario,
+                                        "--axis", "antennas", "--start", "1", "--stop", "512"])
+        assert code == 0
+        assert kernels == [512]
+        _, rows = parse_csv(out)
+        assert [r["M"] for r in rows] == [str(m) for m in range(1, 513)]
+        for m, (row, exact) in enumerate(zip(rows, references), 1):
+            assert abs(seq.coverage_at(m) - exact) <= 4 * m * sys.float_info.epsilon, m
+            assert row["p_c"] == format(seq.coverage_at(m), ".12g"), m
+            assert row["delta_p"] == format(seq.values[m - 1], ".12g"), m
+            assert row["method"] == "finite-sum"
+
     @pytest.mark.parametrize("start, stop", [("1", "514"), ("1", "1e12"), ("0", "4"),
                                              ("5", "4"), ("1", "inf"), ("nan", "4")])
     def test_antenna_range_is_checked_before_any_work(self, capsys, monkeypatch, start, stop):
         calls = []
         monkeypatch.setattr(analytic, "coverage", lambda *a: calls.append(a))
+        monkeypatch.setattr(insights, "improvement_sequence", lambda *a: calls.append(a))
         monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
         for method in ("analytic", "mc"):
             code, out, err = run_cli(capsys, ["sweep", "--kind", "cellular", "--alpha", "4",
@@ -236,6 +267,59 @@ class TestSweepCommand:
             assert code == 2
             assert out == ""
             assert "start <= stop <= 512" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("start, stop", [("1.5", "3.7"), ("1", "3.5"), ("2.5", "4")])
+    def test_fractional_antenna_bounds_are_refused(self, capsys, monkeypatch, start, stop):
+        calls = []
+        monkeypatch.setattr(analytic, "coverage", lambda *a: calls.append(a))
+        monkeypatch.setattr(insights, "improvement_sequence", lambda *a: calls.append(a))
+        monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+        for method in ("analytic", "mc"):
+            code, out, err = run_cli(capsys, ["sweep", "--kind", "cellular", "--alpha", "4",
+                                              "--axis", "antennas", "--start", start,
+                                              "--stop", stop, "--method", method])
+            assert code == 2
+            assert out == ""
+            assert "must be integers" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_points_are_capped_before_any_allocation(self, capsys, monkeypatch, scale):
+        # the grid functions are stubbed, so a missing cap cannot allocate
+        grids = []
+
+        def grid(start, stop, num):
+            grids.append(num)
+            return [start]
+
+        monkeypatch.setattr(cli.np, "linspace", grid)
+        monkeypatch.setattr(cli.np, "geomspace", grid)
+        command = ["sweep", "--kind", "cellular", "--alpha", "4", "--axis", "tau_db",
+                   "--start", "1", "--stop", "2", "--scale", scale, "--points"]
+        for points in ("1000000000000", "10001", "0"):
+            code, out, err = run_cli(capsys, command + [points])
+            assert code == 2
+            assert out == ""
+            assert "points must be between 1 and 10000" in err
+        assert grids == []
+        code, out, _ = run_cli(capsys, command + ["10000"])
+        assert code == 0
+        assert grids == [10000]
+
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    def test_whole_grid_is_checked_before_any_work(self, capsys, monkeypatch, method):
+        # the last density of the grid is negative
+        calls = []
+        monkeypatch.setattr(analytic, "coverage", lambda *a: calls.append(a))
+        monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, ["sweep", "--kind", "adhoc", "--alpha", "4",
+                                          "--r0", "1", "--axis", "lambda", "--start", "0.1",
+                                          "--stop", "-0.1", "--points", "3",
+                                          "--method", method])
+        assert code == 2
+        assert out == ""
+        assert "lambda must be positive" in err
         assert calls == []
 
     def test_threshold_sweep_is_monotone(self, capsys):
@@ -329,6 +413,20 @@ class TestValidateCommand:
         assert code == 2
         assert out == ""
         assert "exceeds the supported maximum" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("grid", [["--m-list", "1,2,600", "--tau-db-list", "0"],
+                                      ["--m-list", "1", "--tau-db-list", "0,4000"]],
+                             ids=["order", "threshold"])
+    def test_bad_grid_point_is_refused_before_any_trial(self, capsys, monkeypatch, grid):
+        # every bundle and every analytic reference is built first
+        calls = []
+        monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, ["validate", "--kind", "cellular", "--alpha", "4",
+                                          *grid])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the supported maximum" in err or "tau_db" in err
         assert calls == []
 
     def test_bad_list_is_usage_error(self, capsys):
@@ -430,6 +528,44 @@ class TestInsightsCommand:
                                         "--alpha", "4", "--peak-bound"])
         assert code == 2
         assert "ad hoc" in err
+
+
+_ADHOC_FAR = ["--kind", "adhoc", "--alpha", "4"]
+
+
+class TestEdgeInputs:
+    # each returns an exit code rather than a traceback, and a refusal
+    # leaves stdout empty
+    @pytest.mark.parametrize("argv, expected", [
+        (["coverage", *_ADHOC_FAR, "--r0", "1e100", "--lambda", "1e-200"], 0),
+        (["coverage", *_ADHOC_FAR, "--r0", "1e300", "--lambda", "1e-300"], 0),
+        (["coverage", *_ADHOC_FAR, "--r0", "1e300", "--lambda", "1"], 3),
+        (["coverage", *_ADHOC_FAR, "--r0", "1e100", "--lambda", "1e-200", "--noise", "1"], 3),
+        (["coverage", *_ADHOC_FAR, "--r0", "1e100", "--lambda", "1e-200", "--noise", "1",
+          "--method", "mc", "--trials", "1000"], 3),
+        (["insights", *_ADHOC_FAR, "--r0", "1", "--lambda", "1e160", "--peak-bound"], 3),
+        (["sweep", "--kind", "cellular", "--alpha", "4", "--axis", "antennas",
+          "--start", "1.5", "--stop", "3.7"], 2),
+        (["validate", "--kind", "cellular", "--alpha", "4", "--m-list", "1,2,600",
+          "--tau-db-list", "0"], 2),
+        (["coverage", "--kind", "cellular", "--alpha", "4", "--lambda", "1e-20",
+          "--method", "mc", "--trials", "1000"], 0),
+        (["coverage", "--kind", "cellular", "--alpha", "4", "--lambda", "1e30",
+          "--method", "mc", "--trials", "1000"], 0),
+        (["coverage", *_ADHOC_FAR, "--r0", "1e10", "--lambda", "5e-22",
+          "--method", "mc", "--trials", "1000"], 0),
+    ], ids=["adhoc-far", "adhoc-farther", "mu-overflow", "noise-overflow", "mc-noise-overflow",
+            "peak-bound-overflow", "fractional-antennas", "validate-order", "mc-sparse-cellular",
+            "mc-dense-cellular", "mc-far-adhoc"])
+    def test_exit_code_without_traceback(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, argv)
+        assert code == expected
+        if code:
+            assert out == ""
+            assert err
+        else:
+            _, rows = parse_csv(out)
+            assert 0.0 <= float(rows[0]["p_c"]) <= 1.0
 
 
 class TestStdoutPurity:

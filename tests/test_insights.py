@@ -447,6 +447,11 @@ class TestPeakBound:
     def test_bound_floor_is_one(self, adhoc_for_mu):
         assert adhoc_peak_bound(adhoc_for_mu(0.5)).index_bound == 1
 
+    def test_bound_past_the_double_range_is_a_numerical_error(self, adhoc_for_mu):
+        # mu = 1e160 is finite, but mu^2 / 4 is not
+        with pytest.raises(NumericalError, match="peak index bound"):
+            adhoc_peak_bound(adhoc_for_mu(1e160))
+
     def test_rejects_cellular(self, cellular_bundle):
         with pytest.raises(UnsupportedConfigError, match="ad hoc"):
             adhoc_peak_bound(cellular_bundle())

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mimocov import InterfererGainSpec, coverage, montecarlo
-from mimocov.errors import ConfigurationError, ValidationError
+from mimocov.errors import ConfigurationError, NumericalError, ValidationError
 from mimocov.montecarlo import (
     _BATCHES,
     _POINTS_PER_CHUNK,
@@ -204,6 +205,37 @@ class TestAgreementWithAnalytic:
         est = simulate(bundle, SimConfig(trials=20_000, seed=seed,
                                          window_radius=window))
         assert abs(est.value - exact) < 2.2 * est.ci_halfwidth
+
+
+class TestLengthScale:
+    # distances are measured in the anchor (r0, or the median serving
+    # distance), so float32 positions cannot overflow or lose the link
+    # at any length scale, and one seed gives one estimate at every scale
+    @staticmethod
+    def _simulate(bundle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return simulate(bundle, SimConfig(trials=20_000, seed=5)).value
+
+    def test_cellular_density(self, cellular_bundle):
+        exact = coverage(cellular_bundle()).value
+        estimates = [self._simulate(cellular_bundle(lam=lam)) for lam in (1e-20, 1e-3, 1e30)]
+        assert estimates[1] == pytest.approx(exact, abs=0.015)
+        assert estimates == pytest.approx([estimates[1]] * 3, abs=1e-3)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_adhoc_link_distance(self, adhoc_bundle, noise):
+        # lambda r0^2 = 0.05 and noise r0^alpha = 0.1 fix the link's statistics
+        exact = coverage(adhoc_bundle(noise=noise)).value
+        estimates = [self._simulate(adhoc_bundle(lam=0.05 / r0**2, r0=r0, noise=noise / r0**4))
+                     for r0 in (1e-10, 1.0, 1e10)]
+        assert estimates[1] == pytest.approx(exact, abs=0.015)
+        assert estimates == pytest.approx([estimates[1]] * 3, abs=1e-3)
+
+    def test_noise_past_the_double_range_is_a_numerical_error(self, adhoc_bundle):
+        bundle = adhoc_bundle(lam=1e-200, r0=1e100, noise=1.0)
+        with pytest.raises(NumericalError, match="overflows"):
+            simulate(bundle, SimConfig(trials=100, seed=0))
 
 
 class TestAutomaticWindowAgreement:
