@@ -16,10 +16,11 @@ signal gain reduces to the first M coefficients of a single power series:
   coefficients of exp(A(z)).
 
 Both are evaluated on the first column of the lower-triangular Toeplitz
-matrix the series represents: the exponential by a coefficient recursion,
-the reciprocal by Newton doubling (``series``).  The matrix route (a
-triangular solve and a nilpotent exponential) lives in the tests as the
-reference these kernels must match.
+matrix the series represents: the exponential by its recursion run in
+blocks of coefficients, one convolution each, the reciprocal by Newton
+doubling (``series``).  The matrix route (a triangular solve and a
+nilpotent exponential) lives in the tests as the reference these kernels
+must match.
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ _TAIL_RTOL = 1e-17  # bound on what a ratio series leaves out, relative to its s
 _MAX_TERMS = 1 << 18  # longer ratio series are left to scipy's betainc
 _SCALAR_TERMS = 32  # ratio series up to this long are summed by a Python loop
 _MAX_LOSS = 8.0  # largest factor the complement's subtraction may lose before the tail replaces it
+# columns up to this long (at most 2, where top = 1 and every array would hold
+# one element) are built on Python floats, by the same operations in the same order
+_SCALAR_ORDER = 2
 
 
 def _series_terms(z: float, b: float, c: float) -> float:
@@ -242,9 +246,11 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
     xn, xd = x.as_integer_ratio()  # w = xn/(xd+xn) and 1-w = xd/(xd+xn) exactly
     w_drift = _drift(w, xn, xd + xn) if xn else 0.0
     sd1 = kappa / (1.0 - delta) * w * head * (1.0 + w_drift)  # s d_1, its one power of w undone
+    scalar = order <= _SCALAR_ORDER  # then top = 1
     tail = tail_terms <= min(comp_terms, _MAX_TERMS)
     if not tail:
-        sd = _ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top, sd1)  # s d_1, ..., s d_top
+        # s d_1, ..., s d_top; at top = 1 the running product is s d_1 itself
+        sd = [sd1] if scalar else _ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top, sd1)
         s = _entry_scale(x, kappa, delta, threshold)
         if comp_terms <= _MAX_TERMS:
             comp = sd[-1] * a_top / q * _ratio_series(
@@ -260,6 +266,9 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
     if tail:
         sd = _ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top - 1 + tail_terms, sd1)
         sd[top - 1] = np.add.reduce(sd[top - 1:])
+    if scalar:  # s I_1 = s d_1 + ... alone; f_1 = -delta
+        values = [head + sd[0], -delta * sd[0]]
+        return EntrySequence(values=values[:order], flavor=CELLULAR)
     si = np.add.accumulate(sd[top - 1::-1])[::-1]  # s I_1, ..., s I_top
 
     vals = _f_coefficients(delta, order)

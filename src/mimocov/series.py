@@ -7,16 +7,19 @@ point: the exponential and the inverse of such a matrix are again
 lower-triangular Toeplitz, so every operation below works on first columns
 only and no M x M matrix is ever materialized.
 
-``series_exp`` runs the logarithmic-derivative recursion, one inner product
-per coefficient.  ``series_reciprocal`` seeds the first few coefficients by
-the scalar recursion and then doubles the number of known ones per Newton
-step (Kung 1974, "On computing reciprocals of power series"), two
-convolutions each.  For the cellular entries (c_0 > 0, c_j <= 0 beyond)
-every product in those convolutions has one sign, so nothing cancels.  The
-matrix forms and the per-coefficient recursion live in the tests, as the
-references these kernels must match.  The kernels take their input as
-given (``analytic.EntrySequence`` checks each column once, where it is
-built) and check only their own output, for overflow.
+``series_exp`` runs the logarithmic-derivative recursion in fixed blocks of
+coefficients: one convolution gives what every known coefficient adds to a
+block, and the scalar recursion on Python floats finishes it (a relaxed
+evaluation, van der Hoeven 2002, "Relax, but don't be too lazy").
+``series_reciprocal`` seeds the first few coefficients by the scalar
+recursion and then doubles the number of known ones per Newton step (Kung
+1974, "On computing reciprocals of power series"), two convolutions each.
+For the ad hoc entries (t_0 < 0, t_j >= 0 beyond) and the cellular ones
+(c_0 > 0, c_j <= 0 beyond) every product in those sums has one sign, so
+nothing cancels.  The matrix forms and the per-coefficient recursions live
+in the tests, as the references these kernels must match.  The kernels
+take their input as given (``analytic.EntrySequence`` checks each column
+once, where it is built) and check only their own output, for overflow.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .errors import DomainError, SingularityError
 
 MAX_ORDER = 512
 _SEED_ORDER = 8  # coefficients of 1/C(z) from the scalar recursion
+_EXP_SEED = 16  # coefficients of exp(T(z)) from the scalar recursion
+_EXP_BLOCK = 12  # coefficients of exp(T(z)) per convolution after those
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -39,24 +44,54 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _finish_block(w: list, known: list, first: int) -> list:
+    """Coefficients p_first, ..., p_{first+len(known)-1} of exp(T(z)), where
+    known[k] is what the coefficients before the block add to
+    (first + k) p_{first+k}; the block's own terms w_j p_{n-j} are added in
+    order, on Python floats."""
+    block = []
+    for k, acc in enumerate(known):
+        for i, p in enumerate(block):
+            acc += w[k - i] * p
+        block.append(acc / (first + k))
+    return block
+
+
 def series_exp(t) -> np.ndarray:
     """Coefficients of exp(T(z)) given the coefficients of T(z).
 
     Uses the logarithmic-derivative recursion
-    p_0 = e^{t_0},  p_n = (1/n) sum_{i=0}^{n-1} (n - i) t_{n-i} p_i,
-    which costs O(M^2) and never forms a factorial.
+    p_0 = e^{t_0},  n p_n = sum_{j=1}^{n} w_j p_{n-j},  w_j = j t_j,
+    which costs O(M^2) and never forms a factorial.  It runs in blocks
+    whose edges do not depend on M.  The first 16 coefficients come from the
+    scalar recursion on Python floats.  Each later block [s, s + 12) starts
+    from one np.convolve(w[1:r], p[:s], "valid"): output k is what p_0 ..
+    p_{s-1} add to (s + k) p_{s+k}, an s-term dot product that is the same
+    float whatever r is.  The scalar recursion then adds the block's own
+    terms.  So p_n is the same float at every order M > n, and order M makes
+    ceil((M - 16)/12) convolutions in place of M - 1 inner products.
+
+    For ad hoc entries (t_0 < 0 and t_j >= 0 for j >= 1, the pattern
+    ``EntrySequence`` asserts) every w_j p_i is non-negative, so no sum
+    cancels and deep coefficients keep their relative accuracy.
     """
     t = np.asarray(t, dtype=float)
     m = t.size
-    p = np.zeros(m)
     try:
-        p[0] = math.exp(t[0])
+        head = math.exp(t[0])
     except OverflowError:
         raise DomainError(f"series exponential overflows at t_0 = {float(t[0])!r}") from None
-    weighted = t * np.arange(m)  # j * t_j
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        for n in range(1, m):
-            p[n] = np.dot(weighted[1 : n + 1], p[n - 1 :: -1]) / n
+    p = np.empty(m)
+    p[0] = head
+    if m > 1:  # at M = 1 the set-up below would cost more than the answer
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+            weights = t * np.arange(m)  # w_j = j t_j
+            w = weights.tolist()
+            p[1:_EXP_SEED] = _finish_block(w, [head * x for x in w[1:_EXP_SEED]], 1)
+            for s in range(_EXP_SEED, m, _EXP_BLOCK):
+                r = min(s + _EXP_BLOCK, m)
+                known = np.convolve(weights[1:r], p[:s], "valid").tolist()
+                p[s:r] = _finish_block(w, known, s)
     return _finite(p)
 
 

@@ -29,6 +29,7 @@ from mimocov import (
     coverage_non_poisson,
     improvement_sequence,
 )
+from mimocov import analytic
 from mimocov.analytic import _rounded_estimate
 from mimocov.model import GeneralSignalPdf
 from toeplitz_oracle import toeplitz_coverage
@@ -185,6 +186,28 @@ class TestCellularEntryColumn:
                 np.testing.assert_allclose(cellular_entries(bundle, m).values, full[:m],
                                            rtol=1e-13, atol=1e-290,
                                            err_msg=f"alpha={alpha} kappa={kappa} tau={tau} m={m}")
+
+    def test_short_columns_on_python_floats_match_the_numpy_route(self, cellular_bundle,
+                                                                    monkeypatch):
+        # orders 1 and 2 hold one I_n, and build it on Python floats: the same
+        # operations in the same order as the one-element arrays of the NumPy
+        # route, so the same bits.  The grid covers the tail, the complement,
+        # the tail past the complement's loss bound (kappa = 0.05, alpha = 40)
+        # and scipy's anchor (kappa = 1e5, beta = 1/kappa near the crossover).
+        cases = []
+        for alpha, kappa in [(2.5, 0.5), (4.0, 1.0), (6.0, 4.0), (40.0, 0.05), (4.0, 30.0)]:
+            for m in (1, 2):
+                cross = _crossover_tau(m, 2.0 / alpha, kappa)
+                for tau in (1e-300, 1e-3, 0.3, 1.0, 10.0, 1e3, 1e16, 1e300,
+                            cross * 0.999, cross * 1.001):
+                    cases.append(cellular_bundle(m=m, tau=tau, alpha=alpha, kappa=kappa))
+        for m in (1, 2):
+            crossover = _crossover_tau(m, 0.5, 1e5) * 1e5
+            cases.append(cellular_bundle(m=m, tau=crossover, kappa=1e5, beta=1e-5))
+        scalar = [cellular_entries(b, b.signal.shape).values for b in cases]
+        monkeypatch.setattr(analytic, "_SCALAR_ORDER", 0)
+        for bundle, values in zip(cases, scalar):
+            np.testing.assert_array_equal(values, cellular_entries(bundle, bundle.signal.shape).values)
 
     @pytest.mark.parametrize("tau", [1e16, 1e100, 1e300, 1e-300, 5e-324])
     def test_thresholds_at_the_edges_of_the_double_range(self, cellular_bundle, tau):

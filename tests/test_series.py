@@ -6,24 +6,40 @@ import numpy as np
 import pytest
 
 from mimocov import (
+    ADHOC,
     CELLULAR,
     InterfererGainSpec,
     NetworkScenario,
     SignalGainSpec,
+    adhoc_entries,
     cellular_entries,
     validate,
 )
 from mimocov.errors import DomainError, SingularityError
 from mimocov.series import (
+    _EXP_BLOCK,
+    _EXP_SEED,
     MAX_ORDER,
     coeff_sum,
     series_exp,
     series_reciprocal,
 )
-from toeplitz_oracle import recursive_reciprocal, toeplitz_exp_nilpotent, toeplitz_reciprocal
+from toeplitz_oracle import (
+    recursive_exp,
+    recursive_reciprocal,
+    toeplitz_exp_nilpotent,
+    toeplitz_reciprocal,
+)
 
 # every order up to 40, and each side of the Newton doubling's power-of-two edges
 RECIPROCAL_ORDERS = list(range(1, 41)) + [63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512]
+# every order up to 40, and each side of the scalar seed's edge and of the
+# first five, a middle and the last two block edges
+EXP_EDGES = range(_EXP_SEED, MAX_ORDER, _EXP_BLOCK)
+EXP_ORDERS = sorted(set(range(1, 41)).union(
+    e + d for e in [*EXP_EDGES[:5], EXP_EDGES[len(EXP_EDGES) // 2], *EXP_EDGES[-2:]]
+    for d in (-1, 0, 1)
+).union([MAX_ORDER]))
 
 
 def test_exp_small_example():
@@ -107,6 +123,56 @@ def test_reciprocal_makes_logarithmically_many_convolutions(monkeypatch):
     assert 0 < len(calls) <= 2 * math.ceil(math.log2(MAX_ORDER / 8))
 
 
+@pytest.fixture(scope="module")
+def adhoc_entry_grid():
+    """Order-512 ad hoc entries over alpha x lambda x kappa x noise (36 scenarios,
+    mu from 0.03 to 129)."""
+    grid = []
+    for alpha, lam, kappa, noise in itertools.product((2.5, 4.0, 8.0), (0.01, 0.3, 3.0),
+                                                      (0.5, 4.0), (0.0, 0.5)):
+        bundle = validate(NetworkScenario(kind=ADHOC, lam=lam, alpha=alpha, threshold=1.0,
+                                          r0=1.0, noise=noise),
+                          SignalGainSpec(shape=MAX_ORDER), InterfererGainSpec(kappa=kappa, beta=1.0))
+        grid.append(adhoc_entries(bundle, MAX_ORDER).values)
+    return grid
+
+
+def test_exp_of_adhoc_entries_matches_the_recursion(adhoc_entry_grid):
+    # one-signed sums keep every coefficient to its relative accuracy, however
+    # deep; a coefficient of order m is the same number at every longer order,
+    # which the CLI antenna sweep relies on.  The reference's coefficient n is
+    # one n-term inner product, the same at every order, so it is taken once.
+    for t in adhoc_entry_grid:
+        full = series_exp(t)
+        ref = recursive_exp(t)
+        assert np.all(full >= 0.0)
+        kept = ref > 1e-290
+        for m in EXP_ORDERS:
+            p = series_exp(t[:m])
+            np.testing.assert_allclose(p[kept[:m]], ref[:m][kept[:m]], rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(p, full[:m])
+
+
+def test_exp_makes_one_convolution_per_block(monkeypatch):
+    calls = {"convolve": 0, "dot": 0}
+    for name in calls:
+        fn = getattr(np, name)
+
+        def counting(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    t = np.full(MAX_ORDER, 0.5 / MAX_ORDER)
+    t[0] = -1.0
+    for m in range(1, _EXP_SEED + 1):
+        series_exp(t[:m])
+    assert calls == {"convolve": 0, "dot": 0}
+    series_exp(t)
+    assert 0 < calls["convolve"] <= math.ceil((MAX_ORDER - _EXP_SEED) / _EXP_BLOCK)
+    assert calls["dot"] == 0
+
+
 def test_exp_matches_toeplitz_route():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -144,10 +210,22 @@ def test_reciprocal_zero_head_rejected():
 
 def test_non_finite_result_rejected():
     # the recursions check their own output once, in place; an overflow is a
-    # DomainError alone, with no bare OverflowError and no numpy RuntimeWarning
+    # DomainError alone, with no bare OverflowError and no numpy RuntimeWarning.
+    # Two exponentials overflow in their last coefficient, past the scalar
+    # seed: p_22 = 1e300 is squared into p_44 by a block's convolution, and
+    # p_n = 1e15^n / n! overflows at n = 22 inside a block.
+    late = np.zeros(45)
+    late[22] = 1e300
+    steep = np.zeros(23)
+    steep[1] = 1e15
+    for t in (late, steep):
+        recursive_exp(t[:-1])  # finite up to there
+        assert t.size - 1 >= _EXP_SEED
     cases = [
         (series_exp, [800.0, 1.0]),
         (series_exp, [0.0, 1e200, 1e200]),
+        (series_exp, late),
+        (series_exp, steep),
         (series_reciprocal, [1.0, -1e200, 1e200]),
         (series_reciprocal, [1e-300, 1e200, 1e200]),
         (series_reciprocal, [1e-310, 1.0]),

@@ -3,11 +3,12 @@
 Coverage is the l1 column sum of exp(A) (ad hoc) or C^-1 (cellular), where
 A and C are the lower-triangular Toeplitz matrices whose first columns are
 the library's entry sequences.  The library evaluates that column by series
-kernels (``series_exp``, a coefficient recursion, and ``series_reciprocal``,
-a Newton doubling); this module gets it from the matrices themselves,
-sharing no code with the kernels.  It also keeps the per-coefficient
-reciprocal recursion that the Newton doubling replaced, as the reference
-the doubling must match coefficient by coefficient.
+kernels (``series_exp``, a recursion run in blocks of coefficients, one
+convolution each, and ``series_reciprocal``, a Newton doubling); this module
+gets it from the matrices themselves, sharing no code with the kernels.  It
+also keeps the per-coefficient recursions that the blocks and the doubling
+replaced, one inner product per coefficient, as the references the kernels
+must match coefficient by coefficient.
 """
 
 import math
@@ -18,6 +19,23 @@ from scipy import linalg
 from mimocov import CELLULAR, adhoc_entries, cellular_entries
 from mimocov.errors import SingularityError
 from mimocov.series import _finite
+
+
+def recursive_exp(t) -> np.ndarray:
+    """Coefficients of exp(T(z)) given the coefficients of T(z).
+
+    p_0 = e^{t_0},  p_n = (1/n) sum_{i=0}^{n-1} (n - i) t_{n-i} p_i.
+    Coefficient n is one n-term inner product, the same at every order.
+    """
+    t = np.asarray(t, dtype=float)
+    m = t.size
+    p = np.zeros(m)
+    p[0] = math.exp(t[0])
+    weighted = t * np.arange(m)  # j * t_j
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        for n in range(1, m):
+            p[n] = np.dot(weighted[1 : n + 1], p[n - 1 :: -1]) / n
+    return _finite(p)
 
 
 def recursive_reciprocal(c) -> np.ndarray:
