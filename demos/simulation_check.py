@@ -5,10 +5,12 @@ each, serves the nearest point (cellular) or the dedicated dipole
 transmitter (ad hoc), and counts threshold crossings.  Nothing about the
 analytic derivation is reused, so agreement here exercises the whole
 pipeline end to end.  Estimates carry batch-means confidence intervals.
-By default the simulator scatters points only in a near disc of 200-1500
-points per trial and adds the mean interference of the field beyond it
-(Campbell's theorem); the bias left is of the order of the far field's
-variance, far below the statistical noise.
+By default the simulator scatters points only in a near disc and adds the
+mean interference of the field beyond it (Campbell's theorem).  The disc
+is the smaller of the one whose far-field mean provably moves coverage by
+at most 1e-5 and the one that leaves 1e-5 of the far field's variance
+with at least 200 points per trial, so the bias stays far below the
+statistical noise.
 """
 
 import math

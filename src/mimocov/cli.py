@@ -15,8 +15,9 @@ mapping; each row applies one grid value to it and leaves every refusal
 to the library.
 
 A sweep builds every grid point's scenario before it evaluates any, and
-``validate`` also every analytic reference before its first trial, so a
-bad grid point is refused before any work.  A sweep holds at most 10 000
+on the Monte Carlo path every simulation plan (seed, window, point count);
+``validate`` builds the plans and every analytic reference before its
+first trial.  So a bad grid point is refused before any work.  A sweep holds at most 10 000
 points; an antenna sweep runs over integers 1 <= start <= stop <= 512 and
 adds a ``delta_p`` column, the improvement p_c(M) - p_c(M-1).  On the
 analytic path one improvement sequence of order stop gives every row:
@@ -56,8 +57,10 @@ def _num(x) -> str:
     return format(float(x), ".12g")
 
 
-_WINDOW_HELP = ("simulation disc radius (mc only); explicit radius: plain truncation, "
-                "no far-field mean")
+_WINDOW_HELP = ("simulation disc radius (mc only); default: the smaller of the disc "
+                "whose far-field mean provably moves coverage by at most 1e-5 and the "
+                "disc that leaves 1e-5 of the far field's variance with at least ~200 "
+                "points; explicit radius: plain truncation, no far-field mean")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,15 +175,25 @@ def _sim_config(args, seed) -> montecarlo.SimConfig:
     return montecarlo.SimConfig(trials=args.trials, seed=seed, window_radius=args.window)
 
 
-def _evaluate(bundle, args, seed) -> model.CoverageEstimate:
-    if args.method == "analytic":
+def _planned_configs(args, bundles, seeds) -> list:
+    """One simulation config per bundle, each planned, so that a refused
+    seed or window stops the command before its first trial."""
+    configs = [_sim_config(args, seed) for seed in seeds]
+    for bundle, config in zip(bundles, configs):
+        montecarlo._plan(bundle, config)
+    return configs
+
+
+def _evaluate(bundle, config) -> model.CoverageEstimate:
+    """The analytic coverage, or with a simulation config its estimate."""
+    if config is None:
         return analytic.coverage(bundle)
-    return montecarlo.simulate(bundle, _sim_config(args, seed))
+    return montecarlo.simulate(bundle, config)
 
 
 def _cmd_coverage(args):
     bundle = model.bundle_from_params(_collect_params(args))
-    est = _evaluate(bundle, args, args.seed)
+    est = _evaluate(bundle, _sim_config(args, args.seed) if args.method == "mc" else None)
     return _POINT_HEADER, [_point_row(bundle, est, args.seed)], 0
 
 
@@ -207,6 +220,10 @@ def _cmd_sweep(args):
     key = _AXIS_KEYS[args.axis]
     bundles = [model.bundle_from_params(_with(base, {key: v})) for v in _axis_values(args)]
     seeds = range(args.seed, args.seed + len(bundles))
+    if args.method == "mc":
+        configs = _planned_configs(args, bundles, seeds)
+    else:
+        configs = [None] * len(bundles)
     if key == "lambda" and bundles[0].scenario.kind == model.CELLULAR:
         print("note: cellular coverage does not depend on the density; "
               "expect a flat sweep", file=sys.stderr)
@@ -219,7 +236,7 @@ def _cmd_sweep(args):
                                             model.METHOD_RECURSION) for b in bundles]
         gains = seq.values[-len(bundles):]
     else:
-        estimates = [_evaluate(b, args, seed) for b, seed in zip(bundles, seeds)]
+        estimates = [_evaluate(b, config) for b, config in zip(bundles, configs)]
         gains = np.diff([est.value for est in estimates], prepend=0.0)
     rows = [_point_row(b, est, seed) for b, est, seed in zip(bundles, estimates, seeds)]
     if key != "m":
@@ -251,7 +268,7 @@ def _cmd_validate(args):
         raise ValidationError("validate needs at least one antenna count and one threshold")
     grid = [model.bundle_from_params(_with(base, {"m": m, "tau_db": tau_db}))
             for m, tau_db in itertools.product(m_values, tau_values)]
-    configs = [_sim_config(args, args.seed + i) for i in range(len(grid))]
+    configs = _planned_configs(args, grid, range(args.seed, args.seed + len(grid)))
     references = [_reference(bundle) for bundle in grid]
     rows = []
     worst = 0.0

@@ -12,10 +12,18 @@ None, Gamma interferer law) it is a near disc: the points inside R are
 simulated exactly, and the field beyond R is replaced by its mean,
 E[I_far] = 2 pi lam E[g] R^(2 - alpha) / (alpha - 2) (Campbell's theorem,
 taken in anchor units as below), added to every trial's interference.
-Only a second-order bias, of the order of
-Var I_far = pi lam E[g^2] R^(2 - 2 alpha) / (alpha - 1), is left, so a
-disc of 200 to 1500 points per trial at alpha >= 2.5 does what plain
-truncation needs 7e3 to 7e15 points for (see ``auto_window``).  An
+A trial covers with probability Q(M, s (x + I_far)) given the rest, with
+s = tau (r / anchor)^alpha / theta and Q the regularized upper incomplete
+gamma, and |d^2 Q(M, x) / dx^2| <= 1 for every integer M >= 1.  The far
+field is independent of the rest, so by Taylor's theorem the mean moves
+the coverage by at most 1/2 E[s^2] Var I_far, where
+Var I_far = pi lam E[g^2] R^(2 - 2 alpha) / (alpha - 1).  ``auto_window``
+takes the smaller of two radii: the smallest that keeps this bound within
+1e-5, and the variance radius, which leaves (R / anchor)^(2 - 2 alpha) =
+1e-5 of the far field's variance, floored at 200 points per trial.  So an
+automatic run draws a few points per trial at low thresholds and at most
+200 at alpha >= 3 (about 1500 for cellular at alpha = 2.5), where plain
+truncation needs 7e3 to 7e15.  An
 explicit ``window_radius``, or a general law whose E[g] is unknown, gets
 plain truncation: points outside R are dropped, and nothing is added for
 them.
@@ -40,18 +48,26 @@ One simulation draws from four SFC64 streams spawned once from
 ``SeedSequence(seed)``: Poisson counts (with the redraws of empty cellular
 trials), positions, interferer gains and signal gains.  The trials are
 split into a fixed 100 batches, which only partition them for the
-batch-means confidence interval.  Batch by batch, the counts, the
-nearest-point uniforms and the signal gains are drawn up front, then the
-points chunk by chunk, each kind from its own stream in trial order, so
-splitting a batch into chunks cannot change any draw.  So an estimate is
-reproducible bit for bit from its seed, whatever the chunk size.  The
-simulation runs in the calling thread, on one core, so its run time does
-not hinge on whether other cores are free.
+batch-means confidence interval.  Consecutive whole batches run as one
+block of about 2^16 points at most, a trial weighing its interferer points
+plus one; a block holds at least one batch.  The counts come as if drawn
+batch by batch, each batch's redraws before the next batch's counts (one
+draw serves several batches until a cellular trial comes up empty; then
+the stream is rewound and they are drawn one by one); a cellular block
+draws each batch's nearest-point uniforms and then its point uniforms;
+the gains come from one call per block.  A one-batch block with
+more points than are simulated at once draws its points chunk by chunk,
+after its nearest-point uniforms.  Each kind of draw comes from its own
+stream in trial order, so neither blocks nor chunks can change any draw:
+an estimate is reproducible bit for bit from its seed, whatever the block
+and chunk sizes.  The simulation runs in the calling thread, on one core,
+so its run time does not hinge on whether other cores are free.
 
 A cellular trial needs at least one point to serve from; one with none is
 redrawn.  A window whose empty share, P(N = 0) = exp(-lam pi R^2), exceeds
 1% is refused before anything is drawn, so the redraws stay rare and end
-within a few rounds.
+within a few rounds.  Every refusal comes from ``_plan``, which a caller
+can run for a whole grid before the first trial.
 """
 
 from __future__ import annotations
@@ -66,8 +82,10 @@ from .errors import ConfigurationError, NumericalError, ValidationError
 from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer
 
 _POINTS_PER_CHUNK = 8_000_000
+_BLOCK_POINTS = 1 << 16  # weight of the batches run as one block
 _BATCHES = 100  # partition of the trials for the batch-means interval
 _EMPTY_BUDGET = 0.01  # share of cellular trials allowed to come up empty
+_FAR_BIAS = 1e-5  # coverage bias the far-field mean may cause
 _MIN_POINTS = 200.0  # expected points per realization, at least
 _NEAR_VARIANCE = 1e-5  # (R / anchor)^(2 - 2 alpha) left by the far-field mean
 _TRUNCATION_SHARE = 1e-4  # (R / anchor)^(2 - alpha) dropped by plain truncation
@@ -79,14 +97,15 @@ class SimConfig:
 
     ``window_radius`` is the radius of the simulated disc.  Leave it None to
     size the disc from the scenario (see ``auto_window``); with a Gamma
-    interferer law the far field beyond it then enters as its mean.  An
-    explicit radius means plain truncation: interferers beyond it are
-    dropped and no far-field mean is added.  A cellular window must hold
-    a point in at least 99% of the realizations, or ``simulate`` refuses it.
-    The confidence interval comes from batch means over 100 batches, so
-    ``trials`` is at least 100, and at most 100 times the points simulated
-    at once, so that no per-trial array of a batch outgrows one chunk.
-    ``trials`` and ``seed`` are Python or numpy integers, not bools.
+    interferer law the far field beyond it then enters as its mean, which
+    moves the coverage by at most about 1e-5.  An explicit radius means
+    plain truncation: interferers beyond it are dropped and no far-field
+    mean is added.  A cellular window must hold a point in at least 99% of
+    the realizations, or ``simulate`` refuses it.  The confidence interval
+    comes from batch means over 100 batches, so ``trials`` is at least 100,
+    and at most 100 times the points simulated at once, so that no
+    per-trial array of a batch outgrows one chunk.  ``trials`` and ``seed``
+    are Python or numpy integers, not bools.
     """
 
     trials: int = 100_000
@@ -121,31 +140,65 @@ def _anchor(bundle: ScenarioBundle) -> float:
     return sc.r0
 
 
+def _bound_radius(bundle: ScenarioBundle, anchor: float) -> float:
+    """Smallest near disc whose far-field mean provably moves the coverage
+    by at most ``_FAR_BIAS``.
+
+    Solves 1/2 E[s^2] Var I_far = _FAR_BIAS for rho = R / anchor, with
+    E[s^2] = (tau / theta)^2 E[(r / anchor)^(2 alpha)] and, in anchor units,
+    Var I_far = pi lam anchor^2 kappa (kappa + 1) beta^2 rho^(2 - 2 alpha)
+    / (alpha - 1).  E[(r / anchor)^(2 alpha)] is 1 for ad hoc; for cellular
+    (r / anchor)^2 is a unit exponential over ln 2, which gives
+    Gamma(alpha + 1) / (ln 2)^alpha, and the disc also holds a point in
+    all but ``_FAR_BIAS`` of the realizations.  Worked in logarithms, so
+    no threshold or density overflows; an overflowing radius is infinite.
+    """
+    sc = bundle.scenario
+    law = bundle.interferer
+    alpha = sc.alpha
+    cellular = sc.kind == CELLULAR
+    log_distance = math.lgamma(alpha + 1.0) - alpha * math.log(math.log(2.0)) if cellular else 0.0
+    log_s2 = 2.0 * (math.log(sc.threshold) - math.log(bundle.signal.scale)) + log_distance
+    log_var = (math.log(math.pi * law.kappa * (law.kappa + 1.0) / (alpha - 1.0))
+               + 2.0 * math.log(law.beta) + math.log(sc.lam) + 2.0 * math.log(anchor))
+    log_rho = (math.log(0.5 / _FAR_BIAS) + log_s2 + log_var) / (2.0 * alpha - 2.0)
+    try:
+        radius = anchor * math.exp(log_rho)
+    except OverflowError:
+        return math.inf
+    if cellular:
+        radius = max(radius, math.sqrt(math.log(1.0 / _FAR_BIAS) / (math.pi * sc.lam)))
+    return radius
+
+
 def auto_window(bundle: ScenarioBundle) -> float:
     """Radius of the disc ``simulate`` scatters points in by default.
 
     Distances are measured in the anchor, the scale of the link: r0 for ad
     hoc, the median serving distance for cellular.  With a Gamma interferer
-    law the far field beyond R enters as its mean, which leaves a bias of
-    the order of its variance, relative size (R / anchor)^(2 - 2 alpha);
-    R makes that 1e-5.  A general law has no known E[g], so the far field
-    is dropped, a share (R / anchor)^(2 - alpha) of the interference; R
-    makes that about 1e-4.  Either way R grows as alpha falls, and is
-    floored so a realization holds at least ~200 points on average.  Where
+    law the far field beyond R enters as its mean.  R is the smaller of two
+    radii: the one that provably keeps the coverage bias of that mean
+    within 1e-5 (``_bound_radius``), and the variance radius, which makes
+    the far field's variance relative size (R / anchor)^(2 - 2 alpha) =
+    1e-5 and holds at least ~200 points per realization on average.  So a
+    run never draws more points than the variance radius holds, and far
+    fewer where the threshold is low.  A general law has no known E[g], so
+    the far field is dropped, a share (R / anchor)^(2 - alpha) of the
+    interference; R makes that about 1e-4, floored at ~200 points.  Where
     R overflows (a general law at alpha just above 2) it is infinite, and
     ``simulate`` refuses the point count.
     """
     sc = bundle.scenario
     anchor = _anchor(bundle)
-    if bundle.interferer.is_gamma:
-        bias_radius = anchor * (1.0 / _NEAR_VARIANCE) ** (1.0 / (2.0 * sc.alpha - 2.0))
-    else:
+    count_radius = math.sqrt(_MIN_POINTS / (math.pi * sc.lam))
+    if not bundle.interferer.is_gamma:
         try:
             bias_radius = anchor * (1.0 + 1.0 / _TRUNCATION_SHARE) ** (1.0 / (sc.alpha - 2.0))
         except OverflowError:
             bias_radius = math.inf
-    count_radius = math.sqrt(_MIN_POINTS / (math.pi * sc.lam))
-    return max(bias_radius, count_radius)
+        return max(bias_radius, count_radius)
+    variance_radius = anchor * (1.0 / _NEAR_VARIANCE) ** (1.0 / (2.0 * sc.alpha - 2.0))
+    return min(max(variance_radius, count_radius), _bound_radius(bundle, anchor))
 
 
 def _far_field_mean(bundle: ScenarioBundle, radius: float, anchor: float = 1.0) -> float:
@@ -162,39 +215,32 @@ def _far_field_mean(bundle: ScenarioBundle, radius: float, anchor: float = 1.0) 
             * (radius / anchor) ** (2.0 - sc.alpha) / (sc.alpha - 2.0))
 
 
-def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _Plan:
+    """The disc of one run and what every trial adds for the rest."""
+
+    anchor: float  # the length unit of the run
+    radius: float  # of the simulated disc
+    far_mean: float  # mean interference beyond the disc, in anchor units
+    noise: float  # noise anchor^alpha: the noise in anchor units
+    mean_points: float  # expected points per trial in the disc
+
+
+def _plan(bundle: ScenarioBundle, config: SimConfig) -> _Plan:
+    """Size one run and raise every refusal, before any stream is seeded."""
+    sc = bundle.scenario
     law = bundle.interferer
-    if law.is_gamma:
-        if law.kappa == 1.0:
-            g = rng.standard_exponential(size, dtype=np.float32)
-        else:
-            g = rng.standard_gamma(law.kappa, size, dtype=np.float32)
-        if law.beta != 1.0:
-            g *= np.float32(law.beta)
-        return g
-    if law.sampler is None:
+    if not law.is_gamma and law.sampler is None:
         raise ConfigurationError(
             "Monte Carlo with a general interferer law needs a sampler(rng, size)"
         )
-    return np.asarray(law.sampler(rng, size), dtype=np.float32)
-
-
-def _segment_starts(counts: np.ndarray) -> np.ndarray:
-    starts = np.zeros(counts.size, dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return starts
-
-
-def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
-    """Estimate coverage by simulation, for either scenario kind."""
-    sc = bundle.scenario
     anchor = _anchor(bundle)
     if config.window_radius is not None:
         radius, far_mean = config.window_radius, 0.0
     else:
         radius = auto_window(bundle)
-        far_mean = _far_field_mean(bundle, radius, anchor) if bundle.interferer.is_gamma else 0.0
-    noise = 0.0  # sigma^2 anchor^alpha: the noise in anchor units
+        far_mean = _far_field_mean(bundle, radius, anchor) if law.is_gamma else 0.0
+    noise = 0.0
     if sc.noise > 0.0:
         try:
             noise = sc.noise * anchor**sc.alpha
@@ -207,21 +253,107 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
             f"radius {radius:.6g}, more than the {_POINTS_PER_CHUNK} points simulated "
             "at once; choose a smaller window_radius"
         )
-    cellular = sc.kind == CELLULAR
     empty_share = math.exp(-mean_points)
-    if cellular and empty_share > _EMPTY_BUDGET:
+    if sc.kind == CELLULAR and empty_share > _EMPTY_BUDGET:
         raise ConfigurationError(
             f"a disc of radius {radius:.6g} holds no point in {empty_share:.3g} of the "
             f"realizations, more than the {_EMPTY_BUDGET:.0%} budget; enlarge window_radius"
         )
-    rho = radius / anchor  # the disc radius in anchors
+    return _Plan(anchor, radius, far_mean, noise, mean_points)
+
+
+def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int) -> np.ndarray:
+    law = bundle.interferer
+    if law.is_gamma:
+        if law.kappa == 1.0:
+            g = rng.standard_exponential(size, dtype=np.float32)
+        else:
+            g = rng.standard_gamma(law.kappa, size, dtype=np.float32)
+        if law.beta != 1.0:
+            g *= np.float32(law.beta)
+        return g
+    return np.asarray(law.sampler(rng, size), dtype=np.float32)
+
+
+def _segment_starts(counts: np.ndarray) -> np.ndarray:
+    starts = np.zeros(counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
+
+
+def _runs(weights: list, budget: int):
+    """Split consecutive items into runs (start, stop) of total weight at
+    most ``budget``; an item heavier than that runs alone."""
+    start, total = 0, 0
+    for i, weight in enumerate(weights):
+        if i > start and total + weight > budget:
+            yield start, i
+            start, total = i, 0
+        total += weight
+    yield start, len(weights)
+
+
+def _counts(rng: np.random.Generator, mean_points: float, sizes: list,
+            cellular: bool) -> np.ndarray:
+    """Per-trial point counts of consecutive batches, as drawn batch by batch
+    with an empty cellular trial redrawn before the next batch is drawn.
+
+    Without a redraw that is one draw for all the batches.  Should a
+    cellular trial come up empty, the stream is rewound and the batches
+    are drawn one by one, each with its redraws.
+    """
+    state = rng.bit_generator.state if cellular else None
+    counts = rng.poisson(mean_points, sum(sizes))
+    if not cellular or counts.all():
+        return counts
+    rng.bit_generator.state = state
+    batches = []
+    for n_batch in sizes:
+        batch = rng.poisson(mean_points, n_batch)
+        empty = np.flatnonzero(batch == 0)
+        while empty.size:
+            batch[empty] = rng.poisson(mean_points, empty.size)
+            empty = empty[batch[empty] == 0]
+        batches.append(batch)
+    return np.concatenate(batches)
+
+
+def _blocks(rng: np.random.Generator, mean_points: float, sizes: list, cellular: bool):
+    """Per-trial point counts of consecutive whole batches, block by block,
+    each with the bounds of its batches (0, ..., its trial count).
+
+    A block weighs its trials plus its interferer points (a cellular
+    trial's serving point stands in for its one): at most ``_BLOCK_POINTS``
+    and never more than the points simulated at once, unless it holds a
+    single batch.  A trial weighs at least one, so the counts are drawn
+    for the batches that fit that budget in trials, then split into blocks.
+    """
+    budget = min(_BLOCK_POINTS, _POINTS_PER_CHUNK)
+    for lo, hi in _runs(sizes, budget):
+        group = sizes[lo:hi]
+        counts = _counts(rng, mean_points, group, cellular)
+        bounds = np.cumsum([0, *group]).tolist()
+        weights = np.add.reduceat(counts, bounds[:-1])
+        if not cellular:
+            weights += group
+        for start, stop in _runs(weights.tolist(), budget):
+            first = bounds[start]
+            yield counts[first:bounds[stop]], [b - first for b in bounds[start:stop + 1]]
+
+
+def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
+    """Estimate coverage by simulation, for either scenario kind."""
+    plan = _plan(bundle, config)
+    sc = bundle.scenario
+    cellular = sc.kind == CELLULAR
+    rho = plan.radius / plan.anchor  # the disc radius in anchors
     r_sq = rho * rho
     alpha_half = sc.alpha / 2.0
     fast_alpha4 = sc.alpha == 4.0
     tau = sc.threshold
     # the far mean joins at the comparison: the segment reduction below
     # assigns into the interference array rather than adding to it
-    floor = noise + far_mean
+    floor = plan.noise + plan.far_mean
     theta = bundle.signal.scale
     m_ant = bundle.signal.shape
 
@@ -231,34 +363,47 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     )
     sizes = np.full(_BATCHES, config.trials // _BATCHES)
     sizes[: config.trials % _BATCHES] += 1
-    covered = np.empty(_BATCHES, dtype=np.int64)
-    for b, n_batch in enumerate(sizes.tolist()):
-        counts = count_rng.poisson(mean_points, n_batch)
+    covered = []
+    for counts, trial_bounds in _blocks(count_rng, plan.mean_points, sizes.tolist(), cellular):
+        n_block = counts.size
+        others = counts - 1 if cellular else counts
+        ends = np.cumsum(others)
+        # a block within one chunk draws its points here, batch by batch;
+        # a larger one is a single batch and draws them chunk by chunk below
+        points = None
+        if ends[-1] <= _POINTS_PER_CHUNK:
+            points = np.empty(int(ends[-1]), dtype=np.float32)
         if cellular:
-            empty = np.flatnonzero(counts == 0)
-            while empty.size:
-                counts[empty] = count_rng.poisson(mean_points, empty.size)
-                empty = empty[counts[empty] == 0]
+            v = np.empty(n_block)
+            point_bounds = [0, *ends[np.array(trial_bounds[1:]) - 1].tolist()]
+            for b in range(len(trial_bounds) - 1):
+                position_rng.random(out=v[trial_bounds[b]:trial_bounds[b + 1]])
+                if points is not None:
+                    position_rng.random(dtype=np.float32,
+                                        out=points[point_bounds[b]:point_bounds[b + 1]])
             # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
             # the other N - 1 are then uniform on (u_min, 1]
-            log_q = np.log1p(-position_rng.random(n_batch)) / counts
+            log_q = np.log1p(-v) / counts
             q = np.exp(log_q).astype(np.float32)  # 1 - u_min
             t_serv = -np.expm1(log_q) * r_sq
             serve_alpha = t_serv * t_serv if fast_alpha4 else t_serv**alpha_half
-            others = counts - 1
         else:
+            if points is not None:
+                position_rng.random(dtype=np.float32, out=points)
             serve_alpha = 1.0  # the serving distance is the anchor
-            others = counts
-        gain = signal_rng.gamma(m_ant, theta, n_batch)
+        gain = signal_rng.gamma(m_ant, theta, n_block)
 
-        interference = np.zeros(n_batch, dtype=np.float64)
-        ends = np.cumsum(others)
+        interference = np.zeros(n_block, dtype=np.float64)
         lo = 0
-        while lo < n_batch:
+        while lo < n_block:
             first = int(ends[lo - 1]) if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, first + _POINTS_PER_CHUNK, side="right")))
             seg = others[lo:hi]
-            u = position_rng.random(int(ends[hi - 1]) - first, dtype=np.float32)
+            last = int(ends[hi - 1])
+            if points is None:
+                u = position_rng.random(last - first, dtype=np.float32)
+            else:
+                u = points[first:last]
             if u.size:
                 if cellular:
                     u *= np.repeat(q[lo:hi], seg)
@@ -273,8 +418,10 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 interference[lo:hi][nz] = np.add.reduceat(w, _segment_starts(seg[nz]))
             lo = hi
 
-        covered[b] = np.count_nonzero(gain > tau * serve_alpha * (floor + interference))
+        hit = gain > tau * serve_alpha * (floor + interference)
+        covered.append(np.add.reduceat(hit, trial_bounds[:-1], dtype=np.int64))
 
+    covered = np.concatenate(covered)
     batch_means = covered / sizes
     halfwidth = 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(_BATCHES)
     return CoverageEstimate(

@@ -322,6 +322,24 @@ class TestSweepCommand:
         assert "lambda must be positive" in err
         assert calls == []
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--axis", "lambda", "--start", "1", "--stop", "100"], "one realization needs"),
+        (["--axis", "r0", "--start", "1", "--stop", "2", "--seed", str(2**64 - 1)], "seed"),
+    ], ids=["window", "seed"])
+    def test_simulation_plans_are_checked_before_any_trial(self, capsys, monkeypatch,
+                                                           grid, message):
+        # at lambda = 100 the automatic disc needs 1.1e7 points per trial,
+        # and the second row's seed is 2^64; row 1 alone is fine either way
+        calls = []
+        monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, ["sweep", "--kind", "adhoc", "--alpha", "2.1",
+                                          "--r0", "1", *grid, "--points", "2",
+                                          "--method", "mc", "--trials", "100"])
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert calls == []
+
     def test_threshold_sweep_is_monotone(self, capsys):
         code, out, _ = run_cli(capsys, ["sweep", "--kind", "cellular",
                                         "--alpha", "4", "--axis", "tau_db",
@@ -413,6 +431,20 @@ class TestValidateCommand:
         assert code == 2
         assert out == ""
         assert "exceeds the supported maximum" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("run, message", [(["--window", "5"], "enlarge window_radius"),
+                                              (["--seed", str(2**64 - 3)], "seed")],
+                             ids=["window", "seed"])
+    def test_simulation_plans_are_checked_before_any_trial(self, capsys, monkeypatch,
+                                                           run, message):
+        calls = []
+        monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, ["validate", "--kind", "cellular", "--alpha", "4",
+                                          "--m-list", "1,2", "--tau-db-list", "0,5", *run])
+        assert code == 2
+        assert out == ""
+        assert message in err
         assert calls == []
 
     @pytest.mark.parametrize("grid", [["--m-list", "1,2,600", "--tau-db-list", "0"],

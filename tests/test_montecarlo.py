@@ -10,8 +10,10 @@ from mimocov.montecarlo import (
     _BATCHES,
     _POINTS_PER_CHUNK,
     SimConfig,
+    _anchor,
     _far_field_mean,
     _interferer_draw,
+    _plan,
     auto_window,
     simulate,
 )
@@ -74,9 +76,12 @@ class TestAutoWindow:
         assert w == pytest.approx(1485.4550269619974, rel=1e-12)
 
     def test_adhoc_window_is_count_limited(self, adhoc_bundle):
-        # a short dipole link at high density only needs enough points
+        # a short dipole link at high density: the 200-point floor would give
+        # sqrt(200 / pi), but the bias bound proves 1.5 link lengths enough
         w = auto_window(adhoc_bundle(r0=0.01, lam=1.0))
-        assert w == pytest.approx(math.sqrt(200.0 / math.pi), rel=1e-12)
+        rho = (0.5 * math.pi * 1.0 * 0.01**2 * 2.0 / (3.0 * 1e-5)) ** (1.0 / 6.0)
+        assert w == pytest.approx(0.01 * rho, rel=1e-12)
+        assert w < math.sqrt(200.0 / math.pi)
 
     def test_adhoc_window_scales_with_link_distance(self, adhoc_bundle):
         w = auto_window(adhoc_bundle(r0=10.0, lam=0.05))
@@ -93,6 +98,57 @@ class TestAutoWindow:
         assert auto_window(cellular_bundle(alpha=3.0)) > auto_window(
             cellular_bundle(alpha=4.0)
         )
+
+
+def _variance_radius(bundle):
+    """The far-field variance rule alone: 1e-5 of the link's, at least 200 points."""
+    sc = bundle.scenario
+    return max(_anchor(bundle) * 1e5 ** (1.0 / (2.0 * sc.alpha - 2.0)),
+               math.sqrt(200.0 / (math.pi * sc.lam)))
+
+
+class TestBiasBound:
+    # 1/2 E[s^2] Var I_far = 1e-5 solved by hand for rho = R / anchor, with
+    # s = tau (r / anchor)^alpha / theta and E[g^2] = kappa (kappa + 1) beta^2
+    def test_adhoc_radius_by_hand(self, adhoc_bundle):
+        bundle = adhoc_bundle(m=3, tau=10.0, alpha=3.5, lam=0.05, r0=2.0, theta=2.0,
+                              kappa=2.0, beta=0.5)
+        var = math.pi * 0.05 * 2.0**2 * 2.0 * 3.0 * 0.5**2 / 2.5
+        rho = (0.5 * (10.0 / 2.0) ** 2 * var / 1e-5) ** (1.0 / 5.0)
+        assert auto_window(bundle) == pytest.approx(2.0 * rho, rel=1e-12)
+        assert 2.0 * rho < _variance_radius(bundle)
+
+    def test_cellular_radius_by_hand(self, cellular_bundle):
+        # (r / anchor)^2 is a unit exponential over ln 2, and lam anchor^2 = ln 2 / pi
+        bundle = cellular_bundle(m=2, tau=2.0, alpha=4.0, theta=1.5, kappa=3.0, beta=0.8)
+        anchor = math.sqrt(math.log(2.0) / (math.pi * 1e-3))
+        distance = math.gamma(5.0) / math.log(2.0) ** 4
+        var = math.log(2.0) * 3.0 * 4.0 * 0.8**2 / 3.0
+        rho = (0.5 * (2.0 / 1.5) ** 2 * distance * var / 1e-5) ** (1.0 / 6.0)
+        assert auto_window(bundle) == pytest.approx(anchor * rho, rel=1e-12)
+        assert anchor * rho < _variance_radius(bundle)
+
+    def test_cellular_disc_holds_a_point_but_in_1e5(self, cellular_bundle):
+        # at -40 dB the bias bound asks for less than the serving point needs
+        bundle = cellular_bundle(tau=1e-4)
+        radius = auto_window(bundle)
+        assert 1e-3 * math.pi * radius**2 == pytest.approx(math.log(1e5), rel=1e-12)
+
+    def test_never_wider_than_the_variance_rule(self, request):
+        for kind in ("cellular", "adhoc"):
+            make = request.getfixturevalue(f"{kind}_bundle")
+            for alpha in (2.05, 2.5, 3.0, 4.0, 6.0):
+                for tau in (1e-4, 1e-2, 1.0, 10.0, 1e3, 1e8):
+                    for lam in (1e-6, 0.05, 10.0):
+                        for kappa in (0.2, 1.0, 5.0):
+                            bundle = make(tau=tau, alpha=alpha, lam=lam, kappa=kappa)
+                            assert auto_window(bundle) <= _variance_radius(bundle)
+
+    def test_overflowing_bound_keeps_the_variance_rule(self, adhoc_bundle):
+        # (tau / theta)^2 = 1e640 is worked in logarithms; the radius itself
+        # overflows, so the variance rule is what is left
+        bundle = adhoc_bundle(tau=1e300, alpha=2.01, theta=1e-20)
+        assert auto_window(bundle) == _variance_radius(bundle)
 
 
 class TestDeterminism:
@@ -139,6 +195,54 @@ class TestStreams:
         assert chunked.ci_halfwidth == reference.ci_halfwidth
         assert len(draws) > 2 * _BATCHES
         assert max(draws) <= 20_000
+
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    def test_blocks_cannot_change_the_estimate(self, request, monkeypatch, kind):
+        # the automatic disc holds about 90 (cellular) or 4 (ad hoc) points
+        # per trial, so by default several batches share a block
+        bundle = request.getfixturevalue(f"{kind}_bundle")(m=2)
+        config = SimConfig(trials=20_000, seed=7)
+        reference = simulate(bundle, config)
+        draws = []
+
+        def counted(bundle, rng, size):
+            draws.append(size)
+            return _interferer_draw(bundle, rng, size)
+
+        monkeypatch.setattr(montecarlo, "_interferer_draw", counted)
+        for budget, blocks in ((1, _BATCHES), (10**9, 1)):
+            draws.clear()
+            monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
+            est = simulate(bundle, config)
+            assert (est.value, est.ci_halfwidth) == (reference.value, reference.ci_halfwidth)
+            assert len(draws) == blocks
+
+    def test_redrawn_cellular_trials_keep_their_place(self, cellular_bundle, monkeypatch):
+        # a disc holding 1.01 ln(100) points on average leaves about 1% of
+        # the trials empty, some 190 redraws here; every block size gives
+        # the pinned estimate
+        radius = math.sqrt(1.01 * math.log(100.0) / (math.pi * 1e-3))
+        config = SimConfig(trials=20_000, seed=6, window_radius=radius)
+        for budget in (1, montecarlo._BLOCK_POINTS, 10**9):
+            monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
+            est = simulate(cellular_bundle(m=2), config)
+            assert (est.value, est.ci_halfwidth) == (0.8584, 0.005029702386922125)
+
+
+class TestPlan:
+    def test_automatic_window(self, cellular_bundle):
+        bundle = cellular_bundle(alpha=3.5, m=2, noise=0.01, kappa=2.0)
+        plan = _plan(bundle, SimConfig(trials=1000, seed=0))
+        anchor = math.sqrt(math.log(2.0) / (math.pi * 1e-3))
+        assert plan.anchor == anchor
+        assert plan.radius == auto_window(bundle)
+        assert plan.far_mean == _far_field_mean(bundle, plan.radius, anchor)
+        assert plan.noise == 0.01 * anchor**3.5
+        assert plan.mean_points == 1e-3 * math.pi * plan.radius**2
+
+    def test_explicit_window_adds_nothing_for_the_far_field(self, adhoc_bundle):
+        plan = _plan(adhoc_bundle(), SimConfig(trials=1000, seed=0, window_radius=20.0))
+        assert (plan.radius, plan.far_mean, plan.noise) == (20.0, 0.0, 0.0)
 
 
 class TestFarField:
@@ -248,6 +352,18 @@ class TestAutomaticWindowAgreement:
         bundle = request.getfixturevalue(f"{kind}_bundle")(alpha=alpha, m=m)
         exact = coverage(bundle).value
         est = simulate(bundle, SimConfig(trials=100_000, seed=m))
+        z = (est.value - exact) / (est.ci_halfwidth / 1.96)
+        assert abs(z) <= 3.0
+
+
+    def test_high_threshold_needs_more_than_the_variance_rule(self, adhoc_bundle):
+        # at 27.7 dB the bias bound asks for 192 points per trial; the
+        # variance rule without its 200-point floor gives 7.3 and reads
+        # 10-13% low here
+        bundle = adhoc_bundle(tau=10.0**2.77)
+        exact = coverage(bundle).value
+        assert 0.05 * math.pi * auto_window(bundle) ** 2 == pytest.approx(191.6, abs=0.1)
+        est = simulate(bundle, SimConfig(trials=200_000, seed=11))
         z = (est.value - exact) / (est.ci_halfwidth / 1.96)
         assert abs(z) <= 3.0
 
