@@ -212,6 +212,12 @@ _W_GRID = [j / 16.0 for j in range(1, 16)] + [1.0 - 2.0**-i for i in range(5, 12
 # connection formula at 1 - w; its rounding error grows like 1e-16 / (1 - kappa).
 _CONNECTION_KAPPA_MAX = 1.0 - 1e-3
 
+_NO_GAMMA_ROOT = (
+    "no decay rate in the admissible range: the ratio-limit equation "
+    "stays positive (this happens for kappa below 1 - delta, and for "
+    "roots within 5e-4 of the singular endpoint)"
+)
+
 
 def _rc_gamma(bundle: ScenarioBundle) -> float:
     # The generating function of the improvements has its first singularity
@@ -229,10 +235,16 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     #   2F1 = G(1-d) G(1-k) / G(1-d-k) w^d
     #         + d / (1-k) (1-w)^(1-k) 2F1(1-d-k, 1; 2-k; 1-w),
     # whose series needs at most about 55 terms on w > 1/2.
+    #
+    # For a = 1 - d - k >= 0 the equation decreases strictly on (0, 1) to
+    # its value at w = 1, Gauss's sum G(1-d) G(1-k) / G(a) >= 0 (0 at
+    # a = 0), so it has no root there and no series need be summed.
+    a = 1.0 - delta - kappa
+    if a >= 0.0:
+        raise RootNotFoundError(_NO_GAMMA_ROOT)
     connected = kappa < _CONNECTION_KAPPA_MAX
     if connected:
-        a = 1.0 - delta - kappa
-        head = 0.0 if a == 0.0 else math.gamma(1.0 - delta) * math.gamma(1.0 - kappa) / math.gamma(a)
+        head = math.gamma(1.0 - delta) * math.gamma(1.0 - kappa) / math.gamma(a)
 
     def lhs(w: float) -> float:
         if connected and w > 0.5:
@@ -250,11 +262,7 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
             break
         lo, f_lo = w, val
     if hi is None:
-        raise RootNotFoundError(
-            "no decay rate in the admissible range: the ratio-limit equation "
-            "stays positive (this happens for kappa below 1 - delta, and for "
-            "roots within 5e-4 of the singular endpoint)"
-        )
+        raise RootNotFoundError(_NO_GAMMA_ROOT)
     lo, _, hi, _ = _false_position(lhs, lo, f_lo, hi, f_hi)
     return 1.0 + 0.5 * (lo + hi) * scale
 

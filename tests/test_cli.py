@@ -634,13 +634,15 @@ class TestColdStart:
 
     def test_adhoc_work_and_simulation_leave_special_functions_unloaded(self):
         # only general interferer laws (and Gamma shapes beyond about 1e4)
-        # need scipy.special, on first use
+        # need scipy.special, on first use; nor do kappa = 2 interferer gains
         out, _ = _python("-c", "import sys, mimocov as mc; "
                          "b = mc.validate(mc.NetworkScenario(kind=mc.ADHOC, lam=0.05, "
                          "alpha=4.0, threshold=1.0, r0=1.0), mc.SignalGainSpec(shape=4), "
                          "mc.InterfererGainSpec(kappa=1.0, beta=1.0)); "
                          "mc.coverage(b); mc.density_profile(b).coverage_at(0.1); "
                          "mc.simulate(b, mc.SimConfig(trials=200, seed=1)); "
+                         "k = mc.validate(b.scenario, b.signal, mc.InterfererGainSpec(kappa=2.0, beta=1.0)); "
+                         "mc.simulate(k, mc.SimConfig(trials=200, seed=1)); "
                          "print('scipy.special' in sys.modules)")
         assert out.strip() == "False"
 

@@ -273,12 +273,13 @@ class TestDecayRateGamma:
     @pytest.mark.parametrize(
         "kappa, alpha",
         [(0.54, 4.0), (0.55, 4.3), (0.7, 6.0), (0.8, 8.0), (0.5001, 4.0), (0.3, 4.0),
-         (1.0, 6.0), (2.5, 3.0)],
+         (0.5, 4.0), (1.0, 6.0), (2.5, 3.0)],
     )
     def test_bounded_work_wherever_the_root_lies(self, cellular_bundle, monkeypatch,
                                                  kappa, alpha):
         # below kappa = 1 every series is summed at z <= 1/2, so it stops
-        # within about 55 terms, and the root takes few evaluations
+        # within about 55 terms, and the root takes few evaluations; at
+        # kappa <= 1 - delta there is no root to scan for
         seen = []
         real = specfun.hyp2f1
 
@@ -292,8 +293,10 @@ class TestDecayRateGamma:
         except RootNotFoundError:
             pass
         assert len(seen) <= 32
-        if kappa < 1.0:
-            assert max(seen) <= 0.5
+        if kappa <= 1.0 - 2.0 / alpha:
+            assert seen == []
+        elif kappa < 1.0:
+            assert 0 < len(seen) and max(seen) <= 0.5
 
     @pytest.mark.parametrize("kappa", [0.5, 0.5001])
     def test_no_root_at_or_just_past_the_boundary(self, cellular_bundle, kappa):

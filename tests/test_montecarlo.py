@@ -20,7 +20,7 @@ from mimocov.montecarlo import (
 
 EXP_SAMPLER_LAW = InterfererGainSpec(
     pdf=lambda g: math.exp(-g) if g >= 0.0 else 0.0,
-    sampler=lambda rng, size: rng.standard_exponential(size, dtype=np.float32),
+    sampler=lambda rng, size: -np.log(np.float32(1.0) - rng.random(size, dtype=np.float32)),
 )
 
 
@@ -168,20 +168,26 @@ class TestDeterminism:
 
 
 class TestStreams:
+    # kappa = 1 draws one uniform per interferer, kappa = 2 two, point-major
+    KINDS_AND_SHAPES = [
+        pytest.param(kind, kappa, id=kind if kappa == 1.0 else f"{kind}-kappa2")
+        for kind in ("cellular", "adhoc") for kappa in (1.0, 2.0)
+    ]
+
     # each batch of 200 trials holds 5e4 (cellular) or 3e5 (ad hoc) points
     SCENARIOS = {
         "cellular": (dict(), SimConfig(trials=20_000, seed=7, window_radius=300.0)),
         "adhoc": (dict(m=2), SimConfig(trials=20_000, seed=7, window_radius=100.0)),
     }
 
-    def _simulate(self, request, kind):
+    def _simulate(self, request, kind, kappa):
         params, config = self.SCENARIOS[kind]
-        bundle = request.getfixturevalue(f"{kind}_bundle")(**params)
+        bundle = request.getfixturevalue(f"{kind}_bundle")(kappa=kappa, **params)
         return simulate(bundle, config)
 
-    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
-    def test_chunking_cannot_change_the_estimate(self, request, monkeypatch, kind):
-        reference = self._simulate(request, kind)
+    @pytest.mark.parametrize("kind, kappa", KINDS_AND_SHAPES)
+    def test_chunking_cannot_change_the_estimate(self, request, monkeypatch, kind, kappa):
+        reference = self._simulate(request, kind, kappa)
         draws = []
 
         def counted(bundle, rng, size):
@@ -190,17 +196,17 @@ class TestStreams:
 
         monkeypatch.setattr(montecarlo, "_POINTS_PER_CHUNK", 20_000)
         monkeypatch.setattr(montecarlo, "_interferer_draw", counted)
-        chunked = self._simulate(request, kind)
+        chunked = self._simulate(request, kind, kappa)
         assert chunked.value == reference.value
         assert chunked.ci_halfwidth == reference.ci_halfwidth
         assert len(draws) > 2 * _BATCHES
         assert max(draws) <= 20_000
 
-    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
-    def test_blocks_cannot_change_the_estimate(self, request, monkeypatch, kind):
+    @pytest.mark.parametrize("kind, kappa", KINDS_AND_SHAPES)
+    def test_blocks_cannot_change_the_estimate(self, request, monkeypatch, kind, kappa):
         # the automatic disc holds about 90 (cellular) or 4 (ad hoc) points
-        # per trial, so by default several batches share a block
-        bundle = request.getfixturevalue(f"{kind}_bundle")(m=2)
+        # per trial at kappa = 1, so by default several batches share a block
+        bundle = request.getfixturevalue(f"{kind}_bundle")(m=2, kappa=kappa)
         config = SimConfig(trials=20_000, seed=7)
         reference = simulate(bundle, config)
         draws = []
@@ -226,7 +232,7 @@ class TestStreams:
         for budget in (1, montecarlo._BLOCK_POINTS, 10**9):
             monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
             est = simulate(cellular_bundle(m=2), config)
-            assert (est.value, est.ci_halfwidth) == (0.8584, 0.005029702386922125)
+            assert (est.value, est.ci_halfwidth) == (0.86165, 0.0050145872505052026)
 
 
 class TestPlan:
@@ -270,10 +276,10 @@ class TestFarField:
         # pinned estimates of plain truncation, which both rules keep bit for bit
         est = simulate(cellular_bundle(alpha=3.0, m=2),
                        SimConfig(trials=2000, seed=5, window_radius=300.0))
-        assert (est.value, est.ci_halfwidth) == (0.5945, 0.021529156082302936)
+        assert (est.value, est.ci_halfwidth) == (0.606, 0.02132019064860653)
         est = simulate(adhoc_bundle(m=2, interferer=EXP_SAMPLER_LAW),
                        SimConfig(trials=2000, seed=9))
-        assert (est.value, est.ci_halfwidth) == (0.8805, 0.012528074170607481)
+        assert (est.value, est.ci_halfwidth) == (0.885, 0.012651745597610894)
 
 
 class TestAgreementWithAnalytic:
@@ -355,6 +361,15 @@ class TestAutomaticWindowAgreement:
         z = (est.value - exact) / (est.ci_halfwidth / 1.96)
         assert abs(z) <= 3.0
 
+    @pytest.mark.parametrize("kappa", [2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    def test_integer_shape_gains(self, request, kind, kappa):
+        # Nakagami interferers, drawn as -log of a product of kappa uniforms
+        bundle = request.getfixturevalue(f"{kind}_bundle")(m=2, kappa=kappa)
+        exact = coverage(bundle).value
+        est = simulate(bundle, SimConfig(trials=200_000, seed=11))
+        z = (est.value - exact) / (est.ci_halfwidth / 1.96)
+        assert abs(z) <= 3.0
 
     def test_high_threshold_needs_more_than_the_variance_rule(self, adhoc_bundle):
         # at 27.7 dB the bias bound asks for 192 points per trial; the
@@ -368,7 +383,56 @@ class TestAutomaticWindowAgreement:
         assert abs(z) <= 3.0
 
 
+class _RecordingRng:
+    """A generator that records the names of the methods called on it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.SFC64(seed))
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._rng, name)
+
+
 class TestInterfererDraw:
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0, 4.0])
+    def test_integer_shapes_follow_the_gamma_law(self, cellular_bundle, kappa):
+        # -log of a product of kappa uniforms, times beta, is Gamma(kappa, beta)
+        from scipy import stats
+
+        beta, n = 0.8, 2**20
+        rng = np.random.Generator(np.random.SFC64(int(kappa)))
+        draw = _interferer_draw(cellular_bundle(kappa=kappa, beta=beta), rng, n)
+        assert draw.dtype == np.float32 and draw.shape == (n,)
+        assert np.isfinite(draw).all()
+        # a draw is 0 only when all its kappa uniforms are, 2^(-24 kappa) of the time
+        assert draw.min() >= 0.0 and np.count_nonzero(draw == 0.0) <= 1
+        assert draw.max() <= 24.0 * kappa * math.log(2.0) * beta * (1.0 + 1e-6)
+        assert draw.mean() == pytest.approx(kappa * beta, rel=0.005)
+        assert draw.var() == pytest.approx(kappa * beta**2, rel=0.02)
+        ks = stats.kstest(draw.astype(np.float64), stats.gamma(kappa, scale=beta).cdf)
+        # the 0.1% critical value of the Kolmogorov distance, sqrt(ln(2000) / 2 n)
+        assert ks.statistic < math.sqrt(math.log(2000.0) / (2.0 * n))
+
+    @pytest.mark.parametrize("kappa", [2.5, 5.0])
+    def test_other_shapes_use_the_gamma_sampler(self, cellular_bundle, kappa):
+        rng = _RecordingRng(3)
+        draw = _interferer_draw(cellular_bundle(kappa=kappa), rng, 1000)
+        assert rng.calls == ["standard_gamma"]
+        assert draw.dtype == np.float32
+
+    def test_integer_shapes_draw_uniforms_point_major(self, cellular_bundle):
+        # point i takes uniforms 3i .. 3i + 2, so one call and two give the same draws
+        bundle = cellular_bundle(kappa=3.0)
+        whole = _interferer_draw(bundle, np.random.Generator(np.random.SFC64(4)), 1001)
+        rng = np.random.Generator(np.random.SFC64(4))
+        parts = [_interferer_draw(bundle, rng, size) for size in (333, 668)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        u = np.random.Generator(np.random.SFC64(4)).random(3 * 1001, dtype=np.float32)
+        prod = (1 - u[0::3]) * (1 - u[1::3]) * (1 - u[2::3])
+        np.testing.assert_array_equal(whole, -np.log(prod))
+
     def test_gamma_law_moments(self, cellular_bundle):
         bundle = cellular_bundle(kappa=2.5, beta=0.8)
         rng = np.random.Generator(np.random.Philox(key=7))
