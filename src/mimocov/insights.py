@@ -12,6 +12,7 @@ the reference the series coefficients must match.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,11 +213,62 @@ _W_GRID = [j / 16.0 for j in range(1, 16)] + [1.0 - 2.0**-i for i in range(5, 12
 # connection formula at 1 - w; its rounding error grows like 1e-16 / (1 - kappa).
 _CONNECTION_KAPPA_MAX = 1.0 - 1e-3
 
+# The defining series of the root equation leaves out less than this share of
+# the sum of its terms' magnitudes; longer series than _MAX_TERMS are refused.
+_TAIL_RTOL = 1e-17
+_LOG_TAIL_RTOL = math.log(_TAIL_RTOL)
+_MAX_TERMS = 1 << 18
+_MAX_STEPS = 200  # evaluations _false_position may spend on one bracket
+_LOG_HUGE = math.log(sys.float_info.max)
+
 _NO_GAMMA_ROOT = (
     "no decay rate in the admissible range: the ratio-limit equation "
     "stays positive (this happens for kappa below 1 - delta, and for "
     "roots within 5e-4 of the singular endpoint)"
 )
+
+
+def _defining_terms(w: float, kappa: float) -> int:
+    """Number n of terms t_0 .. t_{n-1} of 2F1(kappa, -delta; 1-delta; w) that
+    leaves out less than _TAIL_RTOL of sum_k |t_k|, for 0 < w < 1.
+
+    For k >= 1 the ratio t_{k+1}/t_k = w (kappa+k)/(k+1) (k-delta)/(k+1-delta)
+    is positive and below w (kappa+k)/(k+1), so for every k >= m >= 1 it is at
+    most rho = w max(1, (kappa+m)/(m+1)), and what follows t_{n-1} is at most
+    |t_m| rho^(n-m) / (1 - rho), a share rho^(n-m) / (1 - rho) of the sum at
+    most.  With e = w (kappa-1) and L = -ln _TAIL_RTOL,
+    rho = w + e/(m+1); m + 1 = (e + sqrt(L e)) / (1 - w) roughly minimizes n,
+    at about (sqrt(e) + sqrt(L))^2 / (1 - w).
+    """
+    excess = w * max(kappa - 1.0, 0.0)
+    m = max(1, math.ceil((excess + math.sqrt(-_LOG_TAIL_RTOL * excess)) / (1.0 - w)) - 1)
+    rho = w * max(1.0, (kappa + m) / (m + 1.0))
+    return m + math.ceil((_LOG_TAIL_RTOL + math.log1p(-rho)) / math.log(rho))
+
+
+def _defining_ratios(kappa: float, delta: float, size: int) -> np.ndarray:
+    """r_k = (kappa+k)/(k+1) (k-delta)/(k+1-delta), k < ``size``: the term
+    ratios of 2F1(kappa, -delta; 1-delta; w) without their factor w."""
+    k = np.arange(float(size))
+    return (kappa + k) / (k + 1.0) * ((k - delta) / (k + 1.0 - delta))
+
+
+def _defining_sum(ratios: np.ndarray, w: float) -> float:
+    """1 + sum_j prod_{i<j} w ratios[i] over j <= ratios.size: one running
+    product.  Every term past the first is negative (r_0 < 0 < r_k), so a
+    product that overflows makes the sum -inf; the caller ignores the
+    overflow and reads -inf as "past the root"."""
+    t = ratios * w
+    np.multiply.accumulate(t, out=t)
+    return float(1.0 + np.add.reduce(t))
+
+
+def _overflows(w: float, kappa: float, delta: float) -> bool:
+    """True when one term of 2F1(kappa, -delta; 1-delta; w) is provably past the
+    double range: |t_k| = delta/(k-delta) (kappa)_k w^k / k! >= delta/k (kappa w/k)^k,
+    at k about kappa w / e."""
+    k = max(1.0, kappa * w // math.e)
+    return math.log(delta / k) + k * math.log(kappa * w / k) > _LOG_HUGE
 
 
 def _rc_gamma(bundle: ScenarioBundle) -> float:
@@ -228,10 +280,12 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     delta = bundle.delta
     scale = bundle.signal.scale / (sc.threshold * bundle.interferer.beta)
 
-    # The defining series of 2F1(kappa, -delta; 1 - delta; w) needs about
-    # 37 / (1 - w) terms, which near the endpoint of _W_GRID is 75 000 per
-    # call.  For kappa < 1, the connection formula at 1 - w (DLMF 15.8.4,
-    # A&S 15.3.6) gives
+    # The defining series of 2F1(kappa, -delta; 1 - delta; w) is summed in
+    # NumPy: its term ratios do not depend on w, so they are formed once per
+    # root, and each evaluation is one running product over as many as
+    # _defining_terms asks for, about 96 000 at kappa = 1 and the last point
+    # of _W_GRID.  For kappa < 1, the connection formula at 1 - w (DLMF
+    # 15.8.4, A&S 15.3.6) gives
     #   2F1 = G(1-d) G(1-k) / G(1-d-k) w^d
     #         + d / (1-k) (1-w)^(1-k) 2F1(1-d-k, 1; 2-k; 1-w),
     # whose series needs at most about 55 terms on w > 1/2.
@@ -245,25 +299,38 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     connected = kappa < _CONNECTION_KAPPA_MAX
     if connected:
         head = math.gamma(1.0 - delta) * math.gamma(1.0 - kappa) / math.gamma(a)
+    ratios = np.empty(0)
 
     def lhs(w: float) -> float:
+        nonlocal ratios
         if connected and w > 0.5:
             v = 1.0 - w
             tail = specfun.hyp2f1(a, 1.0, 2.0 - kappa, v)
             return head * w**delta + delta / (1.0 - kappa) * v ** (1.0 - kappa) * tail
-        return specfun.hyp2f1(kappa, -delta, 1.0 - delta, w)
+        if _overflows(w, kappa, delta):
+            return -math.inf
+        n = _defining_terms(w, kappa)
+        if n > _MAX_TERMS:
+            raise NumericalError(
+                f"the decay-rate equation at w = {w!r} needs {n} series terms, "
+                f"more than {_MAX_TERMS}"
+            )
+        if ratios.size < n - 1:
+            ratios = _defining_ratios(kappa, delta, max(n - 1, 2 * ratios.size))
+        return _defining_sum(ratios[:n - 1], w)
 
     lo, f_lo = 0.0, 1.0
     hi = None
-    for w in _W_GRID:
-        val = lhs(w)
-        if val <= 0.0:
-            hi, f_hi = w, val
-            break
-        lo, f_lo = w, val
-    if hi is None:
-        raise RootNotFoundError(_NO_GAMMA_ROOT)
-    lo, _, hi, _ = _false_position(lhs, lo, f_lo, hi, f_hi)
+    with np.errstate(over="ignore", under="ignore"):
+        for w in _W_GRID:
+            val = lhs(w)
+            if val <= 0.0:
+                hi, f_hi = w, val
+                break
+            lo, f_lo = w, val
+        if hi is None:
+            raise RootNotFoundError(_NO_GAMMA_ROOT)
+        lo, _, hi, _ = _false_position(lhs, lo, f_lo, hi, f_hi)
     return 1.0 + 0.5 * (lo + hi) * scale
 
 
@@ -277,17 +344,29 @@ def _false_position(lhs, lo: float, f_lo: float, hi: float, f_hi: float) -> tupl
     least a quarter of the final width inside the bracket, so that once
     one end sits on the root the next step closes the bracket.  An end
     where lhs is -inf (no longer defined) has no slope to follow, so the
-    step toward it bisects.
+    step toward it bisects, and so does the step after two clamped ones in
+    a row: an end value many orders beyond the other keeps every step on
+    the clamp.  A bracket still open after _MAX_STEPS raises
+    ``RootNotFoundError``.
     """
     moved = 0  # -1 after lo moved, +1 after hi moved
-    for _ in range(200):
-        if hi - lo <= 1e-15 * hi:
-            break
-        if f_hi == -math.inf:
+    clamped = 0  # false-position steps in a row that landed on the clamp
+    steps = 0
+    while hi - lo > 1e-15 * hi:
+        if steps == _MAX_STEPS:
+            raise RootNotFoundError(
+                f"the decay-rate root did not converge: after {_MAX_STEPS} steps its "
+                f"bracket [{lo!r}, {hi!r}] is still wider than 1e-15 of its end"
+            )
+        steps += 1
+        if f_hi == -math.inf or clamped == 2:
             w = 0.5 * (lo + hi)
+            clamped = 0
         else:
             step = 2.5e-16 * hi
-            w = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + step), hi - step)
+            guess = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            w = min(max(guess, lo + step), hi - step)
+            clamped = clamped + 1 if w != guess else 0
         val = lhs(w)
         if val > 0.0:
             lo, f_lo = w, val

@@ -1,8 +1,11 @@
-"""The Gauss hypergeometric series behind the cellular decay-rate root.
+"""The Gauss hypergeometric series in the tail of the decay-rate connection formula.
 
 ``hyp2f1`` is a pure function of plain Python numbers.  It sums the
-defining series of 2F1(a, b; c; z) on the arguments 0 <= z < 1 that
-decay-rate root finding produces.  The cellular interference entries do not
+defining series of 2F1(a, b; c; z) on 0 <= z < 1.  Its one library caller
+is the cellular decay-rate root for interferer shapes below 1, which
+evaluates 2F1(1-delta-kappa, 1; 2-kappa; 1-w) at 1 - w <= 1/2, about 55
+terms; the root equation itself, 2F1(kappa, -delta; 1-delta; w), is
+summed in NumPy by ``insights``.  The cellular interference entries do not
 call it at negative argument: ``analytic`` evaluates them through an
 incomplete-beta recurrence (Gamma laws) and incomplete gamma functions
 (general laws).  The series is summed with a relative term cutoff and a

@@ -15,7 +15,7 @@ from mimocov import (
     improvement_sequence,
     outage_decay_check,
 )
-from mimocov import specfun
+from mimocov import insights, specfun
 from mimocov.analytic import adhoc_entries
 from mimocov.errors import (
     NumericalError,
@@ -214,6 +214,11 @@ def _rc_reference(kappa, delta, tau, theta, beta):
     return 1.0 + w_star * theta / (tau * beta)
 
 
+def _mp_root_equation(mp, kappa, alpha):
+    delta = mp.mpf(2) / alpha
+    return lambda w: mp.hyp2f1(kappa, -delta, 1 - delta, w)
+
+
 class TestDecayRateGamma:
     def test_reference_value(self, cellular_bundle):
         # kappa = 1, alpha = 4, everything else at 1
@@ -273,21 +278,29 @@ class TestDecayRateGamma:
     @pytest.mark.parametrize(
         "kappa, alpha",
         [(0.54, 4.0), (0.55, 4.3), (0.7, 6.0), (0.8, 8.0), (0.5001, 4.0), (0.3, 4.0),
-         (0.5, 4.0), (1.0, 6.0), (2.5, 3.0)],
+         (0.5, 4.0), (1.0, 6.0), (2.5, 3.0), (1.0, 12.0), (1.0, 20.0)],
     )
     def test_bounded_work_wherever_the_root_lies(self, cellular_bundle, monkeypatch,
                                                  kappa, alpha):
         # below kappa = 1 every series is summed at z <= 1/2, so it stops
         # within about 55 terms, and the root takes few evaluations; at
-        # kappa <= 1 - delta there is no root to scan for
+        # kappa <= 1 - delta there is no root to scan for.  Every defining
+        # series sums no more terms than its tail bound asks for at its w.
         seen = []
-        real = specfun.hyp2f1
+        summed = []
+        real_hyp2f1, real_sum = specfun.hyp2f1, insights._defining_sum
 
-        def spy(a, b, c, z):
+        def spy_hyp2f1(a, b, c, z):
             seen.append(z)
-            return real(a, b, c, z)
+            return real_hyp2f1(a, b, c, z)
 
-        monkeypatch.setattr(specfun, "hyp2f1", spy)
+        def spy_sum(ratios, w):
+            seen.append(w)
+            summed.append((w, ratios.size + 1))
+            return real_sum(ratios, w)
+
+        monkeypatch.setattr(specfun, "hyp2f1", spy_hyp2f1)
+        monkeypatch.setattr(insights, "_defining_sum", spy_sum)
         try:
             cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=alpha))
         except RootNotFoundError:
@@ -297,6 +310,78 @@ class TestDecayRateGamma:
             assert seen == []
         elif kappa < 1.0:
             assert 0 < len(seen) and max(seen) <= 0.5
+        for w, terms in summed:
+            assert terms <= insights._defining_terms(w, kappa)
+
+    @pytest.mark.parametrize(
+        "kappa, alpha, w",
+        [(1.0, 4.0, 0.5), (1.0, 12.0, 1.0 - 2.0**-11), (0.9995, 20.0, 1.0 - 2.0**-11),
+         (0.3, 4.0, 0.5), (2.0, 3.0, 0.9), (3.7, 5.0, 0.99), (1.5, 2.05, 0.999),
+         (30.0, 4.0, 1.0 / 16.0), (1e4, 4.0, 1e-3), (1e6, 2.5, 1e-4)],
+    )
+    def test_defining_series_tail_bound(self, kappa, alpha, w):
+        # the terms left out past _defining_terms weigh less than _TAIL_RTOL
+        # of the sum of all magnitudes, and the count is within 1.6x of the
+        # fewest terms that achieve it
+        delta = 2.0 / alpha
+        n = insights._defining_terms(w, kappa)
+        ratios = insights._defining_ratios(kappa, delta, 8 * n)
+        mags = np.abs(np.multiply.accumulate(ratios * w))  # |t_1| .. |t_8n|
+        tails = np.cumsum(mags[::-1])[::-1]  # tails[j] = sum_{k > j} |t_k|
+        total = 1.0 + tails[0]
+        assert mags[-1] <= 1e-30 * tails[n - 1]
+        assert tails[n - 1] <= insights._TAIL_RTOL * total
+        fewest = 1 + int(np.argmax(tails <= insights._TAIL_RTOL * total))
+        assert n <= 1.6 * fewest
+
+    @pytest.mark.parametrize("kappa", [3e3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 12.0])
+    def test_large_shape_against_mpmath(self, cellular_bundle, kappa, alpha):
+        # w* shrinks like 1 / kappa while 2F1 at w = 1/16 overflows: the
+        # bracket [0, 1/16] must still close on the root
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            f = _mp_root_equation(mp, kappa, alpha)
+            w = mp.mpf(1) / kappa
+            while f(w) <= 0:
+                w /= 2
+            while f(2 * w) > 0:
+                w *= 2
+            expected = float(1 + mp.findroot(f, (w, 2 * w), solver="anderson"))
+        rate = cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=alpha))
+        assert rate == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("excess", [1e-6, 1e-4, 1e-3])
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 8.0])
+    def test_rate_returned_iff_root_within_the_limit(self, cellular_bundle, alpha, excess):
+        # kappa just above 1 - delta puts the root near w = 1; a rate comes
+        # back exactly when the root lies at or below the last grid point
+        # 1 - 2^-11, and each case keeps 1 - w* off 2^-11 by a factor of 2
+        mp = pytest.importorskip("mpmath")
+        kappa = 1.0 - 2.0 / alpha + excess
+        with mp.workdps(30):
+            f = _mp_root_equation(mp, kappa, alpha)
+            top = 1 - mp.mpf(10) ** -25
+            root = None if f(top) > 0 else mp.findroot(f, (mp.mpf(1) / 2, top), solver="anderson")
+        gap = math.inf if root is None else float(1 - root) / 2.0**-11
+        assert not 0.5 < gap < 2.0
+        bundle = cellular_bundle(kappa=kappa, alpha=alpha)
+        if gap < 1.0:
+            with pytest.raises(RootNotFoundError, match="stays positive"):
+                cellular_decay_rate(bundle)
+        else:
+            assert cellular_decay_rate(bundle) == pytest.approx(float(1 + root), rel=1e-12)
+
+    def test_unbounded_series_is_refused(self, cellular_bundle):
+        # at delta = 2e-300 the equation stays positive up to the last grid
+        # point, where kappa = 25 would need more than _MAX_TERMS terms
+        with pytest.raises(NumericalError, match="series terms"):
+            cellular_decay_rate(cellular_bundle(kappa=25.0, alpha=1e300))
+
+    def test_open_bracket_after_the_step_cap_is_refused(self):
+        # an end that is -inf everywhere bisects toward lo = 0 forever
+        with pytest.raises(RootNotFoundError, match="did not converge"):
+            insights._false_position(lambda w: -math.inf, 0.0, 1.0, 1.0, -math.inf)
 
     @pytest.mark.parametrize("kappa", [0.5, 0.5001])
     def test_no_root_at_or_just_past_the_boundary(self, cellular_bundle, kappa):
