@@ -19,7 +19,7 @@ import numpy as np
 
 from . import specfun
 from .errors import NumericalError, RootNotFoundError, UnsupportedConfigError, ValidationError
-from .model import ADHOC, CELLULAR, ScenarioBundle, _integral_on_half_line
+from .model import ADHOC, CELLULAR, ScenarioBundle, _integral_on_half_line, _positive_integer
 from .analytic import _check_order, _improvements, _refuse_cellular_noise, _rounded_estimate, adhoc_mu
 from .series import coeff_sum
 
@@ -169,6 +169,8 @@ class ImprovementSequence:
     values: np.ndarray
 
     def coverage_at(self, m: int) -> float:
+        if m != 0:  # 0 is an integer, outside the range like m > order
+            m = _positive_integer(m, "antenna count")
         if not (1 <= m <= self.values.size):
             raise ValidationError(f"antenna count {m} outside the computed range")
         return _rounded_estimate(coeff_sum(self.values[:m]), m).value
@@ -213,11 +215,6 @@ _W_GRID = [j / 16.0 for j in range(1, 16)] + [1.0 - 2.0**-i for i in range(5, 12
 # connection formula at 1 - w; its rounding error grows like 1e-16 / (1 - kappa).
 _CONNECTION_KAPPA_MAX = 1.0 - 1e-3
 
-# The defining series of the root equation leaves out less than this share of
-# the sum of its terms' magnitudes; longer series than _MAX_TERMS are refused.
-_TAIL_RTOL = 1e-17
-_LOG_TAIL_RTOL = math.log(_TAIL_RTOL)
-_MAX_TERMS = 1 << 18
 _MAX_STEPS = 200  # evaluations _false_position may spend on one bracket
 _LOG_HUGE = math.log(sys.float_info.max)
 
@@ -226,41 +223,6 @@ _NO_GAMMA_ROOT = (
     "stays positive (this happens for kappa below 1 - delta, and for "
     "roots within 5e-4 of the singular endpoint)"
 )
-
-
-def _defining_terms(w: float, kappa: float) -> int:
-    """Number n of terms t_0 .. t_{n-1} of 2F1(kappa, -delta; 1-delta; w) that
-    leaves out less than _TAIL_RTOL of sum_k |t_k|, for 0 < w < 1.
-
-    For k >= 1 the ratio t_{k+1}/t_k = w (kappa+k)/(k+1) (k-delta)/(k+1-delta)
-    is positive and below w (kappa+k)/(k+1), so for every k >= m >= 1 it is at
-    most rho = w max(1, (kappa+m)/(m+1)), and what follows t_{n-1} is at most
-    |t_m| rho^(n-m) / (1 - rho), a share rho^(n-m) / (1 - rho) of the sum at
-    most.  With e = w (kappa-1) and L = -ln _TAIL_RTOL,
-    rho = w + e/(m+1); m + 1 = (e + sqrt(L e)) / (1 - w) roughly minimizes n,
-    at about (sqrt(e) + sqrt(L))^2 / (1 - w).
-    """
-    excess = w * max(kappa - 1.0, 0.0)
-    m = max(1, math.ceil((excess + math.sqrt(-_LOG_TAIL_RTOL * excess)) / (1.0 - w)) - 1)
-    rho = w * max(1.0, (kappa + m) / (m + 1.0))
-    return m + math.ceil((_LOG_TAIL_RTOL + math.log1p(-rho)) / math.log(rho))
-
-
-def _defining_ratios(kappa: float, delta: float, size: int) -> np.ndarray:
-    """r_k = (kappa+k)/(k+1) (k-delta)/(k+1-delta), k < ``size``: the term
-    ratios of 2F1(kappa, -delta; 1-delta; w) without their factor w."""
-    k = np.arange(float(size))
-    return (kappa + k) / (k + 1.0) * ((k - delta) / (k + 1.0 - delta))
-
-
-def _defining_sum(ratios: np.ndarray, w: float) -> float:
-    """1 + sum_j prod_{i<j} w ratios[i] over j <= ratios.size: one running
-    product.  Every term past the first is negative (r_0 < 0 < r_k), so a
-    product that overflows makes the sum -inf; the caller ignores the
-    overflow and reads -inf as "past the root"."""
-    t = ratios * w
-    np.multiply.accumulate(t, out=t)
-    return float(1.0 + np.add.reduce(t))
 
 
 def _overflows(w: float, kappa: float, delta: float) -> bool:
@@ -273,22 +235,25 @@ def _overflows(w: float, kappa: float, delta: float) -> bool:
 
 def _rc_gamma(bundle: ScenarioBundle) -> float:
     # The generating function of the improvements has its first singularity
-    # at z = 1 + w* theta / (tau beta), where w* in (0, 1) is the root of a
-    # Gauss hypergeometric section; the improvement ratio converges there.
+    # at z = 1 + h*, h* = w* theta / (tau beta), where w* in (0, 1) is the
+    # root of a Gauss hypergeometric section; the improvement ratio
+    # converges there.  Returns h*.
     sc = bundle.scenario
     kappa = bundle.interferer.kappa
     delta = bundle.delta
     scale = bundle.signal.scale / (sc.threshold * bundle.interferer.beta)
 
-    # The defining series of 2F1(kappa, -delta; 1 - delta; w) is summed in
-    # NumPy: its term ratios do not depend on w, so they are formed once per
-    # root, and each evaluation is one running product over as many as
-    # _defining_terms asks for, about 96 000 at kappa = 1 and the last point
-    # of _W_GRID.  For kappa < 1, the connection formula at 1 - w (DLMF
-    # 15.8.4, A&S 15.3.6) gives
+    # Both series are summed by specfun.GaussSeries, whose term ratios do
+    # not depend on w: they are formed once per root, and each evaluation is
+    # one running product over as many terms as its tail bound asks for,
+    # about 96 000 for 2F1(kappa, -delta; 1 - delta; w) at kappa = 1 and the
+    # last point of _W_GRID.  Every term of that series past the first is
+    # negative, so a product that overflows makes it -inf, which the search
+    # reads as "past the root".  For kappa < 1, w > 1/2 goes through the
+    # connection formula at 1 - w (DLMF 15.8.4, A&S 15.3.6),
     #   2F1 = G(1-d) G(1-k) / G(1-d-k) w^d
     #         + d / (1-k) (1-w)^(1-k) 2F1(1-d-k, 1; 2-k; 1-w),
-    # whose series needs at most about 55 terms on w > 1/2.
+    # whose series needs at most 59 terms at 1 - w < 1/2.
     #
     # For a = 1 - d - k >= 0 the equation decreases strictly on (0, 1) to
     # its value at w = 1, Gauss's sum G(1-d) G(1-k) / G(a) >= 0 (0 at
@@ -296,28 +261,19 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     a = 1.0 - delta - kappa
     if a >= 0.0:
         raise RootNotFoundError(_NO_GAMMA_ROOT)
+    defining = specfun.GaussSeries(kappa, -delta, 1.0 - delta)
     connected = kappa < _CONNECTION_KAPPA_MAX
     if connected:
         head = math.gamma(1.0 - delta) * math.gamma(1.0 - kappa) / math.gamma(a)
-    ratios = np.empty(0)
+        tail = specfun.GaussSeries(a, 1.0, 2.0 - kappa)
 
     def lhs(w: float) -> float:
-        nonlocal ratios
         if connected and w > 0.5:
             v = 1.0 - w
-            tail = specfun.hyp2f1(a, 1.0, 2.0 - kappa, v)
-            return head * w**delta + delta / (1.0 - kappa) * v ** (1.0 - kappa) * tail
+            return head * w**delta + delta / (1.0 - kappa) * v ** (1.0 - kappa) * tail(v)
         if _overflows(w, kappa, delta):
             return -math.inf
-        n = _defining_terms(w, kappa)
-        if n > _MAX_TERMS:
-            raise NumericalError(
-                f"the decay-rate equation at w = {w!r} needs {n} series terms, "
-                f"more than {_MAX_TERMS}"
-            )
-        if ratios.size < n - 1:
-            ratios = _defining_ratios(kappa, delta, max(n - 1, 2 * ratios.size))
-        return _defining_sum(ratios[:n - 1], w)
+        return defining(w)
 
     lo, f_lo = 0.0, 1.0
     hi = None
@@ -331,7 +287,7 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
         if hi is None:
             raise RootNotFoundError(_NO_GAMMA_ROOT)
         lo, _, hi, _ = _false_position(lhs, lo, f_lo, hi, f_hi)
-    return 1.0 + 0.5 * (lo + hi) * scale
+    return 0.5 * (lo + hi) * scale
 
 
 def _false_position(lhs, lo: float, f_lo: float, hi: float, f_hi: float) -> tuple:
@@ -416,7 +372,7 @@ def _tail_rules_out_geometric_decay(pdf) -> bool:
 
 def _rc_general(bundle: ScenarioBundle) -> float:
     # The root h* of E[1F1(-delta; 1-delta; h tau g / theta)] = 0 over the
-    # interferer gain g gives the rate 1 + h*.
+    # interferer gain g gives the rate 1 + h*.  Returns h*.
     from scipy import special as sp  # imported on first use: only general laws need it
 
     sc = bundle.scenario
@@ -478,21 +434,24 @@ def _rc_general(bundle: ScenarioBundle) -> float:
             f"to a rate of {1.0 + lo:.6g}, past which its expectation could not "
             "be evaluated"
         )
-    return 1.0 + 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
 
 def cellular_decay_rate(bundle: ScenarioBundle) -> float:
     """Limit of improvement ratios p_bar[n] / p_bar[n+1] for a cellular scenario.
 
     Equivalently, outage decays by this factor per added antenna, which
-    makes log outage asymptotically linear in the antenna count.
+    makes log outage asymptotically linear in the antenna count.  A rate
+    1 + h* that rounds to 1 in double precision (Gamma shapes from about
+    1e16 on) raises ``NumericalError``: 1 would read as no decay at all.
     """
     if bundle.scenario.kind != CELLULAR:
         raise ValidationError("the decay rate is defined for cellular scenarios")
     _refuse_cellular_noise(bundle)
-    if bundle.interferer.is_gamma:
-        return _rc_gamma(bundle)
-    return _rc_general(bundle)
+    h = _rc_gamma(bundle) if bundle.interferer.is_gamma else _rc_general(bundle)
+    if 1.0 + h == 1.0:
+        raise NumericalError(f"the decay rate 1 + {h!r} rounds to 1 in double precision")
+    return 1.0 + h
 
 
 # ---------------------------------------------------------------------------

@@ -665,7 +665,8 @@ class TestColdStart:
         ["coverage", "--m", "16", "--tau-db", "7"],
         ["sweep", "--m", "4", "--axis", "tau_db", "--start", "-10", "--stop", "20", "--points", "7"],
         ["insights", "--kappa", "2", "--rc", "--ratios", "24"],
-    ], ids=["coverage", "sweep", "insights"])
+        ["insights", "--kappa", "0.6", "--rc"],
+    ], ids=["coverage", "sweep", "insights", "insights-connection"])
     def test_cellular_commands_leave_special_functions_unloaded(self, command):
         out, err = _python("-X", "importtime", "-m", "mimocov", *command,
                            "--kind", "cellular", "--alpha", "4")

@@ -180,6 +180,14 @@ class TestImprovementSequence:
         with pytest.raises(ValidationError, match="outside"):
             seq.coverage_at(m)
 
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_coverage_at_integer_guard(self, cellular_bundle, m):
+        # 2.5 used to fail on slicing with a bare TypeError, and True to
+        # answer silently for M = 1
+        seq = improvement_sequence(cellular_bundle(), order=12)
+        with pytest.raises(ValidationError, match="positive integer"):
+            seq.coverage_at(m)
+
     @pytest.mark.parametrize("order", [0, 513, True, np.True_])
     def test_order_guard(self, cellular_bundle, order):
         with pytest.raises(ValidationError):
@@ -217,6 +225,32 @@ def _rc_reference(kappa, delta, tau, theta, beta):
 def _mp_root_equation(mp, kappa, alpha):
     delta = mp.mpf(2) / alpha
     return lambda w: mp.hyp2f1(kappa, -delta, 1 - delta, w)
+
+
+def _split_point_terms(w, kappa):
+    # the term count of 2F1(kappa, -delta; 1-delta; w) from its own split-point
+    # bound: for k >= m >= 1 every ratio is at most w max(1, (kappa+m)/(m+1));
+    # the general kernel must never ask for more
+    log_tol = math.log(1e-17)
+    excess = w * max(kappa - 1.0, 0.0)
+    m = max(1, math.ceil((excess + math.sqrt(-log_tol * excess)) / (1.0 - w)) - 1)
+    rho = w * max(1.0, (kappa + m) / (m + 1.0))
+    return m + math.ceil((log_tol + math.log1p(-rho)) / math.log(rho))
+
+
+def _assert_kernel_tail_bound(a, b, c, z):
+    # the terms of 2F1(a, b; c; z) left out past the kernel's count weigh
+    # less than 1e-17 of the sum of all magnitudes, and the count is within
+    # 1.6x of the fewest terms that achieve it
+    n = specfun.GaussSeries(a, b, c).terms(z)
+    k = np.arange(8.0 * n)
+    mags = np.abs(np.multiply.accumulate(z * (a + k) * (b + k) / ((c + k) * (k + 1.0))))
+    tails = np.cumsum(mags[::-1])[::-1]  # tails[j] = sum_{k > j} |t_k|
+    total = 1.0 + tails[0]
+    assert mags[-1] <= 1e-30 * tails[n - 1]
+    assert tails[n - 1] <= 1e-17 * total
+    fewest = 1 + int(np.argmax(tails <= 1e-17 * total))
+    assert n <= 1.6 * fewest
 
 
 class TestDecayRateGamma:
@@ -283,24 +317,20 @@ class TestDecayRateGamma:
     def test_bounded_work_wherever_the_root_lies(self, cellular_bundle, monkeypatch,
                                                  kappa, alpha):
         # below kappa = 1 every series is summed at z <= 1/2, so it stops
-        # within about 55 terms, and the root takes few evaluations; at
-        # kappa <= 1 - delta there is no root to scan for.  Every defining
-        # series sums no more terms than its tail bound asks for at its w.
+        # within 60 terms, and the root takes few evaluations; at
+        # kappa <= 1 - delta there is no root to scan for.  Every series of
+        # the root equation sums no more terms than its split-point bound
+        # asks for at its w.
         seen = []
         summed = []
-        real_hyp2f1, real_sum = specfun.hyp2f1, insights._defining_sum
+        real_call = specfun.GaussSeries.__call__
 
-        def spy_hyp2f1(a, b, c, z):
+        def spy(series, z):
             seen.append(z)
-            return real_hyp2f1(a, b, c, z)
+            summed.append((series.params[0], z, series.terms(z)))
+            return real_call(series, z)
 
-        def spy_sum(ratios, w):
-            seen.append(w)
-            summed.append((w, ratios.size + 1))
-            return real_sum(ratios, w)
-
-        monkeypatch.setattr(specfun, "hyp2f1", spy_hyp2f1)
-        monkeypatch.setattr(insights, "_defining_sum", spy_sum)
+        monkeypatch.setattr(specfun.GaussSeries, "__call__", spy)
         try:
             cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=alpha))
         except RootNotFoundError:
@@ -310,8 +340,25 @@ class TestDecayRateGamma:
             assert seen == []
         elif kappa < 1.0:
             assert 0 < len(seen) and max(seen) <= 0.5
-        for w, terms in summed:
-            assert terms <= insights._defining_terms(w, kappa)
+        for a, z, terms in summed:
+            if a == kappa:  # 2F1(kappa, -delta; 1-delta; w)
+                assert terms <= _split_point_terms(z, kappa)
+            else:  # the connection tail 2F1(1-delta-kappa, 1; 2-kappa; 1-w)
+                assert terms <= 60
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.54, 0.7, 0.999, 1.0, 1.5, 3.7, 30.0,
+                                       1e3, 1e4, 1e5, 1e6])
+    def test_kernel_counts_no_more_than_the_split_point_bound(self, kappa):
+        # every count the root equation can ask for, on _W_GRID and at the
+        # small w of large shapes; counts past the cap are refused either way
+        for delta in (0.05, 0.2, 0.5, 0.8, 0.95):
+            series = specfun.GaussSeries(kappa, -delta, 1.0 - delta)
+            for w in insights._W_GRID + [1e-3, 1e-4]:
+                bound = _split_point_terms(w, kappa)
+                if bound <= specfun._MAX_TERMS:
+                    assert series.terms(w) == bound
+                else:
+                    assert series.terms(w) > specfun._MAX_TERMS
 
     @pytest.mark.parametrize(
         "kappa, alpha, w",
@@ -320,19 +367,23 @@ class TestDecayRateGamma:
          (30.0, 4.0, 1.0 / 16.0), (1e4, 4.0, 1e-3), (1e6, 2.5, 1e-4)],
     )
     def test_defining_series_tail_bound(self, kappa, alpha, w):
-        # the terms left out past _defining_terms weigh less than _TAIL_RTOL
-        # of the sum of all magnitudes, and the count is within 1.6x of the
-        # fewest terms that achieve it
+        # the root equation 2F1(kappa, -delta; 1-delta; w)
         delta = 2.0 / alpha
-        n = insights._defining_terms(w, kappa)
-        ratios = insights._defining_ratios(kappa, delta, 8 * n)
-        mags = np.abs(np.multiply.accumulate(ratios * w))  # |t_1| .. |t_8n|
-        tails = np.cumsum(mags[::-1])[::-1]  # tails[j] = sum_{k > j} |t_k|
-        total = 1.0 + tails[0]
-        assert mags[-1] <= 1e-30 * tails[n - 1]
-        assert tails[n - 1] <= insights._TAIL_RTOL * total
-        fewest = 1 + int(np.argmax(tails <= insights._TAIL_RTOL * total))
-        assert n <= 1.6 * fewest
+        _assert_kernel_tail_bound(kappa, -delta, 1.0 - delta, w)
+
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        # the connection tail 2F1(1-delta-kappa, 1; 2-kappa; v), v = 1 - w
+        [(1.0 - 2.0 / alpha - kappa, 1.0, 2.0 - kappa, v)
+         for kappa, alpha in [(0.3, 2.5), (0.54, 4.0), (0.95, 4.0)] for v in (1e-3, 0.25, 0.5)]
+        # the parameters of the hyp2f1 tests
+        + [(1.0, -0.5, 0.5, z) for z in (0.1, 0.2, 0.5, 0.69, 0.9, 0.95)]
+        + [(3.5, 1.5, 2.5, 0.2), (3.5, 1.5, 2.5, 0.9), (0.7, -0.3, 0.7, 0.2), (0.7, -0.3, 0.7, 0.9)]
+        # both parameters above c, where both factors of the bound exceed 1
+        + [(2.0, 1.5, 0.5, 0.5), (3.0, 2.5, 0.3, 0.9), (30.0, 25.0, 0.5, 0.5)],
+    )
+    def test_kernel_tail_bound_on_other_series(self, a, b, c, z):
+        _assert_kernel_tail_bound(a, b, c, z)
 
     @pytest.mark.parametrize("kappa", [3e3, 1e4, 1e5, 1e6])
     @pytest.mark.parametrize("alpha", [2.5, 4.0, 12.0])
@@ -374,7 +425,7 @@ class TestDecayRateGamma:
 
     def test_unbounded_series_is_refused(self, cellular_bundle):
         # at delta = 2e-300 the equation stays positive up to the last grid
-        # point, where kappa = 25 would need more than _MAX_TERMS terms
+        # point, where kappa = 25 would need more than specfun._MAX_TERMS terms
         with pytest.raises(NumericalError, match="series terms"):
             cellular_decay_rate(cellular_bundle(kappa=25.0, alpha=1e300))
 
@@ -389,6 +440,17 @@ class TestDecayRateGamma:
         # 1e-6 of w = 1, past the last point of the admissible range
         with pytest.raises(RootNotFoundError, match="stays positive"):
             cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=4.0))
+
+    @pytest.mark.parametrize("kappa", [1e16, 1e20, 1e30])
+    def test_rate_that_rounds_to_one_is_refused(self, cellular_bundle, kappa):
+        # the rate is 1 + 0.854 / kappa; 1.0 would read as no decay at all
+        with pytest.raises(NumericalError, match="rounds to 1"):
+            cellular_decay_rate(cellular_bundle(kappa=kappa))
+
+    def test_rate_just_above_one_is_returned(self, cellular_bundle):
+        # 1 + 8.54e-16 is four ulps above 1
+        rate = cellular_decay_rate(cellular_bundle(kappa=1e15))
+        assert rate - 1.0 == pytest.approx(8.54e-16, abs=2.3e-16)
 
     def test_rejects_adhoc(self, adhoc_bundle):
         with pytest.raises(ValidationError, match="cellular"):

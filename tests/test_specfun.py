@@ -10,7 +10,7 @@ import pytest
 import scipy.special as sps
 from scipy import integrate
 
-from mimocov import DomainError, NumericalError, cellular_entries
+from mimocov import DomainError, NumericalError, cellular_entries, specfun
 from mimocov.specfun import hyp2f1
 from closed_form_oracle import _touchard_exact, bessel_k_half, stirling_first
 
@@ -60,6 +60,13 @@ class TestHyp2f1:
         ours = _entry_hyp2f1(cellular_bundle, kappa, -delta, 1.0 - delta, -x)
         assert ours == pytest.approx(1.0 + delta * val, rel=1e-9)
 
+    @pytest.mark.parametrize("abcz", [(2.0, 1.5, 0.5, 0.5), (3.0, 2.5, 0.3, 0.9),
+                                      (30.0, 25.0, 0.5, 0.5), (1.5, 3.5, 2.5, 0.9)])
+    def test_parameters_above_c_against_scipy(self, abcz):
+        # min(a, b) > c, or the larger parameter second: the tail bound's
+        # other factor and pairing
+        assert hyp2f1(*abcz) == pytest.approx(float(sps.hyp2f1(*abcz)), rel=1e-10)
+
     def test_closed_form_section(self):
         # 2F1(1, -1/2; 1/2; w) = 1 - sqrt(w) artanh(sqrt(w)) on (0, 1)
         for w in (0.1, 0.5, 0.69, 0.95):
@@ -81,6 +88,16 @@ class TestHyp2f1:
     def test_unit_argument_rejected(self):
         with pytest.raises(NumericalError):
             hyp2f1(1.0, 1.0, 2.5, 1.0)
+
+    def test_series_past_the_cap_is_refused_before_any_array(self, monkeypatch):
+        # 2F1(1, 1; 2; z) = -log(1-z)/z needs about 5.5e8 terms at 1 - 1e-7;
+        # the count alone refuses it, before a ratio array is built
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("a ratio array was built")
+
+        monkeypatch.setattr(specfun.np, "arange", no_arrays)
+        with pytest.raises(NumericalError, match="series terms"):
+            hyp2f1(1.0, 1.0, 2.0, 1.0 - 1e-7)
 
     def test_nonpositive_integer_denominator_rejected(self):
         with pytest.raises(DomainError):
