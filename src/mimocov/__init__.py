@@ -16,7 +16,6 @@ from .errors import (
     MimocovError,
     NumericalError,
     RootNotFoundError,
-    SingularityError,
     UnsupportedConfigError,
     ValidationError,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "ScenarioBundle",
     "SignalGainSpec",
     "SimConfig",
-    "SingularityError",
     "UnsupportedConfigError",
     "ValidationError",
     "adhoc_entries",

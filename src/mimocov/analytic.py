@@ -8,9 +8,9 @@ signal gain reduces to the first M coefficients of a single power series:
   of 1/C(z) and does not depend on the transmitter density.  For Gamma
   interferer gains the factors are regularized incomplete beta functions,
   all M of them from one recurrence of positive terms (DLMF 8.17.20) in
-  NumPy; a general gain law integrates incomplete gamma functions, and
-  only it loads scipy, apart from one anchor value of the recurrence for
-  Gamma shapes beyond about 1e4 near the crossover of its two series,
+  NumPy, summed by ``specfun``; a general law integrates incomplete gamma
+  functions and alone loads scipy, bar one anchor of the recurrence for a
+  few Gamma shapes from about 1.5e6 on, near its two series' crossover,
 * ad hoc: the exponential of a series A(z) with elementary entries built
   from one interference functional mu; coverage is the sum of the first M
   coefficients of exp(A(z)).
@@ -46,6 +46,7 @@ from .model import (
     _positive_integer,
 )
 from .series import MAX_ORDER, coeff_sum, series_exp, series_reciprocal
+from .specfun import ratio_count, ratio_sum, ratio_terms, rounding_drift
 
 
 @dataclass(frozen=True)
@@ -108,28 +109,10 @@ def _f_coefficients(delta: float, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cellular entries
 
-_TAIL_RTOL = 1e-17  # bound on what a ratio series leaves out, relative to its sum
-_MAX_TERMS = 1 << 18  # longer ratio series are left to scipy's betainc
-_SCALAR_TERMS = 32  # ratio series up to this long are summed by a Python loop
 _MAX_LOSS = 8.0  # largest factor the complement's subtraction may lose before the tail replaces it
 # columns up to this long (at most 2, where top = 1 and every array would hold
 # one element) are built on Python floats, by the same operations in the same order
 _SCALAR_ORDER = 2
-
-
-def _series_terms(z: float, b: float, c: float) -> float:
-    """Number n of terms t_0 .. t_{n-1} of sum_j t_j, t_j = prod_{i<j} z (b+c+i)/(b+i),
-    that leaves out less than _TAIL_RTOL of the sum; inf if the ratios can
-    reach 1 or n passes _MAX_TERMS.
-
-    The ratios move monotonically from r_0 toward z, so r = max(r_0, z)
-    bounds them all and what follows t_{n-1} is at most r^n / (1 - r).
-    """
-    r = z * max(1.0, 1.0 + c / b)
-    if not r < 1.0:
-        return math.inf
-    n = 1 if r == 0.0 else math.ceil((math.log(_TAIL_RTOL) + math.log1p(-r)) / math.log(r))
-    return n if n <= _MAX_TERMS else math.inf
 
 
 def _entry_scale(x: float, kappa: float, delta: float, threshold: float) -> float:
@@ -141,43 +124,6 @@ def _entry_scale(x: float, kappa: float, delta: float, threshold: float) -> floa
     if not math.isfinite(s):
         raise NumericalError(f"cellular entries overflow at threshold {threshold!r}")
     return s
-
-
-def _drift(value: float, num: int, den: int) -> float:
-    """Relative rounding error num/(den value) - 1 of a float ``value`` that
-    rounds the exact ratio num/den of two integers.  A power value^k is off
-    by k times it, which a long running product must not ignore."""
-    vn, vd = value.as_integer_ratio()
-    return (num * vd - den * vn) / (den * vn)
-
-
-def _ratio_terms(z: float, drift: float, b: float, c: float, terms: int, first: float) -> np.ndarray:
-    """t_j = first prod_{i<j} z (b+c+i)/(b+i), j < ``terms``: one running product
-    from ``first`` (scaled afterwards, it can leave the double range), with
-    ratios formed as z + z c/(b+i).  t_j carries z^j, so the rounding
-    ``drift`` of z enters as j drift, and is undone."""
-    j = np.arange(float(terms))
-    t = z + z * c / (b - 1.0 + j)
-    t[0] = first
-    np.multiply.accumulate(t, out=t)
-    t *= 1.0 + drift * j
-    return t
-
-
-def _ratio_series(z: float, drift: float, b: float, c: float, terms: int) -> float:
-    """sum_{j<terms} prod_{i<j} z (b+c+i)/(b+i), a partial sum of 2F1(b+c, 1; b; z):
-    the sum of ``_ratio_terms`` from 1.  Up to _SCALAR_TERMS terms a Python
-    loop sums them: below about 35 terms it costs less than the NumPy calls
-    (0.17 against 4.1 us at 1 term, 4.1 against 4.6 at 32).
-    """
-    if terms <= _SCALAR_TERMS:
-        total, moment, term = 1.0, 0.0, 1.0
-        for j in range(1, terms):
-            term *= z + z * c / (b + (j - 1))
-            total += term
-            moment += j * term
-        return total + drift * moment
-    return np.add.reduce(_ratio_terms(z, drift, b, c, terms, 1.0))
 
 
 def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
@@ -203,10 +149,11 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
     d_{n+1}/d_n = w (a_n+q)/(a_n+1), so one running product gives every s d_n.
     With top = max(order-1, 1), each I_n is I_top + sum_{n<=k<top} d_k, a
     reverse cumulative sum of positive terms, and I_top is one of two
-    positive series, each summed until it leaves out less than 1e-17:
+    positive series, each counted and summed by ``specfun`` until it leaves
+    out less than 1e-17:
 
     * the tail sum_{k>=top} d_k = d_top 2F1(a_top+q, 1; a_top+1; w) of the
-      same ratios (DLMF 8.17.8);
+      same ratios (DLMF 8.17.8), unless s d_1 is subnormal and d_2 > d_1;
     * past the crossover w = (a_top+1)/(a_top+q+2), and where it needs fewer
       terms, the symmetry I_w(a, q) = 1 - I_{1-w}(q, a) (DLMF 8.17.4), with
       the complement summed by its own ratios (1-w)(a_top+q+i)/(q+1+i) and
@@ -214,15 +161,15 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
       kept only where the complement is at most 8 I_top, so it loses at
       most a factor 8 (6 at most for kappa 0.5-4, alpha 2.5-6); for q well
       below 1 it can lose far more (2e-13 errors at q = 0.021), and there
-      the tail is summed instead, if it takes at most 2^18 terms.
+      the tail is summed instead, where it can be.
 
     Every other sum adds positive terms, so deep entries keep their relative
     accuracy, and no power of x, Gamma function or logarithm leaves the
-    double range at any finite threshold whose s is finite.  The running
-    products raise w and 1-w to powers up to 2^18, so their rounding is
-    measured exactly and undone.  Where both series would need more than
-    2^18 terms (interferer shapes from about 1e4 on, near the crossover)
-    I_top alone is scipy's betainc value instead.
+    double range at any finite threshold whose s is finite.  The rounding
+    of w and 1-w, raised to powers up to 2^18, is measured exactly and
+    undone.  Where neither series can be summed in 2^18 terms (a few
+    interferer shapes from about 1.5e6 on, near the crossover) I_top alone
+    is scipy's betainc value instead.
     """
     order = _check_order(order)
     kappa, beta = bundle.interferer.kappa, bundle.interferer.beta
@@ -237,34 +184,35 @@ def cellular_entries_gamma(bundle: ScenarioBundle, order: int) -> EntrySequence:
 
     top = max(order - 1, 1)
     a_top = top - delta
-    tail_terms = _series_terms(w, a_top + 1.0, q - 1.0)
-    if w < (a_top + 1.0) / (a_top + q + 2.0):
-        comp_terms = math.inf  # the complement would cancel
-    else:
-        comp_terms = _series_terms(w_c, q + 1.0, a_top - 1.0)
+    crossed = w >= (a_top + 1.0) / (a_top + q + 2.0)  # below, the complement would cancel
+    comp_terms = ratio_count(w_c, q + 1.0, a_top - 1.0) if crossed else math.inf
+    tail_terms = ratio_count(w, a_top + 1.0, q - 1.0)
 
     xn, xd = x.as_integer_ratio()  # w = xn/(xd+xn) and 1-w = xd/(xd+xn) exactly
-    w_drift = _drift(w, xn, xd + xn) if xn else 0.0
+    w_drift = rounding_drift(w, xn, xd + xn) if xn else 0.0
     sd1 = kappa / (1.0 - delta) * w * head * (1.0 + w_drift)  # s d_1, its one power of w undone
+    # the tail fits in 2^18 terms, and its product does not start from a
+    # subnormal s d_1 unless the differences only shrink: d_2/d_1 <= 1
+    summable = (sd1 >= sys.float_info.min or w * (1.0 - delta + q) <= 2.0 - delta) and tail_terms < math.inf
     scalar = order <= _SCALAR_ORDER  # then top = 1
-    tail = tail_terms <= min(comp_terms, _MAX_TERMS)
+    tail = summable and tail_terms <= comp_terms
     if not tail:
         # s d_1, ..., s d_top; at top = 1 the running product is s d_1 itself
-        sd = [sd1] if scalar else _ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top, sd1)
+        sd = [sd1] if scalar else ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top, sd1)
         s = _entry_scale(x, kappa, delta, threshold)
-        if comp_terms <= _MAX_TERMS:
-            comp = sd[-1] * a_top / q * _ratio_series(
-                w_c, _drift(w_c, xd, xd + xn), q + 1.0, a_top - 1.0, comp_terms)
+        if comp_terms < math.inf:
+            comp = sd[-1] * a_top / q * ratio_sum(
+                w_c, rounding_drift(w_c, xd, xd + xn), q + 1.0, a_top - 1.0, comp_terms)
             # the subtraction loses a factor comp / (s - comp); past 8 (q well
-            # below 1) the positive tail is summed instead, if it is not too long
-            tail = comp > _MAX_LOSS * (s - comp) and tail_terms <= _MAX_TERMS
+            # below 1) the positive tail is summed instead, where it can be
+            tail = summable and comp > _MAX_LOSS * (s - comp)
             sd[-1] = s - comp
         else:
             from scipy import special as sp  # imported on first use: only these inputs and general laws need it
 
             sd[-1] = s * sp.betainc(a_top, q, w)
     if tail:
-        sd = _ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top - 1 + tail_terms, sd1)
+        sd = ratio_terms(w, w_drift, 2.0 - delta, q - 1.0, top - 1 + tail_terms, sd1)
         sd[top - 1] = np.add.reduce(sd[top - 1:])
     if scalar:  # s I_1 = s d_1 + ... alone; f_1 = -delta
         values = [head + sd[0], -delta * sd[0]]

@@ -26,10 +26,6 @@ class NumericalError(MimocovError, RuntimeError):
     """An iterative numerical method failed to converge or overflowed."""
 
 
-class SingularityError(NumericalError):
-    """A series reciprocal or triangular inverse does not exist (zero pivot)."""
-
-
 class CoverageRangeError(NumericalError):
     """A computed probability fell outside [0, 1]."""
 

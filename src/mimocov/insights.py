@@ -243,14 +243,12 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     delta = bundle.delta
     scale = bundle.signal.scale / (sc.threshold * bundle.interferer.beta)
 
-    # Both series are summed by specfun.GaussSeries, whose term ratios do
-    # not depend on w: they are formed once per root, and each evaluation is
-    # one running product over as many terms as its tail bound asks for,
-    # about 96 000 for 2F1(kappa, -delta; 1 - delta; w) at kappa = 1 and the
-    # last point of _W_GRID.  Every term of that series past the first is
-    # negative, so a product that overflows makes it -inf, which the search
-    # reads as "past the root".  For kappa < 1, w > 1/2 goes through the
-    # connection formula at 1 - w (DLMF 15.8.4, A&S 15.3.6),
+    # Both series are summed by specfun.GaussSeries, over ratios formed once
+    # per root: up to about 96 000 terms for 2F1(kappa, -delta; 1 - delta; w)
+    # at kappa = 1 and the last point of _W_GRID.  Every term of that series
+    # past the first is negative, so a product that overflows makes it -inf,
+    # which the search reads as "past the root".  For kappa < 1, w > 1/2
+    # goes through the connection formula at 1 - w (DLMF 15.8.4, A&S 15.3.6),
     #   2F1 = G(1-d) G(1-k) / G(1-d-k) w^d
     #         + d / (1-k) (1-w)^(1-k) 2F1(1-d-k, 1; 2-k; 1-w),
     # whose series needs at most 59 terms at 1 - w < 1/2.
@@ -444,11 +442,14 @@ def cellular_decay_rate(bundle: ScenarioBundle) -> float:
     makes log outage asymptotically linear in the antenna count.  A rate
     1 + h* that rounds to 1 in double precision (Gamma shapes from about
     1e16 on) raises ``NumericalError``: 1 would read as no decay at all.
+    So does an h* past the double range, where theta / (tau beta) overflows.
     """
     if bundle.scenario.kind != CELLULAR:
         raise ValidationError("the decay rate is defined for cellular scenarios")
     _refuse_cellular_noise(bundle)
     h = _rc_gamma(bundle) if bundle.interferer.is_gamma else _rc_general(bundle)
+    if not math.isfinite(h):
+        raise NumericalError(f"the decay rate 1 + h* overflows: h* = {h!r}")
     if 1.0 + h == 1.0:
         raise NumericalError(f"the decay rate 1 + {h!r} rounds to 1 in double precision")
     return 1.0 + h

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 MAX_ORDER = 512
 _SEED_ORDER = 8  # coefficients of 1/C(z) from the scalar recursion
@@ -116,7 +116,7 @@ def series_reciprocal(c) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float)
     if c[0] == 0.0:
-        raise SingularityError("series reciprocal undefined: leading coefficient is zero")
+        raise DomainError("series reciprocal undefined: leading coefficient is zero")
     m = c.size
     head = c[:_SEED_ORDER].tolist()
     seed = [1.0 / head[0]]

@@ -193,7 +193,7 @@ class TestCellularEntryColumn:
         # operations in the same order as the one-element arrays of the NumPy
         # route, so the same bits.  The grid covers the tail, the complement,
         # the tail past the complement's loss bound (kappa = 0.05, alpha = 40)
-        # and scipy's anchor (kappa = 1e5, beta = 1/kappa near the crossover).
+        # and a large shape near the crossover (kappa = 1e5, beta = 1/kappa).
         cases = []
         for alpha, kappa in [(2.5, 0.5), (4.0, 1.0), (6.0, 4.0), (40.0, 0.05), (4.0, 30.0)]:
             for m in (1, 2):
@@ -238,13 +238,16 @@ class TestCellularEntryColumn:
 
     @pytest.mark.parametrize("alpha, kappa", [(4.0, 1e3), (40.0, 1e3), (2.0 / 0.95, 1e3),
                                               (4.0, 1e4), (40.0, 1e4), (2.0 / 0.95, 1e4),
+                                              (40.0, 1e5), (40.0, 1e6),
                                               (100.0, 1e-3), (40.0, 1e-3), (100.0, 0.05)])
     def test_extreme_shapes_against_mpmath(self, cellular_bundle, alpha, kappa):
-        # kappa = 1e3 and 1e4 run products of up to 2^18 ratios and take
-        # Gamma(q)/Gamma(kappa) from Stirling's series (lgamma differences
-        # were 7e-13 and 1.3e-11 off); q = kappa + delta below 0.1 is where
-        # the complement cancels, up to 2e-13 off just past the crossover,
-        # so the positive tail is summed there instead
+        # large shapes take Gamma(q)/Gamma(kappa) from Stirling's series
+        # (lgamma differences were 7e-13 and 1.3e-11 off at kappa = 1e3 and
+        # 1e4); the worst case of these pins is entry 100 at alpha = 40,
+        # kappa = 1e5, order 512 just below the crossover, 9.4e-14 off;
+        # q = kappa + delta below 0.1 is where the complement cancels, up to
+        # 2e-13 off just past the crossover, so the positive tail is summed
+        # there instead
         mp = pytest.importorskip("mpmath")
         delta = 2.0 / alpha
         checked = 0
@@ -262,32 +265,33 @@ class TestCellularEntryColumn:
         assert checked >= 30
 
     def test_huge_interferer_shape_against_mpmath(self, cellular_bundle, monkeypatch):
-        # near the crossover both positive series run past 2^18 terms for
-        # kappa from about 1e4 on; there I_top is one scalar scipy betainc
-        # value and the recurrence gives every other entry from it, so the
-        # deep entries of a long column rest on that one anchor
+        # near the crossover the tail or the complement stays within 2^18
+        # terms up to kappa = 1e6; from about 1e7 on, twice past it, both run
+        # past 2^18 terms, and there I_top is one scalar scipy betainc value
+        # and the recurrence gives every other entry from it, so the deep
+        # entries of a long column rest on that one anchor
         mp = pytest.importorskip("mpmath")
         from scipy import special
 
         calls = []
         betainc = special.betainc
         monkeypatch.setattr(special, "betainc", lambda *args: calls.append(args) or betainc(*args))
+        cases = [(kappa, m, tau) for kappa in (1e5, 1e6) for m in (1, 2, 3, 16, 64, 512)
+                 for tau in (10.0, 100.0, _crossover_tau(m, 0.5, kappa) * kappa)]  # beta = 1/kappa
+        anchored = (1e7, 512, 2.0 * _crossover_tau(512, 0.5, 1e7) * 1e7)
         with mp.workdps(40):
-            for kappa in (1e5, 1e6):
-                for m in (1, 2, 3, 16, 64, 512):
-                    crossover = _crossover_tau(m, 0.5, kappa) * kappa  # beta = 1/kappa
-                    for tau in (10.0, 100.0, crossover):
-                        bundle = cellular_bundle(m=m, tau=tau, kappa=kappa, beta=1.0 / kappa)
-                        calls.clear()
-                        ours = cellular_entries(bundle, m).values
-                        assert len(calls) <= 1, (kappa, tau, m)
-                        if tau == crossover:
-                            assert len(calls) == 1 and all(np.ndim(a) == 0 for a in calls[0]), (kappa, m)
-                        for n in sorted(set(range(min(m, 16))) | ({17, 100, 307, m - 1} & set(range(m)))):
-                            ref = _mp_entry(mp, n, bundle.delta, kappa, tau / kappa)
-                            if abs(ref) > 1e-300:
-                                assert abs(ours[n] - ref) <= 1e-13 * abs(ref), (kappa, tau, m, n)
-                        assert 0.0 <= coverage(bundle).value <= 1.0
+            for kappa, m, tau in cases + [anchored]:
+                bundle = cellular_bundle(m=m, tau=tau, kappa=kappa, beta=1.0 / kappa)
+                calls.clear()
+                ours = cellular_entries(bundle, m).values
+                assert len(calls) <= 1, (kappa, tau, m)
+                if (kappa, m, tau) == anchored:
+                    assert len(calls) == 1 and all(np.ndim(a) == 0 for a in calls[0]), (kappa, m)
+                for n in sorted(set(range(min(m, 16))) | ({17, 100, 307, m - 1} & set(range(m)))):
+                    ref = _mp_entry(mp, n, bundle.delta, kappa, tau / kappa)
+                    if abs(ref) > 1e-300:
+                        assert abs(ours[n] - ref) <= 1e-13 * abs(ref), (kappa, tau, m, n)
+                assert 0.0 <= coverage(bundle).value <= 1.0
 
 
 class TestRoundingAtTheEdges:

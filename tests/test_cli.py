@@ -112,6 +112,21 @@ class TestCoverageCommand:
         assert out == ""
         assert "enlarge window_radius" in err
 
+    def test_far_field_mean_past_an_overflowing_power(self, capsys):
+        # at alpha = 40 and -3000 dB the automatic disc is 7.4e-9 r0 wide, so
+        # its rho^(2 - alpha) passes the double range; the far-field mean,
+        # about 1.4e270 in units of r0, does not, and the threshold is so low
+        # that it still covers every trial, as the series says
+        argv = ["coverage", "--kind", "adhoc", "--alpha", "40", "--tau-db", "-3000",
+                "--r0", "1e-19", "--lambda", "1"]
+        code, out, _ = run_cli(capsys, argv + ["--method", "mc", "--trials", "100"])
+        assert code == 0
+        _, simulated = parse_csv(out)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        _, exact = parse_csv(out)
+        assert float(simulated[0]["p_c"]) == float(exact[0]["p_c"]) == 1.0
+
     def test_heavy_tail_runs_on_the_automatic_window(self, capsys):
         # plain truncation at alpha = 3 would need ~7e7 points per trial
         code, out, _ = run_cli(capsys, ["coverage", "--kind", "cellular",
@@ -586,15 +601,25 @@ class TestEdgeInputs:
           "--method", "mc", "--trials", "1000"], 0),
         (["coverage", *_ADHOC_FAR, "--r0", "1e10", "--lambda", "5e-22",
           "--method", "mc", "--trials", "1000"], 0),
+        # the far-field mean past the double range, in units of r0
+        (["coverage", *_ADHOC_FAR, "--tau-db", "-3000", "--r0", "1e100", "--lambda", "1",
+          "--method", "mc", "--trials", "100"], 3),
+        # the bias radius underflows, and the disc is floored at the least normal double
+        (["coverage", "--kind", "adhoc", "--alpha", "2.1", "--tau-db", "-3000", "--r0", "1e-100",
+          "--lambda", "1", "--method", "mc", "--trials", "100"], 0),
+        # theta / (tau beta) overflows, and with it the decay rate
+        (["insights", "--kind", "cellular", "--alpha", "4", "--tau-db", "-3000",
+          "--beta", "1e-10", "--rc"], 3),
     ], ids=["adhoc-far", "adhoc-farther", "mu-overflow", "noise-overflow", "mc-noise-overflow",
             "peak-bound-overflow", "fractional-antennas", "validate-order", "mc-sparse-cellular",
-            "mc-dense-cellular", "mc-far-adhoc"])
+            "mc-dense-cellular", "mc-far-adhoc", "mc-far-mean-overflow", "mc-radius-underflow",
+            "decay-rate-overflow"])
     def test_exit_code_without_traceback(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, argv)
         assert code == expected
         if code:
             assert out == ""
-            assert err
+            assert len(err.splitlines()) == 1
         else:
             _, rows = parse_csv(out)
             assert 0.0 <= float(rows[0]["p_c"]) <= 1.0
@@ -633,7 +658,7 @@ class TestColdStart:
         assert out.strip() == "[]"
 
     def test_adhoc_work_and_simulation_leave_special_functions_unloaded(self):
-        # only general interferer laws (and Gamma shapes beyond about 1e4)
+        # only general interferer laws (and Gamma shapes beyond about 1.5e6)
         # need scipy.special, on first use; nor do kappa = 2 interferer gains
         out, _ = _python("-c", "import sys, mimocov as mc; "
                          "b = mc.validate(mc.NetworkScenario(kind=mc.ADHOC, lam=0.05, "
@@ -647,13 +672,22 @@ class TestColdStart:
         assert out.strip() == "False"
 
     def test_gamma_cellular_work_leaves_special_functions_unloaded(self):
-        # the Gamma-law entries are a NumPy recurrence; a general law still
-        # integrates incomplete gamma functions from scipy.special
+        # the Gamma-law entries are a NumPy recurrence, also for shapes of
+        # 1e4 and 1e5 just past the crossover of its two series (beta = 1/kappa);
+        # a general law still integrates incomplete gamma functions from scipy.special
+        large = []
+        for kappa in (1e4, 1e5):
+            for m in (2, 16):
+                w = (m - 0.5) / (m - 1.5 + kappa + 2.5)  # the crossover at alpha = 4
+                large.append((kappa, m, 1.001 * kappa * w / (1.0 - w)))
         out, _ = _python("-c", "import sys, math, mimocov as mc; "
                          "sc = mc.NetworkScenario(kind=mc.CELLULAR, lam=1e-3, alpha=4.0, threshold=3.0); "
                          "b = mc.validate(sc, mc.SignalGainSpec(shape=64), "
                          "mc.InterfererGainSpec(kappa=1.5, beta=1.0)); "
                          "mc.coverage(b); mc.improvement_sequence(b, 64); mc.cellular_decay_rate(b); "
+                         "[mc.coverage(mc.validate(mc.NetworkScenario(kind=mc.CELLULAR, lam=1e-3, "
+                         "alpha=4.0, threshold=t), mc.SignalGainSpec(shape=m), "
+                         f"mc.InterfererGainSpec(kappa=k, beta=1.0 / k))) for k, m, t in {large!r}]; "
                          "print('scipy.special' in sys.modules); "
                          "g = mc.validate(sc, mc.SignalGainSpec(shape=4), "
                          "mc.InterfererGainSpec(pdf=lambda x: math.exp(-x))); "

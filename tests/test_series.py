@@ -15,7 +15,7 @@ from mimocov import (
     cellular_entries,
     validate,
 )
-from mimocov.errors import DomainError, SingularityError
+from mimocov.errors import DomainError
 from mimocov.series import (
     _EXP_BLOCK,
     _EXP_SEED,
@@ -204,7 +204,7 @@ def test_coeff_sum():
 
 
 def test_reciprocal_zero_head_rejected():
-    with pytest.raises(SingularityError):
+    with pytest.raises(DomainError):
         series_reciprocal([0.0, 1.0])
 
 

@@ -2,6 +2,7 @@
 against scipy and against integral representations that share no code with
 the series implementations."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -102,6 +103,61 @@ class TestHyp2f1:
     def test_nonpositive_integer_denominator_rejected(self):
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, -2.0, 0.5)
+
+
+def _entry_series(m, delta, kappa, x):
+    """(z, c, e) of the tail and the complement of the Gamma-law cellular
+    entries at order m: 2F1(a+q, 1; a+1; w) and 2F1(a+q, 1; q+1; 1-w), with
+    a = max(m-1, 1) - delta, q = kappa + delta and w = x/(1+x)."""
+    a, q = max(m - 1, 1) - delta, kappa + delta
+    return [(x / (1.0 + x), a + 1.0, q - 1.0), (1.0 / (1.0 + x), q + 1.0, a - 1.0)]
+
+
+class TestRatioSeries:
+    """The ratio series of the cellular entries, 2F1(c+e, 1; c; z), counted by
+    the same tail bound as ``GaussSeries`` and summed by one running product."""
+
+    @pytest.mark.parametrize("kappa", [0.05, 1.0, 30.0, 1e4, 1e6])
+    def test_count_meets_the_tolerance_with_few_spare_terms(self, kappa):
+        # around the tail/complement crossover of the entries (f times its
+        # threshold), where a first-ratio bound asked for 38211 tail terms at
+        # kappa = 1e4, m = 2 and 21 do
+        series = []
+        for m, delta, f in itertools.product((1, 2, 16, 512), (0.05, 0.5, 0.95), (0.5, 1.001, 2.0)):
+            a, q = max(m - 1, 1) - delta, kappa + delta
+            w = (a + 1.0) / (a + q + 2.0)
+            series += _entry_series(m, delta, kappa, f * w / (1.0 - w))
+        for z, c, e in series:
+            n = specfun.ratio_count(z, c, e)
+            assert n == specfun.GaussSeries(c + e, 1.0, c).terms(z)
+            if n == math.inf:
+                continue
+            k = np.arange(8.0 * n + 64.0)
+            mags = np.exp(np.cumsum(np.log(z * (c + e + k) / (c + k))))  # t_1, t_2, ...
+            tails = np.cumsum(mags[::-1])[::-1]  # tails[j] = sum_{i > j} t_i
+            total = 1.0 + tails[0]
+            assert mags[-1] <= 1e-30 * total
+            assert tails[n - 1] <= 1e-17 * total
+            fewest = 1 + int(np.argmax(tails <= 1e-17 * total))
+            assert n <= 1.6 * fewest + 2
+
+    def test_count_at_the_ends(self):
+        assert specfun.ratio_count(0.0, 2.5, 3.0) == 1
+        assert specfun.ratio_count(1.0, 2.5, 3.0) == math.inf
+        assert specfun.ratio_count(1.5, 2.5, 3.0) == math.inf
+        assert specfun.ratio_count(1.0 - 1e-9, 2.5, 3.0) == math.inf  # past 2^18 terms
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 32, 33, 400])
+    def test_sum_and_terms_agree(self, n):
+        # the Python loop (up to 32 terms) and the NumPy product
+        z, drift, c, e = 0.7, 3e-17, 1.6, 2.5
+        t = specfun.ratio_terms(z, drift, c, e, n, first=0.25)
+        exact = [Fraction(1)]
+        for i in range(n - 1):
+            exact.append(exact[-1] * Fraction(z) * (1 + Fraction(drift)) * (Fraction(c) + Fraction(e) + i)
+                         / (Fraction(c) + i))
+        np.testing.assert_allclose(t, [0.25 * float(v) for v in exact], rtol=1e-14)
+        assert specfun.ratio_sum(z, drift, c, e, n) == pytest.approx(float(sum(exact)), rel=1e-14)
 
 
 class TestBesselKHalf:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg
 
 from mimocov import CELLULAR, adhoc_entries, cellular_entries
-from mimocov.errors import SingularityError
+from mimocov.errors import DomainError
 from mimocov.series import _finite
 
 
@@ -45,7 +45,7 @@ def recursive_reciprocal(c) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float)
     if c[0] == 0.0:
-        raise SingularityError("series reciprocal undefined: leading coefficient is zero")
+        raise DomainError("series reciprocal undefined: leading coefficient is zero")
     m = c.size
     b = np.zeros(m)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
