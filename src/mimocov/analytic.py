@@ -56,10 +56,15 @@ class EntrySequence:
     ``flavor`` records which series the entries describe: "cellular" entries
     feed a series reciprocal, "adhoc" entries feed a series exponential.
     Construction is the one place a column is converted to a fresh 1-D
-    float array and checked for finiteness (the series kernels take it as
-    given), and then for its sign pattern (head positive, tail negative
-    for cellular; head negative, tail positive for ad hoc), which is
-    structural: a violation means the numerics broke.
+    float array and checked (the series kernels take it as given): it must
+    be finite and follow its sign pattern (head positive, tail non-positive
+    for cellular; head negative, tail non-negative for ad hoc).  The sign
+    pattern is structural, so a violation means the numerics broke.  The
+    one exception is an all-zero ad hoc column: mu underflowed to 0 with
+    no noise, and exp(0) = 1 is exact.  The tail is checked by one maximum
+    and one minimum, which a nan fails; only a column that fails is scanned
+    again, to tell a non-finite entry (``DomainError``) from a broken sign
+    pattern (``NumericalError``).
     """
 
     values: np.ndarray
@@ -69,20 +74,23 @@ class EntrySequence:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("an entry sequence must be a non-empty 1-D array")
-        if not np.isfinite(vals).all():
-            raise DomainError(f"{self.flavor} entries must all be finite")
         object.__setattr__(self, "values", vals)
+        head = float(vals[0])
         # exact zeros are allowed in the tail: deep entries underflow for
         # extreme thresholds, and that is loss of magnitude, not of sign
+        tail = vals[1:]
+        low = np.minimum.reduce(tail, initial=math.inf)
+        high = np.maximum.reduce(tail, initial=-math.inf)
         if self.flavor == CELLULAR:
-            head_ok = vals[0] > 0.0
-            tail_ok = bool((vals[1:] <= 0.0).all())
+            ok = 0.0 < head < math.inf and -math.inf < low and high <= 0.0
         elif self.flavor == ADHOC:
-            head_ok = vals[0] < 0.0
-            tail_ok = bool((vals[1:] >= 0.0).all())
+            zero = head == 0.0 and high <= 0.0  # mu underflowed to 0, and there is no noise
+            ok = (-math.inf < head < 0.0 or zero) and 0.0 <= low and high < math.inf
         else:
             raise ValidationError(f"unknown entry flavor {self.flavor!r}")
-        if not (head_ok and tail_ok):
+        if not ok:
+            if not np.isfinite(vals).all():
+                raise DomainError(f"{self.flavor} entries must all be finite")
             raise NumericalError(
                 f"{self.flavor} entries violate their sign pattern; "
                 "the evaluation lost too much precision"
@@ -96,10 +104,13 @@ def _check_order(order: int) -> int:
     return order
 
 
+_F_INDEX = np.arange(1.0, MAX_ORDER)  # k = 1, ..., MAX_ORDER - 1, sliced by _f_coefficients
+
+
 def _f_coefficients(delta: float, order: int) -> np.ndarray:
     """f_n = prod_{k=1}^{n} (k-1-delta)/k for n < order, from f_0 = 1: the
     coefficients shared by the cellular and the ad hoc entries."""
-    n = np.arange(1.0, order)
+    n = _F_INDEX[: order - 1]
     f = np.empty(order)
     f[0] = 1.0
     np.divide(n - 1.0 - delta, n, out=f[1:])

@@ -11,6 +11,7 @@ the reference the series coefficients must match.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -247,8 +248,11 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     # per root: up to about 96 000 terms for 2F1(kappa, -delta; 1 - delta; w)
     # at kappa = 1 and the last point of _W_GRID.  Every term of that series
     # past the first is negative, so a product that overflows makes it -inf,
-    # which the search reads as "past the root".  For kappa < 1, w > 1/2
-    # goes through the connection formula at 1 - w (DLMF 15.8.4, A&S 15.3.6),
+    # which the search reads as "past the root".  _grid_bracket bisects
+    # _W_GRID for the first point past the root (the equation decreases, so
+    # that is the point a scan would stop at), and _false_position closes
+    # the bracket it returns.  For kappa < 1, w > 1/2 goes through the
+    # connection formula at 1 - w (DLMF 15.8.4, A&S 15.3.6),
     #   2F1 = G(1-d) G(1-k) / G(1-d-k) w^d
     #         + d / (1-k) (1-w)^(1-k) 2F1(1-d-k, 1; 2-k; 1-w),
     # whose series needs at most 59 terms at 1 - w < 1/2.
@@ -273,19 +277,45 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
             return -math.inf
         return defining(w)
 
-    lo, f_lo = 0.0, 1.0
-    hi = None
+    # Every term past 1 - delta kappa w / (1 - delta) is negative, so the
+    # equation is at most -1 from this w on.
+    past = 2.0 * (1.0 - delta) / (delta * kappa)
     with np.errstate(over="ignore", under="ignore"):
-        for w in _W_GRID:
-            val = lhs(w)
-            if val <= 0.0:
-                hi, f_hi = w, val
-                break
-            lo, f_lo = w, val
-        if hi is None:
-            raise RootNotFoundError(_NO_GAMMA_ROOT)
+        lo, f_lo, hi, f_hi = _grid_bracket(lhs, past)
         lo, _, hi, _ = _false_position(lhs, lo, f_lo, hi, f_hi)
     return 0.5 * (lo + hi) * scale
+
+
+def _grid_bracket(lhs, past: float) -> tuple:
+    """The first point hi of _W_GRID where lhs(hi) <= 0, and the point lo
+    before it (w = 0, where the root equation is 1, before the first), as
+    (lo, lhs(lo), hi, lhs(hi)); ``RootNotFoundError`` if lhs stays positive.
+    lhs must be at most -1 from w = ``past`` on.
+
+    The root equation decreases strictly on (0, 1): every term of
+    2F1(kappa, -delta; 1-delta; w) past the first is negative and grows in
+    magnitude with w, the connection formula evaluates the same function,
+    and ``_overflows``, once true at some w, stays true at every larger one.
+    So its values on the grid are positive below one index and not from
+    there on, and that index is at most the first one at or past ``past``.
+    Bisecting the indices up to that one ends on the same two points, with
+    the same two values, as a scan from the left, after at most 5
+    evaluations where the scan takes up to 22.  The bound spares large
+    shapes, whose root lies below the first point, the longer series of
+    the points further right.
+    """
+    i_lo, f_lo = -1, 1.0  # index -1 stands for w = 0
+    i_hi = min(bisect.bisect_left(_W_GRID, past) + 1, len(_W_GRID))
+    while i_hi - i_lo > 1:
+        mid = (i_lo + i_hi) // 2
+        val = lhs(_W_GRID[mid])
+        if val > 0.0:
+            i_lo, f_lo = mid, val
+        else:
+            i_hi, f_hi = mid, val
+    if i_hi == len(_W_GRID):
+        raise RootNotFoundError(_NO_GAMMA_ROOT)
+    return (_W_GRID[i_lo] if i_lo >= 0 else 0.0), f_lo, _W_GRID[i_hi], f_hi
 
 
 def _false_position(lhs, lo: float, f_lo: float, hi: float, f_hi: float) -> tuple:

@@ -13,7 +13,11 @@ block, and the scalar recursion on Python floats finishes it (a relaxed
 evaluation, van der Hoeven 2002, "Relax, but don't be too lazy").
 ``series_reciprocal`` seeds the first few coefficients by the scalar
 recursion and then doubles the number of known ones per Newton step (Kung
-1974, "On computing reciprocals of power series"), two convolutions each.
+1974, "On computing reciprocals of power series"), two convolutions each:
+a "valid" one that forms only the new coefficients of the residual, and a
+partial-overlap one, fed one spare residual term so that every coefficient
+is the same float at every order.  The reciprocal runs without
+``np.errstate``: convolution and negation raise no floating-point warnings.
 For the ad hoc entries (t_0 < 0, t_j >= 0 beyond) and the cellular ones
 (c_0 > 0, c_j <= 0 beyond) every product in those sums has one sign, so
 nothing cancels.  The matrix forms and the per-coefficient recursions live
@@ -100,13 +104,22 @@ def series_reciprocal(c) -> np.ndarray:
 
     The first min(M, 8) coefficients come from the scalar recursion
     b_0 = 1/c_0,  b_n = -(1/c_0) sum_{k=1}^{n} c_k b_{n-k},
-    on Python floats.  Each Newton step then takes the k known coefficients
-    B_k to k + h of them, h = min(k, M - k), by
-    B_{k+h} = B_k (2 - C B_k) mod z^{k+h}  (Kung 1974).
-    C B_k is 1 + z^k E(z) + O(z^{k+h}); one convolution gives the h
-    coefficients of E (never the exact zeros of C B_k below z^k), and a
-    second gives b_{k+j} = -sum_{i<=j} b_i e_{j-i}.  That is 2 ceil(log2(M/8))
-    convolutions in place of M inner products.
+    on Python floats, each sum accumulated from 0.0 in order of k.  Each
+    Newton step then takes the k known coefficients B_k to k + h of them,
+    h = min(k, M - k), by B_{k+h} = B_k (2 - C B_k) mod z^{k+h}  (Kung 1974).
+    C B_k is 1 + z^k E(z) + O(z^{k+h}); one "valid" convolution of c_1 ..
+    c_{k+h-1} with B_k gives exactly the h coefficients e_0 .. e_{h-1} of E,
+    each a k-term dot product, and never the exact zeros of C B_k below z^k.
+    A second gives b_{k+j} = -sum_{i<=j} b_i e_{j-i}.  That is
+    2 ceil(log2(M/8)) convolutions in place of M inner products.
+
+    E lives in one buffer of floor(M/2) + 1 floats.  The second convolution
+    reads h + 1 of them: the spare e_h only enters its output h, which is
+    dropped, but it keeps outputs 0 .. h-1 in numpy's partial-overlap range,
+    where output j is the same (j+1)-term dot product whatever the lengths.
+    So b_n does not depend on the order M.  An overflow shows up as inf or
+    nan in the output, which ``_finite`` refuses; numpy's convolution and
+    negation raise no floating-point warnings, so none need be silenced.
 
     For cellular entries (c_0 > 0 and c_j <= 0 for j >= 1, the pattern
     ``EntrySequence`` asserts) every b_n is non-negative, every e_j is
@@ -119,22 +132,22 @@ def series_reciprocal(c) -> np.ndarray:
         raise DomainError("series reciprocal undefined: leading coefficient is zero")
     m = c.size
     head = c[:_SEED_ORDER].tolist()
-    seed = [1.0 / head[0]]
+    c0 = head[0]
+    seed = [1.0 / c0]
     for n in range(1, len(head)):
-        seed.append(-sum(head[j] * seed[n - j] for j in range(1, n + 1)) / head[0])
+        acc = 0.0
+        for j in range(1, n + 1):
+            acc += head[j] * seed[n - j]
+        seed.append(-acc / c0)
     b = np.zeros(m)
     k = len(seed)
     b[:k] = seed
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        while k < m:
-            h = min(k, m - k)
-            # e carries one spare term, never used, so that all h outputs of
-            # the second convolution lie in numpy's partial-overlap range,
-            # where output j is the same (j+1)-term dot product whatever the
-            # lengths: b_n then does not depend on the order M.
-            e = np.convolve(c[1 : k + h], b[:k])[k - 1 : k + h]
-            b[k : k + h] = -np.convolve(b[: h + 1], e)[:h]
-            k += h
+    e = np.zeros(m // 2 + 1)
+    while k < m:
+        h = min(k, m - k)
+        e[:h] = np.convolve(c[1 : k + h], b[:k], "valid")
+        np.negative(np.convolve(b[: h + 1], e[: h + 1])[:h], out=b[k : k + h])
+        k += h
     return _finite(b)
 
 

@@ -532,6 +532,31 @@ class TestEntrySequence:
         with pytest.raises(NumericalError, match="sign pattern"):
             EntrySequence(values=np.array([0.1, 0.5]), flavor=ADHOC)
 
+    def test_error_classes(self):
+        # a non-finite entry is a DomainError whatever the signs; a finite
+        # column off its sign pattern is a NumericalError
+        inf, nan = math.inf, math.nan
+        for values, flavor in [([1.0, -inf], CELLULAR), ([nan, -1.0], CELLULAR),
+                               ([-1.0, inf], ADHOC), ([-1.0, nan], ADHOC)]:
+            with pytest.raises(DomainError, match="finite"):
+                EntrySequence(values=np.array(values), flavor=flavor)
+        for values, flavor in [([1.0, 0.5], CELLULAR), ([0.1, 0.5], ADHOC), ([0.0, 0.5], ADHOC)]:
+            with pytest.raises(NumericalError, match="sign pattern"):
+                EntrySequence(values=np.array(values), flavor=flavor)
+
+    def test_all_zero_adhoc_column_is_valid(self, adhoc_bundle):
+        # mu underflows to 0 with no noise: exp(0) = 1, so coverage is 1;
+        # a cellular column with a zero head stays refused
+        for m in (1, 2, 9):
+            values = np.zeros(m)
+            values[0] = -0.0
+            EntrySequence(values=values, flavor=ADHOC)
+            with pytest.raises(NumericalError, match="sign pattern"):
+                EntrySequence(values=values, flavor=CELLULAR)
+        bundle = adhoc_bundle(m=4, alpha=2.1, tau=1e-300, r0=1e-100, lam=1.0)
+        assert adhoc_mu(bundle) == 0.0
+        assert coverage(bundle).value == 1.0
+
     def test_unknown_flavor(self):
         with pytest.raises(ValidationError):
             EntrySequence(values=np.array([1.0]), flavor="mesh")

@@ -624,6 +624,18 @@ class TestEdgeInputs:
             _, rows = parse_csv(out)
             assert 0.0 <= float(rows[0]["p_c"]) <= 1.0
 
+    @pytest.mark.parametrize("method", [["analytic"], ["mc", "--trials", "100"]],
+                             ids=["analytic", "mc"])
+    def test_interference_that_underflows_gives_full_coverage(self, capsys, method):
+        # mu underflows to 0 with no noise: the ad hoc column is all zeros,
+        # exp(0) = 1, and the series reads what the simulator reads
+        argv = ["coverage", "--kind", "adhoc", "--alpha", "2.1", "--tau-db", "-3000",
+                "--r0", "1e-100", "--lambda", "1", "--method", *method]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert float(rows[0]["p_c"]) == 1.0
+
 
 class TestStdoutPurity:
     def test_only_csv_reaches_stdout(self, capsys):

@@ -18,6 +18,7 @@ from mimocov import (
 from mimocov import insights, specfun
 from mimocov.analytic import adhoc_entries
 from mimocov.errors import (
+    MimocovError,
     NumericalError,
     RootNotFoundError,
     UnsupportedConfigError,
@@ -238,6 +239,19 @@ def _split_point_terms(w, kappa):
     return m + math.ceil((log_tol + math.log1p(-rho)) / math.log(rho))
 
 
+def _scan_bracket(lhs, past):
+    # the linear scan of the grid that the bisection replaces: the first
+    # point where the root equation is not positive, and the point before
+    # it; it has no use for the bound past which the equation is below -1
+    lo, f_lo = 0.0, 1.0
+    for w in insights._W_GRID:
+        val = lhs(w)
+        if val <= 0.0:
+            return lo, f_lo, w, val
+        lo, f_lo = w, val
+    raise RootNotFoundError(insights._NO_GAMMA_ROOT)
+
+
 def _assert_kernel_tail_bound(a, b, c, z):
     # the terms of 2F1(a, b; c; z) left out past the kernel's count weigh
     # less than 1e-17 of the sum of all magnitudes, and the count is within
@@ -345,6 +359,81 @@ class TestDecayRateGamma:
                 assert terms <= _split_point_terms(z, kappa)
             else:  # the connection tail 2F1(1-delta-kappa, 1; 2-kappa; 1-w)
                 assert terms <= 60
+
+    @pytest.mark.parametrize("kappa", [0.55, 0.9, 0.999, 1.0, 1.5, 4.0, 30.0, 3e3, 1e6])
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0, 12.0])
+    def test_bisected_bracket_matches_the_scan(self, cellular_bundle, monkeypatch,
+                                               kappa, alpha):
+        # the root equation decreases, so bisecting the grid's indices stops
+        # on the same two points, with the same two values, as the scan: the
+        # same rate to the bit, or the same refusal.  kappa < 1 - 1e-3 takes
+        # the connection formula past w = 1/2, large kappa the _overflows
+        # test, and (0.55, 12) lies below 1 - delta, where there is no root.
+        def outcomes():
+            found = []
+            for tau in (1e-3, 1.0, 1e3):
+                try:
+                    found.append(cellular_decay_rate(
+                        cellular_bundle(kappa=kappa, alpha=alpha, tau=tau)))
+                except MimocovError as exc:
+                    found.append(type(exc))
+            return found
+
+        on_grid = []  # per root, the series sums made while bracketing it
+        searching = []
+        real_call = specfun.GaussSeries.__call__
+        real_bracket = insights._grid_bracket
+
+        def spy(series, z):
+            if searching:
+                on_grid[-1].append(z)
+            return real_call(series, z)
+
+        def counted_bracket(lhs, past):
+            on_grid.append([])
+            searching.append(True)
+            try:
+                return real_bracket(lhs, past)
+            finally:
+                searching.clear()
+
+        monkeypatch.setattr(specfun.GaussSeries, "__call__", spy)
+        monkeypatch.setattr(insights, "_grid_bracket", counted_bracket)
+        bisected = outcomes()
+        assert all(len(sums) <= 5 for sums in on_grid)
+        monkeypatch.setattr(insights, "_grid_bracket", _scan_bracket)
+        assert bisected == outcomes()
+        if kappa <= 1.0 - 2.0 / alpha:
+            assert bisected == [RootNotFoundError] * 3
+
+    def test_bisection_evaluates_at_most_five_grid_points(self, monkeypatch):
+        # one root per position on the grid, and no root at all, with no
+        # bound and with a bound at or past the root
+        seen = []
+        real_bracket = insights._grid_bracket
+
+        def counted_bracket(lhs, past):
+            seen.append([])
+            return real_bracket(lambda w: seen[-1].append(w) or lhs(w), past)
+
+        monkeypatch.setattr(insights, "_grid_bracket", counted_bracket)
+        grid = insights._W_GRID
+        for i, root in enumerate(grid + [1.0]):
+            def step(w, root=root):
+                return 1.0 if w < root else -1.0
+
+            for past in {math.inf, root, 0.5 * (root + 1.0)}:
+                if i < len(grid):
+                    assert insights._grid_bracket(step, past) == (
+                        grid[i - 1] if i else 0.0, 1.0, root, -1.0)
+                else:
+                    with pytest.raises(RootNotFoundError, match="stays positive"):
+                        insights._grid_bracket(step, past)
+                assert 0 < len(seen[-1]) <= 5
+        # a large shape's root lies below the first point: one evaluation
+        seen.clear()
+        insights._grid_bracket(lambda w: -1.0, grid[0])
+        assert seen == [[grid[0]]]
 
     @pytest.mark.parametrize("kappa", [0.3, 0.54, 0.7, 0.999, 1.0, 1.5, 3.7, 30.0,
                                        1e3, 1e4, 1e5, 1e6])

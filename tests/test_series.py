@@ -96,6 +96,16 @@ def test_reciprocal_of_cellular_entries_matches_the_recursion(cellular_entry_gri
             np.testing.assert_array_equal(b, full[:m])
 
 
+def test_reciprocal_coefficients_do_not_depend_on_the_order(cellular_entry_grid):
+    # the "valid" first product and the spare residual term of the second
+    # are what keep b_n the same float at every order; check every order
+    # from 1 to 512, not only the edges of the doubling
+    for c in (cellular_entry_grid[0], cellular_entry_grid[13], cellular_entry_grid[26]):
+        full = series_reciprocal(c)
+        for m in range(1, MAX_ORDER + 1):
+            np.testing.assert_array_equal(series_reciprocal(c[:m]), full[:m], err_msg=f"M = {m}")
+
+
 def test_reciprocal_of_mixed_signs_matches_toeplitz_solve():
     rng = np.random.default_rng(5)
     c = rng.normal(size=MAX_ORDER)
