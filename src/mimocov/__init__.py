@@ -42,7 +42,6 @@ from .analytic import (
     cellular_entries,
     coverage,
     coverage_general_pdf,
-    coverage_non_poisson,
 )
 from .insights import (
     DecayDiagnostics,
@@ -93,7 +92,6 @@ __all__ = [
     "cellular_entries",
     "coverage",
     "coverage_general_pdf",
-    "coverage_non_poisson",
     "density_profile",
     "improvement_sequence",
     "load_config",

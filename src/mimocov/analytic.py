@@ -387,23 +387,3 @@ def coverage_general_pdf(bundle: ScenarioBundle, signal_pdf: GeneralSignalPdf) -
         orders += order_m
     return _rounded_estimate(total, orders)
 
-
-def coverage_non_poisson(bundle: ScenarioBundle, deployment_gain: float) -> CoverageEstimate:
-    """Approximate coverage for a non-Poisson cellular deployment.
-
-    A stationary point process that is more regular (or more clustered)
-    than Poisson shifts the SIR distribution horizontally by a gain factor
-    G; evaluating the Poisson expression at threshold tau/G captures the
-    bulk of the difference.  Only meaningful for cellular scenarios.
-    """
-    if bundle.scenario.kind != CELLULAR:
-        raise UnsupportedConfigError("deployment-gain scaling applies to cellular scenarios only")
-    if not (deployment_gain > 0.0 and math.isfinite(deployment_gain)):
-        raise ValidationError("deployment gain must be positive")
-    shifted = dataclasses.replace(
-        bundle,
-        scenario=dataclasses.replace(
-            bundle.scenario, threshold=bundle.scenario.threshold / deployment_gain
-        ),
-    )
-    return coverage(shifted)

@@ -237,7 +237,9 @@ class InterfererGainSpec:
     entries integrate incomplete gamma functions against it (see
     ``analytic.cellular_entries_general``), and the decay rate integrates a
     confluent hypergeometric section.  ``sampler(rng, size)`` draws the
-    gains, and only Monte Carlo runs need it.
+    gains, and only Monte Carlo runs need it; on the default window they
+    also integrate E[g] and E[g^2] from the pdf, and refuse a law whose
+    E[g^2] is infinite.
     """
 
     kappa: Optional[float] = None

@@ -8,8 +8,8 @@ predicts (including the distance distribution itself) is therefore probed
 by an independent mechanism.
 
 The simulated disc has radius R.  By default (``SimConfig.window_radius``
-None, Gamma interferer law) it is a near disc: the points inside R are
-simulated exactly, and the field beyond R is replaced by its mean,
+None) it is a near disc, for every interferer law: the points inside R
+are simulated exactly, and the field beyond R is replaced by its mean,
 E[I_far] = 2 pi lam E[g] R^(2 - alpha) / (alpha - 2) (Campbell's theorem,
 taken in anchor units as below), added to every trial's interference.
 A trial covers with probability Q(M, s (x + I_far)) given the rest, with
@@ -23,10 +23,10 @@ takes the smaller of two radii: the smallest that keeps this bound within
 1e-5 of the far field's variance, floored at 200 points per trial.  So an
 automatic run draws a few points per trial at low thresholds and at most
 200 at alpha >= 3 (about 1500 for cellular at alpha = 2.5), where plain
-truncation needs 7e3 to 7e15.  An
-explicit ``window_radius``, or a general law whose E[g] is unknown, gets
-plain truncation: points outside R are dropped, and nothing is added for
-them.
+truncation needs 7e3 to 7e15.  A general law's E[g] and E[g^2] come from
+its pdf by quadrature, and a law with either infinite is refused.  Only an
+explicit ``window_radius`` gets plain truncation: points outside R are
+dropped, and nothing is added for them.
 
 Distances are measured in the anchor, the scale of the link: r0 for ad
 hoc, the median serving distance sqrt(ln 2 / (pi lam)) for cellular.  So
@@ -87,7 +87,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ValidationError
-from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer
+from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer, _integral_on_half_line
 
 _POINTS_PER_CHUNK = 8_000_000
 _BLOCK_POINTS = 1 << 16  # weight of the batches run as one block
@@ -98,7 +98,6 @@ _LOG_HUGE = math.log(sys.float_info.max)
 _MIN_POINTS = 200.0  # expected points per realization, at least
 _NEAR_VARIANCE = 1e-5  # (R / anchor)^(2 - 2 alpha) left by the far-field mean
 _PRODUCT_SHAPES = (1.0, 2.0, 3.0, 4.0)  # Gamma shapes drawn as -log of a product of uniforms
-_TRUNCATION_SHARE = 1e-4  # (R / anchor)^(2 - alpha) dropped by plain truncation
 
 
 @dataclass(frozen=True)
@@ -106,19 +105,19 @@ class SimConfig:
     """Knobs of one simulation run.
 
     ``window_radius`` is the radius of the simulated disc.  Leave it None
-    to size the disc from the scenario (see ``auto_window``); with a Gamma
-    interferer law the far field beyond it then enters as its mean, which
-    moves the coverage by at most about 1e-5: proven where the bias radius
-    sets the disc; where the variance radius does (cellular alpha <= 3 from
-    0 dB, alpha = 4 from 10 dB) the exact single-antenna Rayleigh bias
-    stayed below 1.3e-6 (alpha 2.5-4, 0-30 dB).  An explicit radius means
-    plain truncation: interferers beyond it are dropped and no far-field
-    mean is added.  A cellular window must hold a point in at least 99% of
-    the realizations, or ``simulate`` refuses it.  The confidence interval
-    comes from batch means over 100 batches, so ``trials`` is at least 100,
-    and at most 100 times the points simulated at once, so that no
-    per-trial array of a batch outgrows one chunk.  ``trials`` and ``seed``
-    are Python or numpy integers, not bools.
+    to size the disc from the scenario (see ``auto_window``); the far field
+    beyond it then enters as its mean, which moves the coverage by at most
+    about 1e-5: proven where the bias radius sets the disc; where the
+    variance radius does (cellular alpha <= 3 from 0 dB, alpha = 4 from
+    10 dB) the exact single-antenna Rayleigh bias stayed below 1.3e-6
+    (alpha 2.5-4, 0-30 dB).  A law with infinite E[g^2] needs a radius.
+    An explicit radius means plain truncation: interferers beyond it are
+    dropped and no far-field mean is added.  A cellular window must hold a
+    point in at least 99% of the realizations, or ``simulate`` refuses it.
+    The confidence interval comes from batch means over 100 batches, so
+    ``trials`` is at least 100, and at most 100 times the points simulated
+    at once, so that no per-trial array of a batch outgrows one chunk.
+    ``trials`` and ``seed`` are Python or numpy integers, not bools.
     """
 
     trials: int = 100_000
@@ -153,81 +152,89 @@ def _anchor(bundle: ScenarioBundle) -> float:
     return sc.r0
 
 
-def _bound_radius(bundle: ScenarioBundle, anchor: float) -> float:
-    """Smallest near disc whose far-field mean provably moves the coverage
-    by at most ``_FAR_BIAS``.
-
-    Solves 1/2 E[s^2] Var I_far = _FAR_BIAS for rho = R / anchor, with
-    E[s^2] = (tau / theta)^2 E[(r / anchor)^(2 alpha)] and, in anchor units,
-    Var I_far = pi lam anchor^2 kappa (kappa + 1) beta^2 rho^(2 - 2 alpha)
-    / (alpha - 1).  E[(r / anchor)^(2 alpha)] is 1 for ad hoc; for cellular
-    (r / anchor)^2 is a unit exponential over ln 2, which gives
-    Gamma(alpha + 1) / (ln 2)^alpha, and the disc also holds a point in
-    all but ``_FAR_BIAS`` of the realizations.  Worked in logarithms, so
-    no threshold or density overflows; an overflowing radius is infinite,
-    and one that underflows is floored, as a larger disc only lowers the bias.
-    """
-    sc = bundle.scenario
+def _gain_moments(bundle: ScenarioBundle) -> tuple:
+    """log E[g] and log E[g^2] of the interferer gain: kappa beta and
+    kappa (kappa + 1) beta^2 for a Gamma law, one vector quadrature of the
+    pdf for a general law.  Only default windows need them, so analytic
+    callers never pay for the quadrature.  A divergent moment leaves no
+    far-field mean or variance, and raises ``ConfigurationError``."""
     law = bundle.interferer
-    alpha = sc.alpha
-    cellular = sc.kind == CELLULAR
-    log_distance = math.lgamma(alpha + 1.0) - alpha * math.log(math.log(2.0)) if cellular else 0.0
-    log_s2 = 2.0 * (math.log(sc.threshold) - math.log(bundle.signal.scale)) + log_distance
-    log_var = (math.log(math.pi * law.kappa * (law.kappa + 1.0) / (alpha - 1.0))
-               + 2.0 * math.log(law.beta) + math.log(sc.lam) + 2.0 * math.log(anchor))
-    log_rho = (math.log(0.5 / _FAR_BIAS) + log_s2 + log_var) / (2.0 * alpha - 2.0)
+    if law.is_gamma:
+        log_gain = math.log(law.kappa) + math.log(law.beta)
+        return log_gain, log_gain + math.log(law.kappa + 1.0) + math.log(law.beta)
     try:
-        radius = max(anchor * math.exp(log_rho), sys.float_info.min)
-    except OverflowError:
-        return math.inf
-    if cellular:
-        radius = max(radius, math.sqrt(math.log(1.0 / _FAR_BIAS) / (math.pi * sc.lam)))
-    return radius
+        gain, gain_sq = _integral_on_half_line(lambda g: law.pdf(g) * np.array([g, g * g]),
+                                               "interferer moments E[g], E[g^2]")
+    except (NumericalError, ValidationError) as exc:
+        raise ConfigurationError(f"the default window needs a finite E[g] and E[g^2] of the "
+                                 f"interferer gain ({exc}); give a window_radius for plain "
+                                 "truncation") from None
+    return math.log(gain), math.log(gain_sq)
 
 
 def auto_window(bundle: ScenarioBundle) -> float:
     """Radius of the disc ``simulate`` scatters points in by default.
 
     Distances are measured in the anchor, the scale of the link: r0 for ad
-    hoc, the median serving distance for cellular.  With a Gamma interferer
-    law the far field beyond R enters as its mean.  R is the smaller of two
-    radii: the one that provably keeps the coverage bias of that mean
-    within 1e-5 (``_bound_radius``), and the variance radius, which makes
-    the far field's variance relative size (R / anchor)^(2 - 2 alpha) =
-    1e-5 and holds at least ~200 points per realization on average.  So a
-    run never draws more points than the variance radius holds, and far
-    fewer where the threshold is low.  A general law has no known E[g], so
-    the far field is dropped, a share (R / anchor)^(2 - alpha) of the
-    interference; R makes that about 1e-4, floored at ~200 points.  Where
-    R overflows (a general law at alpha just above 2) it is infinite, and
-    ``simulate`` refuses the point count.
+    hoc, the median serving distance for cellular.  The far field beyond R
+    enters as its mean, for every interferer law.  R is the smaller of two
+    radii: the bias radius, which provably keeps the coverage bias of that
+    mean within 1e-5 (see ``_window``), and the variance radius, which
+    makes the far field's variance relative size (R / anchor)^(2 - 2 alpha)
+    = 1e-5 and holds at least ~200 points per realization on average.  So
+    a run never draws more points than the variance radius holds, and far
+    fewer where the threshold is low.  The bound needs E[g^2] of the
+    interferer gain, which a general law's pdf gives by quadrature; a law
+    with an infinite E[g] or E[g^2] raises ``ConfigurationError``.
+    """
+    return _window(bundle, _anchor(bundle), _gain_moments(bundle)[1])
+
+
+def _window(bundle: ScenarioBundle, anchor: float, log_gain_sq: float) -> float:
+    """``auto_window`` given the anchor and log E[g^2] of the interferer gain.
+
+    The bias radius solves 1/2 E[s^2] Var I_far = _FAR_BIAS for
+    rho = R / anchor, with E[s^2] = (tau / theta)^2 E[(r / anchor)^(2 alpha)]
+    and, in anchor units, Var I_far = pi lam anchor^2 E[g^2]
+    rho^(2 - 2 alpha) / (alpha - 1).  E[(r / anchor)^(2 alpha)] is 1 for ad
+    hoc; for cellular (r / anchor)^2 is a unit exponential over ln 2, which
+    gives Gamma(alpha + 1) / (ln 2)^alpha, and the disc also holds a point
+    in all but ``_FAR_BIAS`` of the realizations.  Worked in logarithms, so
+    no threshold or density overflows; an overflowing radius is infinite,
+    and one that underflows is floored, as a larger disc only lowers the bias.
     """
     sc = bundle.scenario
-    anchor = _anchor(bundle)
+    alpha = sc.alpha
+    cellular = sc.kind == CELLULAR
+    log_distance = math.lgamma(alpha + 1.0) - alpha * math.log(math.log(2.0)) if cellular else 0.0
+    log_s2 = 2.0 * (math.log(sc.threshold) - math.log(bundle.signal.scale)) + log_distance
+    log_var = (math.log(math.pi / (alpha - 1.0)) + log_gain_sq
+               + math.log(sc.lam) + 2.0 * math.log(anchor))
+    log_rho = (math.log(0.5 / _FAR_BIAS) + log_s2 + log_var) / (2.0 * alpha - 2.0)
+    try:
+        radius = max(anchor * math.exp(log_rho), sys.float_info.min)
+    except OverflowError:
+        radius = math.inf
+    if cellular:
+        radius = max(radius, math.sqrt(math.log(1.0 / _FAR_BIAS) / (math.pi * sc.lam)))
     count_radius = math.sqrt(_MIN_POINTS / (math.pi * sc.lam))
-    if not bundle.interferer.is_gamma:
-        try:
-            bias_radius = anchor * (1.0 + 1.0 / _TRUNCATION_SHARE) ** (1.0 / (sc.alpha - 2.0))
-        except OverflowError:
-            bias_radius = math.inf
-        return max(bias_radius, count_radius)
-    variance_radius = anchor * (1.0 / _NEAR_VARIANCE) ** (1.0 / (2.0 * sc.alpha - 2.0))
-    return min(max(variance_radius, count_radius), _bound_radius(bundle, anchor))
+    variance_radius = anchor * (1.0 / _NEAR_VARIANCE) ** (1.0 / (2.0 * alpha - 2.0))
+    return min(max(variance_radius, count_radius), radius)
 
 
-def _far_field_mean(bundle: ScenarioBundle, radius: float, anchor: float = 1.0) -> float:
-    """Mean interference from a Gamma-law field beyond ``radius``, with
-    distances measured in ``anchor``.
+def _far_field_mean(bundle: ScenarioBundle, radius: float, log_gain: float,
+                    anchor: float = 1.0) -> float:
+    """Mean interference from the field beyond ``radius``, with distances
+    measured in ``anchor``, given log E[g] of the interferer gain.
 
     Campbell's theorem: 2 pi lam' E[g] rho^(2 - alpha) / (alpha - 2), with
-    rho = radius / anchor, lam' = lam anchor^2 the density per squared
-    anchor, and E[g] = kappa beta, worked in logarithms, since rho^(2 - alpha)
-    may pass the double range where the mean does not.  A mean past it
-    raises ``NumericalError``.
+    rho = radius / anchor and lam' = lam anchor^2 the density per squared
+    anchor, worked in logarithms, since rho^(2 - alpha) may pass the double
+    range where the mean does not.  A mean past it raises
+    ``NumericalError``.
     """
     sc = bundle.scenario
-    law = bundle.interferer
-    log_mean = (math.log(2.0 * math.pi / (sc.alpha - 2.0)) + math.log(law.kappa) + math.log(law.beta)
+    log_mean = (math.log(2.0 * math.pi / (sc.alpha - 2.0)) + log_gain
                 + math.log(sc.lam) + sc.alpha * math.log(anchor) + (2.0 - sc.alpha) * math.log(radius))
     if log_mean < _LOG_HUGE:
         return math.exp(log_mean)
@@ -257,8 +264,9 @@ def _plan(bundle: ScenarioBundle, config: SimConfig) -> _Plan:
     if config.window_radius is not None:
         radius, far_mean = config.window_radius, 0.0
     else:
-        radius = auto_window(bundle)
-        far_mean = _far_field_mean(bundle, radius, anchor) if law.is_gamma else 0.0
+        log_gain, log_gain_sq = _gain_moments(bundle)
+        radius = _window(bundle, anchor, log_gain_sq)
+        far_mean = _far_field_mean(bundle, radius, log_gain, anchor)
     noise = 0.0
     if sc.noise > 0.0:
         try:
@@ -390,8 +398,8 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     alpha_half = sc.alpha / 2.0
     fast_alpha4 = sc.alpha == 4.0
     tau = sc.threshold
-    # the far mean joins at the comparison: the segment reduction below
-    # assigns into the interference array rather than adding to it
+    # noise and far mean join at the comparison, times the serving d^alpha:
+    # the segment reduction below assigns into the interference array
     floor = plan.noise + plan.far_mean
     theta = bundle.signal.scale
     m_ant = bundle.signal.shape
@@ -421,10 +429,12 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                     position_rng.random(dtype=np.float32,
                                         out=points[point_bounds[b]:point_bounds[b + 1]])
             # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
-            # the other N - 1 are then uniform on (u_min, 1]
+            # the other N - 1 are then uniform on (u_min, 1], so an interferer's
+            # squared distance over the serving one is 1 + B (1 - U), B = q / u_min
             log_q = np.log1p(-v) / counts
-            q = np.exp(log_q).astype(np.float32)  # 1 - u_min
-            t_serv = -np.expm1(log_q) * r_sq
+            u_min = -np.expm1(log_q)
+            b_rel = (np.exp(log_q) / u_min).astype(np.float32)
+            t_serv = u_min * r_sq
             serve_alpha = t_serv * t_serv if fast_alpha4 else t_serv**alpha_half
         else:
             if points is not None:
@@ -444,20 +454,25 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
             else:
                 u = points[first:last]
             if u.size:
-                if cellular:
-                    u *= np.repeat(q[lo:hi], seg)
+                # a cellular base is at least 1, so no near term underflows to
+                # g / 0 at large alpha; one overflowing to inf is negligible
                 np.subtract(np.float32(1.0), u, out=u)
-                u *= np.float32(r_sq)
-                if fast_alpha4:
-                    u *= u
+                if cellular:
+                    u *= np.repeat(b_rel[lo:hi], seg)
+                    u += np.float32(1.0)
                 else:
-                    np.power(u, np.float32(alpha_half), out=u)
+                    u *= np.float32(r_sq)
+                with np.errstate(over="ignore"):
+                    if fast_alpha4:
+                        u *= u
+                    else:
+                        np.power(u, np.float32(alpha_half), out=u)
                 w = np.divide(_interferer_draw(bundle, gain_rng, u.size), u, out=u)
                 nz = seg > 0
                 interference[lo:hi][nz] = np.add.reduceat(w, _segment_starts(seg[nz]))
             lo = hi
 
-        hit = gain > tau * serve_alpha * (floor + interference)
+        hit = gain > tau * (serve_alpha * floor + interference)
         covered.append(np.add.reduceat(hit, trial_bounds[:-1], dtype=np.int64))
 
     covered = np.concatenate(covered)

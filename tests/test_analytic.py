@@ -26,7 +26,6 @@ from mimocov import (
     cellular_entries,
     coverage,
     coverage_general_pdf,
-    coverage_non_poisson,
     improvement_sequence,
 )
 from mimocov import analytic
@@ -506,23 +505,6 @@ class TestGeneralSignalPdf:
         bundle = adhoc_bundle(m=2)
         assert coverage_general_pdf(bundle, pdf).value == pytest.approx(
             coverage(bundle).value, rel=1e-12)
-
-
-class TestNonPoissonGain:
-    def test_shifts_threshold(self, cellular_bundle):
-        bundle = cellular_bundle(m=2, tau=2.0)
-        shifted = coverage_non_poisson(bundle, deployment_gain=1.6)
-        assert shifted.value == pytest.approx(
-            coverage(cellular_bundle(m=2, tau=2.0 / 1.6)).value, rel=1e-13)
-        assert coverage_non_poisson(bundle, 1.0).value == pytest.approx(
-            coverage(bundle).value, rel=1e-14)
-        assert shifted.value > coverage(bundle).value
-
-    def test_guards(self, cellular_bundle, adhoc_bundle):
-        with pytest.raises(UnsupportedConfigError):
-            coverage_non_poisson(adhoc_bundle(), 1.5)
-        with pytest.raises(ValidationError):
-            coverage_non_poisson(cellular_bundle(), 0.0)
 
 
 class TestEntrySequence:

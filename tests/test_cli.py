@@ -671,7 +671,8 @@ class TestColdStart:
 
     def test_adhoc_work_and_simulation_leave_special_functions_unloaded(self):
         # only general interferer laws (and Gamma shapes beyond about 1.5e6)
-        # need scipy.special, on first use; nor do kappa = 2 interferer gains
+        # need scipy.special, on first use; nor do kappa = 2 interferer gains;
+        # a Gamma law's far-field moments are closed forms, not quadratures
         out, _ = _python("-c", "import sys, mimocov as mc; "
                          "b = mc.validate(mc.NetworkScenario(kind=mc.ADHOC, lam=0.05, "
                          "alpha=4.0, threshold=1.0, r0=1.0), mc.SignalGainSpec(shape=4), "
@@ -680,8 +681,8 @@ class TestColdStart:
                          "mc.simulate(b, mc.SimConfig(trials=200, seed=1)); "
                          "k = mc.validate(b.scenario, b.signal, mc.InterfererGainSpec(kappa=2.0, beta=1.0)); "
                          "mc.simulate(k, mc.SimConfig(trials=200, seed=1)); "
-                         "print('scipy.special' in sys.modules)")
-        assert out.strip() == "False"
+                         "print('scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)")
+        assert out.split() == ["False", "False"]
 
     def test_gamma_cellular_work_leaves_special_functions_unloaded(self):
         # the Gamma-law entries are a NumPy recurrence, also for shapes of

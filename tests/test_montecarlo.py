@@ -12,6 +12,7 @@ from mimocov.montecarlo import (
     SimConfig,
     _anchor,
     _far_field_mean,
+    _gain_moments,
     _interferer_draw,
     _plan,
     auto_window,
@@ -22,6 +23,16 @@ EXP_SAMPLER_LAW = InterfererGainSpec(
     pdf=lambda g: math.exp(-g) if g >= 0.0 else 0.0,
     sampler=lambda rng, size: -np.log(np.float32(1.0) - rng.random(size, dtype=np.float32)),
 )
+
+
+def _lomax_law(tail):
+    """Lomax gains, P(g > x) = (1 + x)^-tail: E[g] is finite for tail > 1,
+    E[g^2] for tail > 2."""
+    return InterfererGainSpec(
+        pdf=lambda g: tail * (1.0 + g) ** -(tail + 1.0) if g >= 0.0 else 0.0,
+        sampler=lambda rng, size: (np.float32(1.0) - rng.random(size, dtype=np.float32))
+        ** np.float32(-1.0 / tail) - np.float32(1.0),
+    )
 
 
 class TestSimConfig:
@@ -70,10 +81,17 @@ class TestAutoWindow:
         w = auto_window(cellular_bundle(alpha=3.0, lam=1e-3))
         assert w == pytest.approx(264.1422021185886, rel=1e-12)
 
-    def test_general_law_keeps_the_truncation_window(self, cellular_bundle):
-        # no known E[g], so no far-field mean: anchor * (1 + 1e4)^(1/2) at alpha = 4
-        w = auto_window(cellular_bundle(lam=1e-3, interferer=EXP_SAMPLER_LAW))
-        assert w == pytest.approx(1485.4550269619974, rel=1e-12)
+    def test_general_law_gets_the_gamma_window(self, cellular_bundle, adhoc_bundle):
+        # E[g] and E[g^2] of the exponential pdf come from quadrature, and
+        # give the window and far-field mean of its Gamma(1, 1) twin
+        config = SimConfig(trials=1000, seed=0)
+        for make, alphas in ((cellular_bundle, (2.01, 3.0, 3.5, 4.0)), (adhoc_bundle, (3.0, 4.0))):
+            for alpha in alphas:
+                via_pdf = _plan(make(alpha=alpha, interferer=EXP_SAMPLER_LAW), config)
+                via_gamma = _plan(make(alpha=alpha), config)
+                assert via_pdf.radius == pytest.approx(via_gamma.radius, rel=1e-12)
+                assert via_pdf.far_mean == pytest.approx(via_gamma.far_mean, rel=1e-12)
+                assert auto_window(make(alpha=alpha, interferer=EXP_SAMPLER_LAW)) == via_pdf.radius
 
     def test_adhoc_window_is_count_limited(self, adhoc_bundle):
         # a short dipole link at high density: the 200-point floor would give
@@ -87,12 +105,24 @@ class TestAutoWindow:
         w = auto_window(adhoc_bundle(r0=10.0, lam=0.05))
         assert w == pytest.approx(68.12920690579613, rel=1e-12)
 
-    def test_overflowing_truncation_window_is_refused(self, cellular_bundle):
-        # (1 + 1e4)^(1 / (alpha - 2)) overflows a double at alpha = 2.01
-        bundle = cellular_bundle(alpha=2.01, interferer=EXP_SAMPLER_LAW)
-        assert auto_window(bundle) == math.inf
-        with pytest.raises(ConfigurationError, match="one realization needs inf points"):
-            simulate(bundle, SimConfig(trials=1000, seed=0))
+    def test_heavy_tails_are_refused(self, cellular_bundle, monkeypatch):
+        # without a finite E[g^2] (tail 1.5) or E[g] (tail 0.8) the far field
+        # has no variance or mean to stand in for it; an explicit window
+        # still truncates plainly
+        bundles = [cellular_bundle(interferer=_lomax_law(tail)) for tail in (1.5, 0.8)]
+        for bundle in bundles:
+            est = simulate(bundle, SimConfig(trials=1000, seed=0, window_radius=300.0))
+            assert 0.0 < est.value < 1.0
+
+        def unseedable(*args, **kwargs):
+            raise AssertionError("streams were seeded")
+
+        monkeypatch.setattr(np.random, "SeedSequence", unseedable)
+        for bundle in bundles:
+            with pytest.raises(ConfigurationError, match=r"E\[g\^2\].*window_radius"):
+                simulate(bundle, SimConfig(trials=1000, seed=0))
+            with pytest.raises(ConfigurationError, match="window_radius"):
+                auto_window(bundle)
 
     def test_heavier_tails_need_larger_windows(self, cellular_bundle):
         assert auto_window(cellular_bundle(alpha=3.0)) > auto_window(
@@ -242,7 +272,7 @@ class TestPlan:
         anchor = math.sqrt(math.log(2.0) / (math.pi * 1e-3))
         assert plan.anchor == anchor
         assert plan.radius == auto_window(bundle)
-        assert plan.far_mean == _far_field_mean(bundle, plan.radius, anchor)
+        assert plan.far_mean == _far_field_mean(bundle, plan.radius, math.log(2.0), anchor)
         assert plan.noise == 0.01 * anchor**3.5
         assert plan.mean_points == 1e-3 * math.pi * plan.radius**2
 
@@ -255,7 +285,8 @@ class TestFarField:
     def test_mean_is_campbells_formula(self, cellular_bundle):
         bundle = cellular_bundle(alpha=3.5, lam=2e-3, kappa=2.0, beta=0.7)
         expected = 2.0 * math.pi * 2e-3 * 2.0 * 0.7 * 250.0**-1.5 / 1.5
-        assert _far_field_mean(bundle, 250.0) == pytest.approx(expected, rel=1e-14)
+        log_gain = _gain_moments(bundle)[0]
+        assert _far_field_mean(bundle, 250.0, log_gain) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
     def test_mean_is_added_to_every_trial(self, request, kind):
@@ -264,7 +295,7 @@ class TestFarField:
         make = request.getfixturevalue(f"{kind}_bundle")
         bundle = make(alpha=3.0, m=2, noise=0.05)
         radius = auto_window(bundle)
-        far = _far_field_mean(bundle, radius)
+        far = _far_field_mean(bundle, radius, _gain_moments(bundle)[0])
         auto = simulate(bundle, SimConfig(trials=2000, seed=3))
         shifted = simulate(make(alpha=3.0, m=2, noise=0.05 + far),
                            SimConfig(trials=2000, seed=3, window_radius=radius))
@@ -273,12 +304,13 @@ class TestFarField:
 
     def test_explicit_window_and_general_law_truncate_plainly(self, cellular_bundle,
                                                               adhoc_bundle):
-        # pinned estimates of plain truncation, which both rules keep bit for bit
+        # pinned estimates of plain truncation on explicit windows, for a
+        # Gamma law and a general law
         est = simulate(cellular_bundle(alpha=3.0, m=2),
                        SimConfig(trials=2000, seed=5, window_radius=300.0))
         assert (est.value, est.ci_halfwidth) == (0.606, 0.02132019064860653)
         est = simulate(adhoc_bundle(m=2, interferer=EXP_SAMPLER_LAW),
-                       SimConfig(trials=2000, seed=9))
+                       SimConfig(trials=2000, seed=9, window_radius=10001.0**0.5))
         assert (est.value, est.ci_halfwidth) == (0.885, 0.012651745597610894)
 
 
@@ -368,6 +400,30 @@ class TestAutomaticWindowAgreement:
         bundle = request.getfixturevalue(f"{kind}_bundle")(m=2, kappa=kappa)
         exact = coverage(bundle).value
         est = simulate(bundle, SimConfig(trials=200_000, seed=11))
+        z = (est.value - exact) / (est.ci_halfwidth / 1.96)
+        assert abs(z) <= 3.0
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    def test_general_law(self, request, kind, alpha):
+        # the exponential law given as a pdf and a sampler, on the default window
+        bundle = request.getfixturevalue(f"{kind}_bundle")(m=2, alpha=alpha,
+                                                           interferer=EXP_SAMPLER_LAW)
+        exact = coverage(bundle).value
+        est = simulate(bundle, SimConfig(trials=100_000, seed=2))
+        z = (est.value - exact) / (est.ci_halfwidth / 1.96)
+        assert abs(z) <= 3.0
+
+    @pytest.mark.parametrize("alpha", [60.0, 90.0])
+    def test_large_alpha_cellular(self, cellular_bundle, alpha):
+        # interferers nearer than about 0.3 anchors have a float32 d^alpha
+        # that underflows to 0 at alpha = 90; taken relative to the serving
+        # term, their terms stay finite and the trial is judged on them
+        bundle = cellular_bundle(alpha=alpha)
+        exact = coverage(bundle).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate(bundle, SimConfig(trials=200_000, seed=11))
         z = (est.value - exact) / (est.ci_halfwidth / 1.96)
         assert abs(z) <= 3.0
 
