@@ -278,10 +278,16 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
         return defining(w)
 
     # Every term past 1 - delta kappa w / (1 - delta) is negative, so the
-    # equation is at most -1 from this w on.
+    # equation is at most -1 from this w on.  Below the first grid point
+    # (large shapes) the bracket is [0, past] itself, where the equation is
+    # finite, so false position does not start from an end at -inf or many
+    # orders beyond the other.
     past = 2.0 * (1.0 - delta) / (delta * kappa)
     with np.errstate(over="ignore", under="ignore"):
-        lo, f_lo, hi, f_hi = _grid_bracket(lhs, past)
+        if past < _W_GRID[0]:
+            lo, f_lo, hi, f_hi = 0.0, 1.0, past, lhs(past)
+        else:
+            lo, f_lo, hi, f_hi = _grid_bracket(lhs, past)
         lo, _, hi, _ = _false_position(lhs, lo, f_lo, hi, f_hi)
     return 0.5 * (lo + hi) * scale
 

@@ -42,11 +42,14 @@ minimum of N uniforms, u_min = 1 - (1 - V)^(1/N) for one uniform V, and the
 other N - 1 points uniformly on (u_min, 1]: jointly this is exactly N
 uniform points with the nearest one singled out, so no search for it is
 needed.  Points are generated in float32 and aggregated per trial with
-segmented ufunc reductions; statistics are accumulated in float64.
+segmented ufunc reductions; statistics are accumulated in float64, and so
+is an ad hoc d^alpha at alpha other than 4, which for a near interferer
+underflows in float32.
 
-One simulation draws from four SFC64 streams spawned once from
+One simulation draws from SFC64 streams spawned once from
 ``SeedSequence(seed)``: Poisson counts (with the redraws of empty cellular
-trials), positions, interferer gains and signal gains.  A Gamma
+trials), positions, interferer gains and signal gains, and for cellular
+runs a fifth (spawn key 4) for the nearest-point uniforms V.  A Gamma
 interferer gain of integer shape kappa <= 4 is -log of a product of kappa
 factors 1 - U, U a float32 uniform (inverse transform; Devroye,
 Non-Uniform Random Variate Generation, 1986, ch. II.2 and IX.3): exact by
@@ -55,20 +58,20 @@ i taking uniforms i kappa to i kappa + kappa - 1.  Each factor is at
 least 2^-24, so a draw is at most 16.6 kappa (times beta).  Beyond
 kappa = 4 the product is no cheaper than ``standard_gamma``, which draws
 all other shapes.  The trials are split into a fixed 100 batches, which
-only partition them for the batch-means confidence interval.  Consecutive whole batches run as one
-block of about 2^16 points at most, a trial weighing its interferer points
-plus one; a block holds at least one batch.  The counts come as if drawn
+only partition them for the batch-means confidence interval.  Every
+simulation runs one loop over runs of consecutive trials of about 2^16
+points at most, a trial weighing its interferer points plus one; a
+heavier trial runs alone.  Each run draws its positions, its V, its
+interferer gains and its signal gains with one call each, and adds its
+hits to the totals of its trials' batches.  The counts come as if drawn
 batch by batch, each batch's redraws before the next batch's counts (one
-draw serves several batches until a cellular trial comes up empty; then
-the stream is rewound and they are drawn one by one); a cellular block
-draws each batch's nearest-point uniforms and then its point uniforms;
-the gains come from one call per block.  A one-batch block with
-more points than are simulated at once draws its points chunk by chunk,
-after its nearest-point uniforms.  Each kind of draw comes from its own
-stream in trial order, so neither blocks nor chunks can change any draw:
-an estimate is reproducible bit for bit from its seed, whatever the block
-and chunk sizes.  The simulation runs in the calling thread, on one core,
-so its run time does not hinge on whether other cores are free.
+draw serves the batches of up to 2^16 trials until a cellular trial comes
+up empty; then the stream is rewound and they are drawn one by one).
+Each kind of draw comes from its own stream in trial order, so the runs
+cannot change any draw: an estimate is reproducible bit for bit from its
+seed, whatever the run size.  The simulation runs in the calling thread,
+on one core, so its run time does not hinge on whether other cores are
+free.
 
 A cellular trial needs at least one point to serve from; one with none is
 redrawn.  A window whose empty share, P(N = 0) = exp(-lam pi R^2), exceeds
@@ -115,8 +118,9 @@ class SimConfig:
     dropped and no far-field mean is added.  A cellular window must hold a
     point in at least 99% of the realizations, or ``simulate`` refuses it.
     The confidence interval comes from batch means over 100 batches, so
-    ``trials`` is at least 100, and at most 100 times the points simulated
-    at once, so that no per-trial array of a batch outgrows one chunk.
+    ``trials`` is at least 100, and at most 100 times the points one
+    realization may hold, so that the counts of one batch, which are drawn
+    at once, stay within that many entries.
     ``trials`` and ``seed`` are Python or numpy integers, not bools.
     """
 
@@ -328,19 +332,19 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _runs(weights: list, budget: int):
+def _runs(weights, budget: int):
     """Split consecutive items into runs (start, stop) of total weight at
     most ``budget``; an item heavier than that runs alone."""
-    start, total = 0, 0
-    for i, weight in enumerate(weights):
-        if i > start and total + weight > budget:
-            yield start, i
-            start, total = i, 0
-        total += weight
-    yield start, len(weights)
+    ends = np.cumsum(weights)
+    start = 0
+    while start < ends.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield start, stop
+        start = stop
 
 
-def _counts(rng: np.random.Generator, mean_points: float, sizes: list,
+def _counts(rng: np.random.Generator, mean_points: float, sizes,
             cellular: bool) -> np.ndarray:
     """Per-trial point counts of consecutive batches, as drawn batch by batch
     with an empty cellular trial redrawn before the next batch is drawn.
@@ -365,27 +369,22 @@ def _counts(rng: np.random.Generator, mean_points: float, sizes: list,
     return np.concatenate(batches)
 
 
-def _blocks(rng: np.random.Generator, mean_points: float, sizes: list, cellular: bool):
-    """Per-trial point counts of consecutive whole batches, block by block,
-    each with the bounds of its batches (0, ..., its trial count).
+def _blocks(rng: np.random.Generator, mean_points: float, sizes, cellular: bool):
+    """Runs of consecutive trials, each as its per-trial point counts and the
+    batch of each of its trials.
 
-    A block weighs its trials plus its interferer points (a cellular
-    trial's serving point stands in for its one): at most ``_BLOCK_POINTS``
-    and never more than the points simulated at once, unless it holds a
-    single batch.  A trial weighs at least one, so the counts are drawn
-    for the batches that fit that budget in trials, then split into blocks.
+    A run weighs its trials plus its interferer points (a cellular trial's
+    serving point stands in for its one): at most ``_BLOCK_POINTS``, unless
+    it holds a single trial.  A trial weighs at least one, so the counts are
+    drawn for the whole batches that fit that budget in trials (at least
+    one batch), then split into runs.
     """
-    budget = min(_BLOCK_POINTS, _POINTS_PER_CHUNK)
-    for lo, hi in _runs(sizes, budget):
+    for lo, hi in _runs(sizes, _BLOCK_POINTS):
         group = sizes[lo:hi]
         counts = _counts(rng, mean_points, group, cellular)
-        bounds = np.cumsum([0, *group]).tolist()
-        weights = np.add.reduceat(counts, bounds[:-1])
-        if not cellular:
-            weights += group
-        for start, stop in _runs(weights.tolist(), budget):
-            first = bounds[start]
-            yield counts[first:bounds[stop]], [b - first for b in bounds[start:stop + 1]]
+        batch = np.repeat(np.arange(lo, hi), group)
+        for start, stop in _runs(counts if cellular else counts + 1, _BLOCK_POINTS):
+            yield counts[start:stop], batch[start:stop]
 
 
 def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
@@ -401,81 +400,68 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     # noise and far mean join at the comparison, times the serving d^alpha:
     # the segment reduction below assigns into the interference array
     floor = plan.noise + plan.far_mean
+    if cellular and floor > 0.0:
+        # the load tau (r / anchor)^alpha floor is worked in logarithms, as
+        # the serving d^alpha alone passes the double range at large alpha
+        log_load = math.log(tau) + math.log(floor) + alpha_half * math.log(r_sq)
     theta = bundle.signal.scale
     m_ant = bundle.signal.shape
 
-    count_rng, position_rng, gain_rng, signal_rng = (
-        np.random.Generator(np.random.SFC64(child))
-        for child in np.random.SeedSequence(config.seed).spawn(4)
-    )
+    streams = [np.random.Generator(np.random.SFC64(child)) for child in
+               np.random.SeedSequence(config.seed).spawn(5 if cellular else 4)]
+    count_rng, position_rng, gain_rng, signal_rng = streams[:4]
+    nearest_rng = streams[-1]  # the fifth, spawn key 4, serves cellular runs only
     sizes = np.full(_BATCHES, config.trials // _BATCHES)
     sizes[: config.trials % _BATCHES] += 1
-    covered = []
-    for counts, trial_bounds in _blocks(count_rng, plan.mean_points, sizes.tolist(), cellular):
-        n_block = counts.size
+    covered = np.zeros(_BATCHES)
+    for counts, batch in _blocks(count_rng, plan.mean_points, sizes, cellular):
+        n_run = counts.size
         others = counts - 1 if cellular else counts
-        ends = np.cumsum(others)
-        # a block within one chunk draws its points here, batch by batch;
-        # a larger one is a single batch and draws them chunk by chunk below
-        points = None
-        if ends[-1] <= _POINTS_PER_CHUNK:
-            points = np.empty(int(ends[-1]), dtype=np.float32)
+        u = position_rng.random(int(others.sum()), dtype=np.float32)
         if cellular:
-            v = np.empty(n_block)
-            point_bounds = [0, *ends[np.array(trial_bounds[1:]) - 1].tolist()]
-            for b in range(len(trial_bounds) - 1):
-                position_rng.random(out=v[trial_bounds[b]:trial_bounds[b + 1]])
-                if points is not None:
-                    position_rng.random(dtype=np.float32,
-                                        out=points[point_bounds[b]:point_bounds[b + 1]])
             # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
             # the other N - 1 are then uniform on (u_min, 1], so an interferer's
             # squared distance over the serving one is 1 + B (1 - U), B = q / u_min
-            log_q = np.log1p(-v) / counts
+            log_q = np.log1p(-nearest_rng.random(n_run)) / counts
             u_min = -np.expm1(log_q)
             b_rel = (np.exp(log_q) / u_min).astype(np.float32)
-            t_serv = u_min * r_sq
-            serve_alpha = t_serv * t_serv if fast_alpha4 else t_serv**alpha_half
-        else:
-            if points is not None:
-                position_rng.random(dtype=np.float32, out=points)
-            serve_alpha = 1.0  # the serving distance is the anchor
-        gain = signal_rng.gamma(m_ant, theta, n_block)
+        gain = signal_rng.gamma(m_ant, theta, n_run)
 
-        interference = np.zeros(n_block, dtype=np.float64)
-        lo = 0
-        while lo < n_block:
-            first = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, first + _POINTS_PER_CHUNK, side="right")))
-            seg = others[lo:hi]
-            last = int(ends[hi - 1])
-            if points is None:
-                u = position_rng.random(last - first, dtype=np.float32)
-            else:
-                u = points[first:last]
-            if u.size:
+        interference = np.zeros(n_run, dtype=np.float64)
+        if u.size:
+            g = _interferer_draw(bundle, gain_rng, u.size)
+            np.subtract(np.float32(1.0), u, out=u)
+            if cellular:
                 # a cellular base is at least 1, so no near term underflows to
                 # g / 0 at large alpha; one overflowing to inf is negligible
-                np.subtract(np.float32(1.0), u, out=u)
-                if cellular:
-                    u *= np.repeat(b_rel[lo:hi], seg)
-                    u += np.float32(1.0)
+                u *= np.repeat(b_rel, others)
+                u += np.float32(1.0)
+            else:
+                u *= np.float32(r_sq)
+            # an ad hoc d^alpha is taken in float64, where a near interferer's
+            # does not underflow as in float32; one below even that range
+            # (2^-1074 of the link's) reads as an infinite term, which no
+            # threshold of 2^-997 (-3000 dB) or more can cover
+            with np.errstate(over="ignore", divide="ignore"):
+                if fast_alpha4:
+                    u *= u
+                elif cellular:
+                    np.power(u, np.float32(alpha_half), out=u)
                 else:
-                    u *= np.float32(r_sq)
-                with np.errstate(over="ignore"):
-                    if fast_alpha4:
-                        u *= u
-                    else:
-                        np.power(u, np.float32(alpha_half), out=u)
-                w = np.divide(_interferer_draw(bundle, gain_rng, u.size), u, out=u)
-                nz = seg > 0
-                interference[lo:hi][nz] = np.add.reduceat(w, _segment_starts(seg[nz]))
-            lo = hi
+                    u = np.power(u, alpha_half, dtype=np.float64)
+                w = np.divide(g, u, out=u)
+            nz = others > 0
+            interference[nz] = np.add.reduceat(w, _segment_starts(others[nz]))
 
-        hit = gain > tau * (serve_alpha * floor + interference)
-        covered.append(np.add.reduceat(hit, trial_bounds[:-1], dtype=np.int64))
+        if not cellular:
+            hit = gain > tau * (floor + interference)
+        elif floor > 0.0:
+            with np.errstate(over="ignore"):
+                hit = gain > np.exp(log_load + alpha_half * np.log(u_min)) + tau * interference
+        else:
+            hit = gain > tau * interference
+        covered += np.bincount(batch, weights=hit, minlength=_BATCHES)
 
-    covered = np.concatenate(covered)
     batch_means = covered / sizes
     halfwidth = 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(_BATCHES)
     return CoverageEstimate(

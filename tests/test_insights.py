@@ -491,6 +491,35 @@ class TestDecayRateGamma:
         rate = cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=alpha))
         assert rate == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 8.0])
+    def test_large_shape_bracket_starts_at_the_first_term_bound(
+            self, cellular_bundle, monkeypatch, kappa, alpha):
+        # the root lies below 2 (1 - delta) / (delta kappa) < 1/16, where the
+        # equation is finite and at most -1, so false position starts from
+        # that bracket: at most 14 series sums where [0, 1/16] took 46-68
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            f = _mp_root_equation(mp, kappa, alpha)
+            w = mp.mpf(1) / kappa
+            while f(w) <= 0:
+                w /= 2
+            while f(2 * w) > 0:
+                w *= 2
+            expected = float(1 + kappa * mp.findroot(f, (w, 2 * w), solver="anderson"))
+        calls = []
+        real_call = specfun.GaussSeries.__call__
+
+        def spy(series, z):
+            calls.append(z)
+            return real_call(series, z)
+
+        monkeypatch.setattr(specfun.GaussSeries, "__call__", spy)
+        rate = cellular_decay_rate(cellular_bundle(kappa=kappa, beta=1.0 / kappa, alpha=alpha))
+        assert rate == pytest.approx(expected, rel=1e-12)
+        assert len(calls) <= 14
+        assert max(calls) <= 2.0 * (1.0 - 2.0 / alpha) / (2.0 / alpha * kappa)
+
     @pytest.mark.parametrize("excess", [1e-6, 1e-4, 1e-3])
     @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 8.0])
     def test_rate_returned_iff_root_within_the_limit(self, cellular_bundle, alpha, excess):
