@@ -112,9 +112,18 @@ def density_profile(bundle: ScenarioBundle) -> DensityProfile:
     otherwise, so every term is non-negative and nothing cancels.  Stepping
     over n with one column over j costs O(M^2) work and O(M) memory.
 
+    Each step runs the recurrence on the whole column, j = 0 .. M-1, with
+    six ufunc calls on fixed views of one buffer and two preallocated work
+    arrays.  The entries with j > n + 1 are exact zeros and stay +0.0:
+    (n - delta j) * 0.0 may be -0.0, but adding delta c g[j-1, n] = +0.0
+    gives +0.0 again.  So adding the column to betas leaves those entries
+    untouched, and every output is the float that stepping only the
+    nonzero head gives.
+
     Raises ``NumericalError`` when a coefficient leaves the double range,
     which happens when c^j / j! overflows (large c = mu / lam with many
-    antennas).
+    antennas, or c itself infinite); the loop raises no floating-point
+    warning on the way.
     """
     sc = bundle.scenario
     if sc.kind != ADHOC:
@@ -130,19 +139,25 @@ def density_profile(bundle: ScenarioBundle) -> DensityProfile:
     shift = -delta * head
     slope = -delta * np.arange(m)
 
-    # g[1 + j] holds g[j, n]; g[0] stays 0 so that g[:k] is g[j-1, n]
+    # g[1 + j] holds g[j, n]; g[0] stays 0 so that prev[j] is g[j-1, n]
     g = np.zeros(m + 1, dtype=np.float64)
     g[1] = 1.0
+    cur, prev = g[1:], g[:-1]
+    term = np.empty(m, dtype=np.float64)
+    carry = np.empty(m, dtype=np.float64)
     betas = np.zeros(m, dtype=np.float64)
     betas[0] = 1.0
-    with np.errstate(over="ignore"):
-        for n in range(m - 1):
-            k = min(n + 2, m)  # g[j, n+1] = 0 for j > n + 1
-            nxt = (n + slope[:k]) * g[1:k + 1]
-            nxt += shift * g[:k]
-            nxt /= n + 1
-            g[1:k + 1] = nxt
-            betas[:k] += nxt
+    # positional outputs and Python float steps: the cheapest ufunc calls
+    add, multiply, divide = np.add, np.multiply, np.divide
+    # inf, or nan where an infinite c meets a zero, is caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in map(float, range(m - 1)):
+            add(n, slope, term)
+            multiply(term, cur, term)
+            multiply(shift, prev, carry)
+            add(term, carry, term)
+            divide(term, n + 1.0, cur)
+            add(betas, cur, betas)
     if not np.all(np.isfinite(betas)):
         raise NumericalError(
             f"density-profile coefficients overflow at M = {m}: c^j / j! "

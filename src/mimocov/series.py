@@ -16,8 +16,12 @@ recursion and then doubles the number of known ones per Newton step (Kung
 1974, "On computing reciprocals of power series"), two convolutions each:
 a "valid" one that forms only the new coefficients of the residual, and a
 partial-overlap one, fed one spare residual term so that every coefficient
-is the same float at every order.  The reciprocal runs without
-``np.errstate``: convolution and negation raise no floating-point warnings.
+is the same float at every order.  Every convolution is written as
+``np.correlate`` with its second operand reversed by a view: that is the
+call ``np.convolve`` makes itself, so the dot products and their floats are
+the same, without the wrapper's per-call overhead.  The reciprocal runs
+without ``np.errstate``: correlation and negation raise no floating-point
+warnings.
 For the ad hoc entries (t_0 < 0, t_j >= 0 beyond) and the cellular ones
 (c_0 > 0, c_j <= 0 beyond) every product in those sums has one sign, so
 nothing cancels.  The matrix forms and the per-coefficient recursions live
@@ -55,8 +59,10 @@ def _finish_block(w: list, known: list, first: int) -> list:
     order, on Python floats."""
     block = []
     for k, acc in enumerate(known):
-        for i, p in enumerate(block):
-            acc += w[k - i] * p
+        j = k  # block[i] pairs with w_{k-i}; a counter beats enumerate here
+        for p in block:
+            acc += w[j] * p
+            j -= 1
         block.append(acc / (first + k))
     return block
 
@@ -68,12 +74,14 @@ def series_exp(t) -> np.ndarray:
     p_0 = e^{t_0},  n p_n = sum_{j=1}^{n} w_j p_{n-j},  w_j = j t_j,
     which costs O(M^2) and never forms a factorial.  It runs in blocks
     whose edges do not depend on M.  The first 16 coefficients come from the
-    scalar recursion on Python floats.  Each later block [s, s + 12) starts
-    from one np.convolve(w[1:r], p[:s], "valid"): output k is what p_0 ..
-    p_{s-1} add to (s + k) p_{s+k}, an s-term dot product that is the same
-    float whatever r is.  The scalar recursion then adds the block's own
-    terms.  So p_n is the same float at every order M > n, and order M makes
-    ceil((M - 16)/12) convolutions in place of M - 1 inner products.
+    scalar recursion on Python floats, which reads w_1 .. w_15 only.  Each
+    later block [s, s + 12) starts from one
+    np.correlate(w[1:r], p[s-1::-1], "valid"), the convolution of w[1:r]
+    with p[:s]: output k is what p_0 .. p_{s-1} add to (s + k) p_{s+k}, an
+    s-term dot product that is the same float whatever r is.  The scalar
+    recursion then adds the block's own terms.  So p_n is the same float at
+    every order M > n, and order M makes ceil((M - 16)/12) convolutions in
+    place of M - 1 inner products.
 
     For ad hoc entries (t_0 < 0 and t_j >= 0 for j >= 1, the pattern
     ``EntrySequence`` asserts) every w_j p_i is non-negative, so no sum
@@ -90,11 +98,11 @@ def series_exp(t) -> np.ndarray:
     if m > 1:  # at M = 1 the set-up below would cost more than the answer
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
             weights = t * np.arange(m)  # w_j = j t_j
-            w = weights.tolist()
+            w = weights[:_EXP_SEED].tolist()  # _finish_block reads w_1 .. w_15 only
             p[1:_EXP_SEED] = _finish_block(w, [head * x for x in w[1:_EXP_SEED]], 1)
             for s in range(_EXP_SEED, m, _EXP_BLOCK):
                 r = min(s + _EXP_BLOCK, m)
-                known = np.convolve(weights[1:r], p[:s], "valid").tolist()
+                known = np.correlate(weights[1:r], p[s - 1 :: -1], "valid").tolist()
                 p[s:r] = _finish_block(w, known, s)
     return _finite(p)
 
@@ -111,14 +119,15 @@ def series_reciprocal(c) -> np.ndarray:
     c_{k+h-1} with B_k gives exactly the h coefficients e_0 .. e_{h-1} of E,
     each a k-term dot product, and never the exact zeros of C B_k below z^k.
     A second gives b_{k+j} = -sum_{i<=j} b_i e_{j-i}.  That is
-    2 ceil(log2(M/8)) convolutions in place of M inner products.
+    2 ceil(log2(M/8)) convolutions in place of M inner products, each one
+    ``np.correlate`` call on a reversed view of B_k or E.
 
     E lives in one buffer of floor(M/2) + 1 floats.  The second convolution
     reads h + 1 of them: the spare e_h only enters its output h, which is
     dropped, but it keeps outputs 0 .. h-1 in numpy's partial-overlap range,
     where output j is the same (j+1)-term dot product whatever the lengths.
     So b_n does not depend on the order M.  An overflow shows up as inf or
-    nan in the output, which ``_finite`` refuses; numpy's convolution and
+    nan in the output, which ``_finite`` refuses; numpy's correlation and
     negation raise no floating-point warnings, so none need be silenced.
 
     For cellular entries (c_0 > 0 and c_j <= 0 for j >= 1, the pattern
@@ -145,8 +154,8 @@ def series_reciprocal(c) -> np.ndarray:
     e = np.zeros(m // 2 + 1)
     while k < m:
         h = min(k, m - k)
-        e[:h] = np.convolve(c[1 : k + h], b[:k], "valid")
-        np.negative(np.convolve(b[: h + 1], e[: h + 1])[:h], out=b[k : k + h])
+        e[:h] = np.correlate(c[1 : k + h], b[k - 1 :: -1], "valid")
+        np.negative(np.correlate(b[: h + 1], e[h::-1], "full")[:h], out=b[k : k + h])
         k += h
     return _finite(b)
 

@@ -48,16 +48,28 @@ def _power_convolution_betas(bundle):
     return betas
 
 
+def _assert_betas_match_power_convolution(bundle):
+    betas = density_profile(bundle).betas
+    reference = _power_convolution_betas(bundle)
+    np.testing.assert_array_equal(betas == 0.0, reference == 0.0)
+    resolved = reference > 1e-280
+    np.testing.assert_allclose(betas[resolved], reference[resolved], rtol=1e-12)
+
+
 class TestDensityProfile:
     @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
-    @pytest.mark.parametrize("m", [2, 9, 64, 256])
+    @pytest.mark.parametrize("m", [2, 9, 64, 256, 512])
     def test_betas_match_power_convolution(self, adhoc_bundle, m, alpha):
-        bundle = adhoc_bundle(m=m, alpha=alpha)
-        betas = density_profile(bundle).betas
-        reference = _power_convolution_betas(bundle)
-        np.testing.assert_array_equal(betas == 0.0, reference == 0.0)
-        resolved = reference > 1e-280
-        np.testing.assert_allclose(betas[resolved], reference[resolved], rtol=1e-12)
+        _assert_betas_match_power_convolution(adhoc_bundle(m=m, alpha=alpha))
+
+    @pytest.mark.parametrize("m", [64, 495, 512])
+    def test_betas_match_power_convolution_at_high_c(self, adhoc_bundle, m):
+        # c = mu / lam is about 60 at delta about 0.56, like the largest
+        # profile of the benchmark's ad hoc deck: every step of the loop
+        # runs the whole column, so the zero tail meets large entries
+        bundle = adhoc_bundle(m=m, alpha=3.55, r0=1.265, tau=28.9)
+        assert 55.0 < -density_profile(bundle).head < 65.0
+        _assert_betas_match_power_convolution(bundle)
 
     @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0])
     def test_reconstructs_coverage_with_512_antennas(self, adhoc_bundle, lam):
@@ -67,10 +79,17 @@ class TestDensityProfile:
         direct = coverage(adhoc_bundle(m=512, tau=1e3, lam=lam)).value
         assert profile.coverage_at(lam) == pytest.approx(direct, rel=1e-12)
 
-    def test_overflowing_coefficients_raise(self, adhoc_bundle):
-        # c = mu / lam is about 4.4e3 here, so c^j / j! overflows before j = 512
+    @pytest.mark.parametrize("m, r0, lam", [(512, 30.0, 1e-5), (512, 1e4, 1e-12),
+                                            (64, 1e3, 1e-9), (8, 1e154, 1e-300)])
+    def test_overflowing_coefficients_raise(self, adhoc_bundle, m, r0, lam):
+        # c = mu / lam is about 4.4e3 at r0 = 30, so c^j / j! overflows before
+        # j = 512; at r0 = 1e3 it is about 4.9e6 and overflows before j = 64.
+        # At r0 = 1e154, c itself is inf, and inf meets the zeros of the
+        # column (inf * 0 is nan).  The suite turns any RuntimeWarning into
+        # an error, so this also checks that the loop stays silent and the
+        # finiteness check decides.
         with pytest.raises(NumericalError, match="overflow"):
-            density_profile(adhoc_bundle(m=512, r0=30.0, lam=1e-5))
+            density_profile(adhoc_bundle(m=m, r0=r0, lam=lam))
 
     def test_rejects_antenna_count_past_supported_order(self, adhoc_bundle):
         with pytest.raises(ValidationError, match="513 exceeds"):
