@@ -49,9 +49,13 @@ underflows in float32.
 One simulation draws from SFC64 streams spawned once from
 ``SeedSequence(seed)``: Poisson counts (with the redraws of empty cellular
 trials), positions, interferer gains and signal gains, and for cellular
-runs a fifth (spawn key 4) for the nearest-point uniforms V.  A Gamma
-interferer gain of integer shape kappa <= 4 is -log of a product of kappa
-factors 1 - U, U a float32 uniform (inverse transform; Devroye,
+runs a fifth (spawn key 4) for the nearest-point uniforms V.  Positions
+and product-shape gains (below) take their float32 uniforms as 1 - U,
+with U exactly what ``Generator.random(n, dtype=np.float32)`` returns,
+but cut two to a word from the 64-bit words of ``SFC64.random_raw``, at
+about half the cost of one generator call per value (``_open_uniforms``).
+A Gamma interferer gain of integer shape kappa <= 4 is -log of a product
+of kappa factors 1 - U, U a float32 uniform (inverse transform; Devroye,
 Non-Uniform Random Variate Generation, 1986, ch. II.2 and IX.3): exact by
 construction, about one uniform per factor, and drawn point-major, point
 i taking uniforms i kappa to i kappa + kappa - 1.  Each factor is at
@@ -59,13 +63,13 @@ least 2^-24, so a draw is at most 16.6 kappa (times beta).  Beyond
 kappa = 4 the product is no cheaper than ``standard_gamma``, which draws
 all other shapes.  The trials are split into a fixed 100 batches, which
 only partition them for the batch-means confidence interval.  Every
-simulation runs one loop over runs of consecutive trials of about 2^16
+simulation runs one loop over runs of consecutive trials of about 2^15
 points at most, a trial weighing its interferer points plus one; a
 heavier trial runs alone.  Each run draws its positions, its V, its
 interferer gains and its signal gains with one call each, and adds its
 hits to the totals of its trials' batches.  The counts come as if drawn
 batch by batch, each batch's redraws before the next batch's counts (one
-draw serves the batches of up to 2^16 trials until a cellular trial comes
+draw serves the batches of up to 2^15 trials until a cellular trial comes
 up empty; then the stream is rewound and they are drawn one by one).
 Each kind of draw comes from its own stream in trial order, so the runs
 cannot change any draw: an estimate is reproducible bit for bit from its
@@ -93,7 +97,7 @@ from .errors import ConfigurationError, NumericalError, ValidationError
 from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer, _integral_on_half_line
 
 _POINTS_PER_CHUNK = 8_000_000
-_BLOCK_POINTS = 1 << 16  # weight of the batches run as one block
+_BLOCK_POINTS = 1 << 15  # weight of the batches run as one block
 _BATCHES = 100  # partition of the trials for the batch-means interval
 _EMPTY_BUDGET = 0.01  # share of cellular trials allowed to come up empty
 _FAR_BIAS = 1e-5  # coverage bias the far-field mean may cause
@@ -101,6 +105,9 @@ _LOG_HUGE = math.log(sys.float_info.max)
 _MIN_POINTS = 200.0  # expected points per realization, at least
 _NEAR_VARIANCE = 1e-5  # (R / anchor)^(2 - 2 alpha) left by the far-field mean
 _PRODUCT_SHAPES = (1.0, 2.0, 3.0, 4.0)  # Gamma shapes drawn as -log of a product of uniforms
+_RAW_WORDS = 1 << 14  # raw words per piece: one bounded 128 KiB buffer, whatever the draw's size
+_SHIFT = np.uint32(8)  # a float32 uniform keeps the top 24 bits of its half
+_ULP = np.float32(2.0**-24)
 
 
 @dataclass(frozen=True)
@@ -293,14 +300,65 @@ def _plan(bundle: ScenarioBundle, config: SimConfig) -> _Plan:
     return _Plan(anchor, radius, far_mean, noise, mean_points)
 
 
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of 64-bit words in draw order, each word's low half
+    first.  The words are laid out little-endian (a byteswapped copy on a
+    big-endian host, or for a big-endian array) and read as 32-bit halves,
+    so the order holds on either byte order; on a little-endian host the
+    halves of native words are a view of them."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """1 - U as float32, for the ``n`` uniforms U that
+    ``rng.random(n, dtype=np.float32)`` would return, leaving ``rng`` in the
+    state that call leaves.
+
+    NumPy makes a float32 uniform of a 32-bit draw w as (w >> 8) 2^-24, and
+    SFC64 serves its 32-bit draws as the halves of one 64-bit word, low
+    half first, the high half kept in the state (``has_uint32``,
+    ``uinteger``) for the next draw.  Here the halves are cut from
+    ``bit_generator.random_raw`` words by ``_halves``, which keeps that
+    order on either byte order, at about half the cost of one call per
+    value.  The words come ``_RAW_WORDS`` at a time, so a call of any size,
+    a heavy trial's 8e6 points included, holds one bounded word buffer next
+    to its output.  A half left buffered by an earlier call, and the last
+    one or two values, which share a word and may leave its high half
+    buffered, come from ``rng.random`` itself, so the state ends as that
+    call leaves it and a later call on ``rng`` continues the same stream.
+    1 - U = (2^24 - k) 2^-24 is exact in float32 and lies in [2^-24, 1].
+    ``rng`` must run on SFC64; a single value, where a buffered half would
+    be the last value too, comes from ``rng.random`` alone.
+    """
+    bitgen = rng.bit_generator
+    if n < 2:
+        u = rng.random(n, dtype=np.float32)
+        return np.subtract(np.float32(1.0), u, out=u)
+    out = np.empty(n, dtype=np.float32)
+    lead = bitgen.state["has_uint32"]
+    if lead:
+        rng.random(out=out[:1], dtype=np.float32)
+    stop = n - 1 - (n - lead - 1) % 2  # the word of the values from stop on comes last
+    for lo in range(lead, stop, 2 * _RAW_WORDS):
+        hi = min(stop, lo + 2 * _RAW_WORDS)
+        halves = _halves(bitgen.random_raw((hi - lo) // 2))
+        np.right_shift(halves, _SHIFT, out=halves)
+        piece = out[lo:hi]
+        piece[...] = halves.view("<i4")
+        piece *= _ULP
+    rng.random(out=out[stop:], dtype=np.float32)
+    return np.subtract(np.float32(1.0), out, out=out)
+
+
 def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` float32 interferer gains from ``rng``.
 
     A Gamma law of integer shape kappa <= 4 is drawn by inverse transform:
     beta times -log of a product of kappa factors 1 - U_i, with U_i float32
-    uniforms on [0, 1), which costs about one uniform per factor.  The
-    uniforms are drawn point-major, so point i uses uniforms i kappa to
-    i kappa + kappa - 1 whatever the size of the call.  Each factor is at
+    uniforms on [0, 1), which costs about one uniform per factor; the
+    factors come straight from ``_open_uniforms``.  The uniforms are drawn
+    point-major, so point i uses uniforms i kappa to i kappa + kappa - 1
+    whatever the size of the call.  Each factor is at
     least 2^-24, so the product is at least 2^-96, well inside the float32
     normal range: the log never sees 0, and a draw lies in
     [0, 24 kappa ln 2 beta], about 16.6 kappa beta at most.  At kappa = 5
@@ -312,8 +370,7 @@ def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int
         return np.asarray(law.sampler(rng, size), dtype=np.float32)
     if law.kappa in _PRODUCT_SHAPES:
         k = int(law.kappa)
-        u = rng.random(size * k, dtype=np.float32)
-        np.subtract(np.float32(1.0), u, out=u)
+        u = _open_uniforms(rng, size * k)
         g = u if k == 1 else np.multiply(u[0::k], u[1::k])
         for j in range(2, k):
             g *= u[j::k]
@@ -417,7 +474,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     for counts, batch in _blocks(count_rng, plan.mean_points, sizes, cellular):
         n_run = counts.size
         others = counts - 1 if cellular else counts
-        u = position_rng.random(int(others.sum()), dtype=np.float32)
+        u = _open_uniforms(position_rng, int(others.sum()))  # 1 - U, in (0, 1]
         if cellular:
             # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
             # the other N - 1 are then uniform on (u_min, 1], so an interferer's
@@ -430,7 +487,6 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
         interference = np.zeros(n_run, dtype=np.float64)
         if u.size:
             g = _interferer_draw(bundle, gain_rng, u.size)
-            np.subtract(np.float32(1.0), u, out=u)
             if cellular:
                 # a cellular base is at least 1, so no near term underflows to
                 # g / 0 at large alpha; one overflowing to inf is negligible

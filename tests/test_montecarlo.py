@@ -9,12 +9,15 @@ from mimocov.errors import ConfigurationError, NumericalError, ValidationError
 from mimocov.montecarlo import (
     _BATCHES,
     _POINTS_PER_CHUNK,
+    _RAW_WORDS,
     SimConfig,
     _anchor,
     _blocks,
     _far_field_mean,
     _gain_moments,
+    _halves,
     _interferer_draw,
+    _open_uniforms,
     _plan,
     auto_window,
     simulate,
@@ -315,6 +318,78 @@ class TestStreams:
             monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
             est = simulate(cellular_bundle(m=2), config)
             assert (est.value, est.ci_halfwidth) == (0.8602, 0.004786672507804322)
+
+    # (kind, bundle parameters, config): about 90 positions per trial on the
+    # automatic cellular disc, about 6300 per trial on the ad hoc window, so
+    # at budget 1 the runs are small and odd draws leave a half buffered
+    # for the next run
+    DRAW_SCENARIOS = [
+        pytest.param("cellular", dict(m=2, kappa=2.0), SimConfig(trials=2000, seed=5),
+                     id="cellular-kappa2"),
+        pytest.param("adhoc", dict(kappa=3.0), SimConfig(trials=200, seed=5, window_radius=200.0),
+                     id="adhoc-kappa3"),
+    ]
+
+    @pytest.mark.parametrize("kind, params, config", DRAW_SCENARIOS)
+    def test_run_size_cannot_change_a_draw(self, request, monkeypatch, kind, params, config):
+        # the positions (spawn key 1) and the product-shape gain uniforms (key
+        # 2) of every run, put end to end, are one draw from a fresh stream
+        bundle = request.getfixturevalue(f"{kind}_bundle")(**params)
+        draws = {}
+
+        def recorded(rng, n):
+            u = _open_uniforms(rng, n)
+            draws.setdefault(rng.bit_generator.seed_seq.spawn_key, []).append(u.copy())
+            return u
+
+        monkeypatch.setattr(montecarlo, "_open_uniforms", recorded)
+        children = np.random.SeedSequence(config.seed).spawn(3)
+        for budget in (1, montecarlo._BLOCK_POINTS, 10**9):
+            draws.clear()
+            monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
+            simulate(bundle, config)
+            assert sorted(draws) == [(1,), (2,)]
+            for key, parts in draws.items():
+                whole = np.concatenate(parts)
+                assert whole.size > 10**5
+                fresh = np.random.Generator(np.random.SFC64(children[key[0]]))
+                np.testing.assert_array_equal(whole, 1 - fresh.random(whole.size, dtype=np.float32))
+                if budget == 1:
+                    assert len(parts) == config.trials
+                if budget == 10**9:
+                    assert len(parts) == 1
+
+
+class TestOpenUniforms:
+    # 0, 1, 2, 3, odd and even sizes, within one piece of raw words and
+    # across several
+    SIZES = [0, 1, 2, 3, 7, 10, 4095, 4096, 4097, 12290,
+             2 * _RAW_WORDS, 2 * _RAW_WORDS + 1, 5 * _RAW_WORDS + 2]
+
+    def test_matches_one_minus_random(self):
+        # ordinary float64 draws do not touch the buffered half-word, float32
+        # draws leave one buffered or use it up: every case comes up below
+        mine = np.random.Generator(np.random.SFC64(21))
+        ref = np.random.Generator(np.random.SFC64(21))
+        for i, n in enumerate(self.SIZES * 2):
+            if i % 3 == 1:
+                assert np.array_equal(mine.random(i), ref.random(i))
+            if i % 2:
+                assert np.array_equal(mine.random(i, dtype=np.float32),
+                                      ref.random(i, dtype=np.float32))
+            u = _open_uniforms(mine, n)
+            assert u.dtype == np.float32 and u.shape == (n,)
+            np.testing.assert_array_equal(u, 1 - ref.random(n, dtype=np.float32))
+            assert str(mine.bit_generator.state) == str(ref.bit_generator.state)
+        np.testing.assert_array_equal(mine.random(5, dtype=np.float32),
+                                      ref.random(5, dtype=np.float32))
+
+    @pytest.mark.parametrize("order", ["<u8", ">u8"])
+    def test_halves_come_low_first_on_either_byte_order(self, order):
+        words = np.random.Generator(np.random.SFC64(9)).bit_generator.random_raw(1001)
+        halves = _halves(words.astype(order))
+        expected = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+        np.testing.assert_array_equal(halves, expected)
 
 
 class TestPlan:
