@@ -51,9 +51,10 @@ One simulation draws from SFC64 streams spawned once from
 trials), positions, interferer gains and signal gains, and for cellular
 runs a fifth (spawn key 4) for the nearest-point uniforms V.  Positions
 and product-shape gains (below) take their float32 uniforms as 1 - U,
-with U exactly what ``Generator.random(n, dtype=np.float32)`` returns,
-but cut two to a word from the 64-bit words of ``SFC64.random_raw``, at
-about half the cost of one generator call per value (``_open_uniforms``).
+with U exactly what ``Generator.random(n, dtype=np.float32)`` returns;
+from 4096 values per draw on they are cut two to a word from the 64-bit
+words of ``SFC64.random_raw``, at about two thirds of the cost of one
+generator call per value (``_open_uniforms``).
 A Gamma interferer gain of integer shape kappa <= 4 is -log of a product
 of kappa factors 1 - U, U a float32 uniform (inverse transform; Devroye,
 Non-Uniform Random Variate Generation, 1986, ch. II.2 and IX.3): exact by
@@ -63,19 +64,27 @@ least 2^-24, so a draw is at most 16.6 kappa (times beta).  Beyond
 kappa = 4 the product is no cheaper than ``standard_gamma``, which draws
 all other shapes.  The trials are split into a fixed 100 batches, which
 only partition them for the batch-means confidence interval.  Every
-simulation runs one loop over runs of consecutive trials of about 2^15
-points at most, a trial weighing its interferer points plus one; a
-heavier trial runs alone.  Each run draws its positions, its V, its
-interferer gains and its signal gains with one call each, and adds its
-hits to the totals of its trials' batches.  The counts come as if drawn
-batch by batch, each batch's redraws before the next batch's counts (one
-draw serves the batches of up to 2^15 trials until a cellular trial comes
-up empty; then the stream is rewound and they are drawn one by one).
-Each kind of draw comes from its own stream in trial order, so the runs
-cannot change any draw: an estimate is reproducible bit for bit from its
-seed, whatever the run size.  The simulation runs in the calling thread,
-on one core, so its run time does not hinge on whether other cores are
-free.
+simulation runs one loop over runs of consecutive trials of at most 2^16
+points, a trial weighing its interferer points plus one; a heavier trial
+runs alone.  The runs share one workspace (``_Workspace``): float32
+buffers for the positions, the interferer gains and a product shape's
+uniforms, and for an ad hoc d^alpha at alpha other than 4 a float64 one,
+allocated once, at the first run, to the points of the whole simulation if
+that run holds every trial, else to 2^16 points, and grown only for a
+heavier trial.  Each run draws its positions, its V, its interferer gains
+and its signal gains with one call each, the per-point draws into the
+workspace, works its terms there in place (only the per-point copy of a
+cellular trial's scale B is a fresh array), and adds its hits to the
+totals of its trials' batches.  So the runs fault almost no memory in, and
+runs of 2^16 points beat 2^15 (see ``_BLOCK_POINTS``).  The counts come as
+if drawn batch by batch, each batch's redraws before the next batch's
+counts (one draw serves the batches of up to 2^16 trials until a cellular
+trial comes up empty; then the stream is rewound and they are drawn one by
+one).  Each kind of draw comes from its own stream in trial order, so the
+runs cannot change any draw: an estimate is reproducible bit for bit from
+its seed, whatever the run size.  The simulation runs in the calling
+thread, on one core, so its run time does not hinge on whether other cores
+are free.
 
 A cellular trial needs at least one point to serve from; one with none is
 redrawn.  A window whose empty share, P(N = 0) = exp(-lam pi R^2), exceeds
@@ -96,8 +105,10 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ValidationError
 from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer, _integral_on_half_line
 
-_POINTS_PER_CHUNK = 8_000_000
-_BLOCK_POINTS = 1 << 15  # weight of the batches run as one block
+_MAX_ENTRIES = 8_000_000  # cap on a batch's trials and on a trial's expected points
+# most weight of one run: with the reused workspace, cellular runs of 2^16
+# and 2^17 points took 7% less time than 2^15, and 2^18 3% less
+_BLOCK_POINTS = 1 << 16
 _BATCHES = 100  # partition of the trials for the batch-means interval
 _EMPTY_BUDGET = 0.01  # share of cellular trials allowed to come up empty
 _FAR_BIAS = 1e-5  # coverage bias the far-field mean may cause
@@ -105,6 +116,7 @@ _LOG_HUGE = math.log(sys.float_info.max)
 _MIN_POINTS = 200.0  # expected points per realization, at least
 _NEAR_VARIANCE = 1e-5  # (R / anchor)^(2 - 2 alpha) left by the far-field mean
 _PRODUCT_SHAPES = (1.0, 2.0, 3.0, 4.0)  # Gamma shapes drawn as -log of a product of uniforms
+_RAW_MIN = 1 << 12  # uniforms per call from which raw words cost less than rng.random
 _RAW_WORDS = 1 << 14  # raw words per piece: one bounded 128 KiB buffer, whatever the draw's size
 _SHIFT = np.uint32(8)  # a float32 uniform keeps the top 24 bits of its half
 _ULP = np.float32(2.0**-24)
@@ -139,10 +151,10 @@ class SimConfig:
         trials, seed = _integer(self.trials), _integer(self.seed)
         if trials is None or trials < _BATCHES:
             raise ValidationError(f"trials must be an integer of at least {_BATCHES}")
-        if trials > _BATCHES * _POINTS_PER_CHUNK:
+        if trials > _BATCHES * _MAX_ENTRIES:
             raise ConfigurationError(
-                f"trials must be at most {_BATCHES * _POINTS_PER_CHUNK}, so that one "
-                f"batch's per-trial arrays stay within {_POINTS_PER_CHUNK} entries"
+                f"trials must be at most {_BATCHES * _MAX_ENTRIES}, so that one "
+                f"batch's per-trial arrays stay within {_MAX_ENTRIES} entries"
             )
         if seed is None or not (0 <= seed < 2**64):
             raise ValidationError("seed must be an integer in [0, 2^64)")
@@ -285,11 +297,11 @@ def _plan(bundle: ScenarioBundle, config: SimConfig) -> _Plan:
         except OverflowError:
             raise NumericalError("the noise in anchor units, noise anchor^alpha, overflows") from None
     mean_points = sc.lam * math.pi * radius * radius
-    if mean_points > _POINTS_PER_CHUNK:
+    if mean_points > _MAX_ENTRIES:
         raise ConfigurationError(
             f"one realization needs {mean_points:.3g} points on average in a disc of "
-            f"radius {radius:.6g}, more than the {_POINTS_PER_CHUNK} points simulated "
-            "at once; choose a smaller window_radius"
+            f"radius {radius:.6g}, more than the {_MAX_ENTRIES} a realization may hold "
+            "on average; choose a smaller window_radius"
         )
     empty_share = math.exp(-mean_points)
     if sc.kind == CELLULAR and empty_share > _EMPTY_BUDGET:
@@ -309,32 +321,33 @@ def _halves(words: np.ndarray) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u4")
 
 
-def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    """1 - U as float32, for the ``n`` uniforms U that
-    ``rng.random(n, dtype=np.float32)`` would return, leaving ``rng`` in the
-    state that call leaves.
+def _open_uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the float32 ``out`` with 1 - U for the ``out.size`` uniforms U
+    that ``rng.random(out.size, dtype=np.float32)`` would return, leaving
+    ``rng`` in the state that call leaves, and return ``out``.
 
     NumPy makes a float32 uniform of a 32-bit draw w as (w >> 8) 2^-24, and
-    SFC64 serves its 32-bit draws as the halves of one 64-bit word, low
-    half first, the high half kept in the state (``has_uint32``,
-    ``uinteger``) for the next draw.  Here the halves are cut from
+    SFC64 serves its 32-bit draws as the halves of one 64-bit word, low half
+    first, the high half kept in the state (``has_uint32``, ``uinteger``)
+    for the next draw.  From ``_RAW_MIN`` values on, the halves are cut from
     ``bit_generator.random_raw`` words by ``_halves``, which keeps that
-    order on either byte order, at about half the cost of one call per
-    value.  The words come ``_RAW_WORDS`` at a time, so a call of any size,
-    a heavy trial's 8e6 points included, holds one bounded word buffer next
-    to its output.  A half left buffered by an earlier call, and the last
-    one or two values, which share a word and may leave its high half
+    order on either byte order, at about two thirds of the cost of one call
+    per value.  The words come ``_RAW_WORDS`` at a time, so a call of any
+    size, a heavy trial's 8e6 points included, holds one bounded word buffer
+    next to its output.  A half left buffered by an earlier call, and the
+    last one or two values, which share a word and may leave its high half
     buffered, come from ``rng.random`` itself, so the state ends as that
     call leaves it and a later call on ``rng`` continues the same stream.
+    Fewer values come from ``rng.random`` alone: its one call costs less
+    there than reading the state and the four passes over the words.
     1 - U = (2^24 - k) 2^-24 is exact in float32 and lies in [2^-24, 1].
-    ``rng`` must run on SFC64; a single value, where a buffered half would
-    be the last value too, comes from ``rng.random`` alone.
+    ``rng`` must run on SFC64.
     """
+    n = out.size
+    if n < _RAW_MIN:
+        rng.random(out=out, dtype=np.float32)
+        return np.subtract(np.float32(1.0), out, out=out)
     bitgen = rng.bit_generator
-    if n < 2:
-        u = rng.random(n, dtype=np.float32)
-        return np.subtract(np.float32(1.0), u, out=u)
-    out = np.empty(n, dtype=np.float32)
     lead = bitgen.state["has_uint32"]
     if lead:
         rng.random(out=out[:1], dtype=np.float32)
@@ -350,8 +363,11 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.subtract(np.float32(1.0), out, out=out)
 
 
-def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` float32 interferer gains from ``rng``.
+def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, out: np.ndarray,
+                     uniforms: np.ndarray) -> np.ndarray:
+    """Fill the float32 ``out`` with interferer gains from ``rng`` and
+    return it; ``uniforms`` is float32 room for kappa values per gain,
+    which only a product shape kappa >= 2 uses.
 
     A Gamma law of integer shape kappa <= 4 is drawn by inverse transform:
     beta times -log of a product of kappa factors 1 - U_i, with U_i float32
@@ -363,30 +379,73 @@ def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, size: int
     normal range: the log never sees 0, and a draw lies in
     [0, 24 kappa ln 2 beta], about 16.6 kappa beta at most.  At kappa = 5
     the product costs as much as ``standard_gamma``, which draws every
-    other shape.
+    other shape.  A general law's sampler must return a finite,
+    non-negative array of shape (size,); anything else raises
+    ``ConfigurationError``.
     """
     law = bundle.interferer
+    size = out.size
     if not law.is_gamma:
-        return np.asarray(law.sampler(rng, size), dtype=np.float32)
+        gains = np.asarray(law.sampler(rng, size))
+        if gains.shape != (size,):
+            raise ConfigurationError(f"the interferer sampler returned shape {gains.shape} "
+                                     f"for size {size}; it must return shape ({size},)")
+        try:
+            with np.errstate(over="ignore"):  # a gain past the float32 range is refused below
+                np.copyto(out, gains, casting="same_kind")
+        except TypeError:
+            raise ConfigurationError(f"the interferer sampler returned {gains.dtype} values, "
+                                     "not real numbers") from None
+        if size and not (out.min() >= 0.0 and out.max() < np.inf):
+            raise ConfigurationError("the interferer sampler returned a negative or non-finite "
+                                     "gain (in float32)")
+        return out
     if law.kappa in _PRODUCT_SHAPES:
         k = int(law.kappa)
-        u = _open_uniforms(rng, size * k)
-        g = u if k == 1 else np.multiply(u[0::k], u[1::k])
-        for j in range(2, k):
-            g *= u[j::k]
-        np.log(g, out=g)
-        g *= np.float32(-law.beta)
-        return g
-    g = rng.standard_gamma(law.kappa, size, dtype=np.float32)
+        if k == 1:
+            _open_uniforms(rng, out)
+        else:
+            u = _open_uniforms(rng, uniforms[:size * k])
+            np.multiply(u[0::k], u[1::k], out=out)
+            for j in range(2, k):
+                out *= u[j::k]
+        np.log(out, out=out)
+        out *= np.float32(-law.beta)
+        return out
+    rng.standard_gamma(law.kappa, size, dtype=np.float32, out=out)
     if law.beta != 1.0:
-        g *= np.float32(law.beta)
-    return g
+        out *= np.float32(law.beta)
+    return out
 
 
-def _segment_starts(counts: np.ndarray) -> np.ndarray:
-    starts = np.zeros(counts.size, dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return starts
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """float64 sums of the consecutive segments of ``values`` that hold
+    ``counts`` values each, 0 for an empty one; each segment is summed by
+    ``np.add.reduceat`` in the dtype of ``values``.  Empty segments, which
+    ``reduceat`` cannot express, are masked out only where there are some."""
+    starts = np.cumsum(counts)
+    starts -= counts
+    if counts.all():
+        return np.add.reduceat(values, starts).astype(np.float64, copy=False)
+    sums = np.zeros(counts.size)
+    nz = counts > 0
+    sums[nz] = np.add.reduceat(values, starts[nz])
+    return sums
+
+
+class _Workspace:
+    """The per-point buffers of one simulation, which every run reuses:
+    float32 positions and interferer gains, float32 room for ``factors``
+    uniforms per gain (kappa for a product shape kappa >= 2, else 0), and
+    for an ad hoc d^alpha at alpha other than 4 (``wide``) float64 room for
+    the powers and terms.  Each holds ``points`` values per kind."""
+
+    def __init__(self, points: int, factors: int, wide: bool):
+        self.points = points
+        self.positions = np.empty(points, dtype=np.float32)
+        self.gains = np.empty(points, dtype=np.float32)
+        self.uniforms = np.empty(factors * points, dtype=np.float32)
+        self.wide = np.empty(points if wide else 0)
 
 
 def _runs(weights, budget: int):
@@ -455,7 +514,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     fast_alpha4 = sc.alpha == 4.0
     tau = sc.threshold
     # noise and far mean join at the comparison, times the serving d^alpha:
-    # the segment reduction below assigns into the interference array
+    # the segment sums below hold the simulated interferers alone
     floor = plan.noise + plan.far_mean
     if cellular and floor > 0.0:
         # the load tau (r / anchor)^alpha floor is worked in logarithms, as
@@ -471,52 +530,65 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     sizes = np.full(_BATCHES, config.trials // _BATCHES)
     sizes[: config.trials % _BATCHES] += 1
     covered = np.zeros(_BATCHES)
-    for counts, batch in _blocks(count_rng, plan.mean_points, sizes, cellular):
-        n_run = counts.size
-        others = counts - 1 if cellular else counts
-        u = _open_uniforms(position_rng, int(others.sum()))  # 1 - U, in (0, 1]
-        if cellular:
-            # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
-            # the other N - 1 are then uniform on (u_min, 1], so an interferer's
-            # squared distance over the serving one is 1 + B (1 - U), B = q / u_min
-            log_q = np.log1p(-nearest_rng.random(n_run)) / counts
-            u_min = -np.expm1(log_q)
-            b_rel = (np.exp(log_q) / u_min).astype(np.float32)
-        gain = signal_rng.gamma(m_ant, theta, n_run)
-
-        interference = np.zeros(n_run, dtype=np.float64)
-        if u.size:
-            g = _interferer_draw(bundle, gain_rng, u.size)
+    law = bundle.interferer
+    factors = int(law.kappa) if law.is_gamma and law.kappa in _PRODUCT_SHAPES[1:] else 0
+    wide = not (cellular or fast_alpha4)
+    ws = None
+    # one errstate for every run: a term, power or load past the float range
+    # reads as inf or 0 as it should (below), and so does the log of a
+    # u_min of 0, which V = 0 (2^-53 of the draws) gives
+    with np.errstate(over="ignore", divide="ignore"):
+        for counts, batch in _blocks(count_rng, plan.mean_points, sizes, cellular):
+            n_run = counts.size
+            others = counts - 1 if cellular else counts
+            n = int(others.sum())
+            if ws is None or n > ws.points:
+                # the first run sizes the workspace: to its own points if it
+                # holds every trial, else to the budget, which every later run
+                # fits but a heavier trial, which runs alone and grows it
+                points = n if n_run == config.trials else max(n, _BLOCK_POINTS)
+                ws = _Workspace(points, factors, wide)
+            u = _open_uniforms(position_rng, ws.positions[:n])  # 1 - U, in (0, 1]
             if cellular:
-                # a cellular base is at least 1, so no near term underflows to
-                # g / 0 at large alpha; one overflowing to inf is negligible
-                u *= np.repeat(b_rel, others)
-                u += np.float32(1.0)
+                # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
+                # the other N - 1 are then uniform on (u_min, 1], so an interferer's
+                # squared distance over the serving one is 1 + B (1 - U), B = q / u_min
+                log_q = np.log1p(-nearest_rng.random(n_run)) / counts
+                u_min = -np.expm1(log_q)
+                b_rel = (np.exp(log_q) / u_min).astype(np.float32)
+            gain = signal_rng.gamma(m_ant, theta, n_run)
+
+            if not n:
+                interference = np.zeros(n_run)
             else:
-                u *= np.float32(r_sq)
-            # an ad hoc d^alpha is taken in float64, where a near interferer's
-            # does not underflow as in float32; one below even that range
-            # (2^-1074 of the link's) reads as an infinite term, which no
-            # threshold of 2^-997 (-3000 dB) or more can cover
-            with np.errstate(over="ignore", divide="ignore"):
+                g = _interferer_draw(bundle, gain_rng, ws.gains[:n], ws.uniforms)
+                if cellular:
+                    # a cellular base is at least 1, so no near term underflows to
+                    # g / 0 at large alpha; one overflowing to inf is negligible
+                    u *= np.repeat(b_rel, others)
+                    u += np.float32(1.0)
+                else:
+                    u *= np.float32(r_sq)
+                # an ad hoc d^alpha is taken in float64, where a near interferer's
+                # does not underflow as in float32; one below even that range
+                # (2^-1074 of the link's) reads as an infinite term, which no
+                # threshold of 2^-997 (-3000 dB) or more can cover
                 if fast_alpha4:
                     u *= u
                 elif cellular:
                     np.power(u, np.float32(alpha_half), out=u)
                 else:
-                    u = np.power(u, alpha_half, dtype=np.float64)
+                    u = np.power(u, alpha_half, out=ws.wide[:n], dtype=np.float64)
                 w = np.divide(g, u, out=u)
-            nz = others > 0
-            interference[nz] = np.add.reduceat(w, _segment_starts(others[nz]))
+                interference = _segment_sums(w, others)
 
-        if not cellular:
-            hit = gain > tau * (floor + interference)
-        elif floor > 0.0:
-            with np.errstate(over="ignore"):
+            if not cellular:
+                hit = gain > tau * (floor + interference)
+            elif floor > 0.0:
                 hit = gain > np.exp(log_load + alpha_half * np.log(u_min)) + tau * interference
-        else:
-            hit = gain > tau * interference
-        covered += np.bincount(batch, weights=hit, minlength=_BATCHES)
+            else:
+                hit = gain > tau * interference
+            covered += np.bincount(batch, weights=hit, minlength=_BATCHES)
 
     batch_means = covered / sizes
     halfwidth = 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(_BATCHES)

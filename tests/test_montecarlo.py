@@ -8,7 +8,8 @@ from mimocov import InterfererGainSpec, coverage, montecarlo
 from mimocov.errors import ConfigurationError, NumericalError, ValidationError
 from mimocov.montecarlo import (
     _BATCHES,
-    _POINTS_PER_CHUNK,
+    _MAX_ENTRIES,
+    _RAW_MIN,
     _RAW_WORDS,
     SimConfig,
     _anchor,
@@ -19,6 +20,7 @@ from mimocov.montecarlo import (
     _interferer_draw,
     _open_uniforms,
     _plan,
+    _Workspace,
     auto_window,
     simulate,
 )
@@ -71,7 +73,7 @@ class TestSimConfig:
 
     def test_trials_are_bounded_by_one_chunk_per_batch(self):
         # a SimConfig allocates nothing, so the bound is checked at no cost
-        most = _BATCHES * _POINTS_PER_CHUNK
+        most = _BATCHES * _MAX_ENTRIES
         assert SimConfig(trials=most).trials == most
         for trials in (most + 1, 10**11):
             with pytest.raises(ConfigurationError, match="trials must be at most"):
@@ -268,9 +270,9 @@ class TestStreams:
         reference = self._simulate(request, kind, kappa)
         draws = []
 
-        def counted(bundle, rng, size):
-            draws.append(size)
-            return _interferer_draw(bundle, rng, size)
+        def counted(bundle, rng, out, uniforms):
+            draws.append(out.size)
+            return _interferer_draw(bundle, rng, out, uniforms)
 
         monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", 20_000)
         monkeypatch.setattr(montecarlo, "_interferer_draw", counted)
@@ -322,33 +324,74 @@ class TestStreams:
     # (kind, bundle parameters, config): about 90 positions per trial on the
     # automatic cellular disc, about 6300 per trial on the ad hoc window, so
     # at budget 1 the runs are small and odd draws leave a half buffered
-    # for the next run
+    # for the next run; a general law's sampler draws its gains itself
     DRAW_SCENARIOS = [
         pytest.param("cellular", dict(m=2, kappa=2.0), SimConfig(trials=2000, seed=5),
                      id="cellular-kappa2"),
         pytest.param("adhoc", dict(kappa=3.0), SimConfig(trials=200, seed=5, window_radius=200.0),
                      id="adhoc-kappa3"),
+        pytest.param("adhoc", dict(interferer=EXP_SAMPLER_LAW),
+                     SimConfig(trials=200, seed=5, window_radius=200.0), id="adhoc-sampler"),
     ]
+
+    @staticmethod
+    def _shrinking(rng, mean_points, sizes, cellular):
+        """The trials of ``_blocks`` re-cut into runs that each hold half the
+        trials left, so every run is smaller than the one before."""
+        runs = list(_blocks(rng, mean_points, sizes, cellular))
+        counts = np.concatenate([counts for counts, _ in runs])
+        batch = np.concatenate([batch for _, batch in runs])
+        start = 0
+        while start < counts.size:
+            stop = start + max(1, (counts.size - start) // 2)
+            yield counts[start:stop], batch[start:stop]
+            start = stop
 
     @pytest.mark.parametrize("kind, params, config", DRAW_SCENARIOS)
     def test_run_size_cannot_change_a_draw(self, request, monkeypatch, kind, params, config):
-        # the positions (spawn key 1) and the product-shape gain uniforms (key
-        # 2) of every run, put end to end, are one draw from a fresh stream
+        # the positions (spawn key 1), the product-shape gain uniforms (key
+        # 2) and the interferer gains of every run, put end to end, are one
+        # draw from a fresh stream, and the estimate stays the same.  Two
+        # cases reuse the workspace across runs of unequal size: runs that
+        # shrink after a large one, and a budget of about one trial's weight,
+        # where a heavier trial, run alone, grows the workspace
         bundle = request.getfixturevalue(f"{kind}_bundle")(**params)
-        draws = {}
+        reference = simulate(bundle, config)
+        draws, gains, built = {}, [], []
 
-        def recorded(rng, n):
-            u = _open_uniforms(rng, n)
+        def recorded(rng, out):
+            u = _open_uniforms(rng, out)
             draws.setdefault(rng.bit_generator.seed_seq.spawn_key, []).append(u.copy())
             return u
 
+        def recorded_gains(bundle, rng, out, uniforms):
+            g = _interferer_draw(bundle, rng, out, uniforms)
+            gains.append(g.copy())
+            return g
+
+        class RecordedWorkspace(_Workspace):
+            def __init__(self, points, factors, wide):
+                built.append(points)
+                super().__init__(points, factors, wide)
+
         monkeypatch.setattr(montecarlo, "_open_uniforms", recorded)
+        monkeypatch.setattr(montecarlo, "_interferer_draw", recorded_gains)
+        monkeypatch.setattr(montecarlo, "_Workspace", RecordedWorkspace)
         children = np.random.SeedSequence(config.seed).spawn(3)
-        for budget in (1, montecarlo._BLOCK_POINTS, 10**9):
+        keys = [(1,)] if "interferer" in params else [(1,), (2,)]
+        default = montecarlo._BLOCK_POINTS
+        one_trial = math.ceil(_plan(bundle, config).mean_points) + 1
+        cases = [(1, _blocks), (default, _blocks), (10**9, _blocks),
+                 (default, self._shrinking), (one_trial, _blocks)]
+        for budget, blocks in cases:
             draws.clear()
+            gains.clear()
+            built.clear()
             monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
-            simulate(bundle, config)
-            assert sorted(draws) == [(1,), (2,)]
+            monkeypatch.setattr(montecarlo, "_blocks", blocks)
+            est = simulate(bundle, config)
+            assert (est.value, est.ci_halfwidth) == (reference.value, reference.ci_halfwidth)
+            assert sorted(draws) == keys
             for key, parts in draws.items():
                 whole = np.concatenate(parts)
                 assert whole.size > 10**5
@@ -358,12 +401,21 @@ class TestStreams:
                     assert len(parts) == config.trials
                 if budget == 10**9:
                     assert len(parts) == 1
+            whole = np.concatenate(gains)
+            fresh = np.random.Generator(np.random.SFC64(children[2]))
+            np.testing.assert_array_equal(whole, _draw(bundle, fresh, whole.size))
+            sized = [points for points in built if points]
+            if blocks is self._shrinking:
+                assert len(sized) == 1 and len(gains) > 5
+                assert gains[0].size > max(g.size for g in gains[1:])
+            if budget == one_trial:
+                assert len(sized) >= 2 and sized == sorted(sized) and sized[-1] > budget
 
 
 class TestOpenUniforms:
-    # 0, 1, 2, 3, odd and even sizes, within one piece of raw words and
-    # across several
-    SIZES = [0, 1, 2, 3, 7, 10, 4095, 4096, 4097, 12290,
+    # 0, 1, 2, 3, odd and even sizes, on either side of the first size cut
+    # from raw words, within one piece of raw words and across several
+    SIZES = [0, 1, 2, 3, 7, 10, _RAW_MIN - 1, _RAW_MIN, _RAW_MIN + 1, 12290,
              2 * _RAW_WORDS, 2 * _RAW_WORDS + 1, 5 * _RAW_WORDS + 2]
 
     def test_matches_one_minus_random(self):
@@ -377,8 +429,9 @@ class TestOpenUniforms:
             if i % 2:
                 assert np.array_equal(mine.random(i, dtype=np.float32),
                                       ref.random(i, dtype=np.float32))
-            u = _open_uniforms(mine, n)
-            assert u.dtype == np.float32 and u.shape == (n,)
+            out = np.empty(n, dtype=np.float32)
+            u = _open_uniforms(mine, out)
+            assert u is out
             np.testing.assert_array_equal(u, 1 - ref.random(n, dtype=np.float32))
             assert str(mine.bit_generator.state) == str(ref.bit_generator.state)
         np.testing.assert_array_equal(mine.random(5, dtype=np.float32),
@@ -597,6 +650,25 @@ class TestAutomaticWindowAgreement:
         assert abs(z) <= 3.0
 
 
+def _exp_gains(rng, size):
+    return -np.log(np.float32(1.0) - rng.random(size, dtype=np.float32))
+
+
+def _exp_gains_with(value):
+    """A sampler of float64 exponential gains with ``value`` in the middle."""
+    def sampler(rng, size):
+        gains = _exp_gains(rng, size).astype(np.float64)
+        gains[size // 2] = value
+        return gains
+    return sampler
+
+
+def _draw(bundle, rng, n):
+    """``n`` interferer gains from ``rng``, drawn into fresh buffers."""
+    return _interferer_draw(bundle, rng, np.empty(n, dtype=np.float32),
+                            np.empty(4 * n, dtype=np.float32))
+
+
 class _RecordingRng:
     """A generator that records the names of the methods called on it."""
 
@@ -617,7 +689,7 @@ class TestInterfererDraw:
 
         beta, n = 0.8, 2**20
         rng = np.random.Generator(np.random.SFC64(int(kappa)))
-        draw = _interferer_draw(cellular_bundle(kappa=kappa, beta=beta), rng, n)
+        draw = _draw(cellular_bundle(kappa=kappa, beta=beta), rng, n)
         assert draw.dtype == np.float32 and draw.shape == (n,)
         assert np.isfinite(draw).all()
         # a draw is 0 only when all its kappa uniforms are, 2^(-24 kappa) of the time
@@ -632,16 +704,16 @@ class TestInterfererDraw:
     @pytest.mark.parametrize("kappa", [2.5, 5.0])
     def test_other_shapes_use_the_gamma_sampler(self, cellular_bundle, kappa):
         rng = _RecordingRng(3)
-        draw = _interferer_draw(cellular_bundle(kappa=kappa), rng, 1000)
+        draw = _draw(cellular_bundle(kappa=kappa), rng, 1000)
         assert rng.calls == ["standard_gamma"]
         assert draw.dtype == np.float32
 
     def test_integer_shapes_draw_uniforms_point_major(self, cellular_bundle):
         # point i takes uniforms 3i .. 3i + 2, so one call and two give the same draws
         bundle = cellular_bundle(kappa=3.0)
-        whole = _interferer_draw(bundle, np.random.Generator(np.random.SFC64(4)), 1001)
+        whole = _draw(bundle, np.random.Generator(np.random.SFC64(4)), 1001)
         rng = np.random.Generator(np.random.SFC64(4))
-        parts = [_interferer_draw(bundle, rng, size) for size in (333, 668)]
+        parts = [_draw(bundle, rng, size) for size in (333, 668)]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
         u = np.random.Generator(np.random.SFC64(4)).random(3 * 1001, dtype=np.float32)
         prod = (1 - u[0::3]) * (1 - u[1::3]) * (1 - u[2::3])
@@ -650,7 +722,7 @@ class TestInterfererDraw:
     def test_gamma_law_moments(self, cellular_bundle):
         bundle = cellular_bundle(kappa=2.5, beta=0.8)
         rng = np.random.Generator(np.random.Philox(key=7))
-        draw = _interferer_draw(bundle, rng, 1_000_000)
+        draw = _draw(bundle, rng, 1_000_000)
         assert draw.dtype == np.float32
         assert draw.mean() == pytest.approx(2.5 * 0.8, rel=0.01)
         assert draw.var() == pytest.approx(2.5 * 0.8**2, rel=0.03)
@@ -658,7 +730,7 @@ class TestInterfererDraw:
     def test_exponential_fast_path_scales(self, cellular_bundle):
         bundle = cellular_bundle(kappa=1.0, beta=3.0)
         rng = np.random.Generator(np.random.Philox(key=8))
-        draw = _interferer_draw(bundle, rng, 500_000)
+        draw = _draw(bundle, rng, 500_000)
         assert draw.mean() == pytest.approx(3.0, rel=0.01)
 
     def test_sampler_path_matches_gamma_fast_path(self, adhoc_bundle):
@@ -674,6 +746,41 @@ class TestInterfererDraw:
         bundle = adhoc_bundle(interferer=law)
         with pytest.raises(ConfigurationError, match="sampler"):
             simulate(bundle, SimConfig(trials=100, seed=0))
+
+    # each was taken as it came: a scalar or one value broadcast to every
+    # point, a negative or NaN gain read as coverage, a 2-D array raised a
+    # bare numpy error
+    BAD_SAMPLERS = {
+        "scalar": lambda rng, size: float(_exp_gains(rng, 1)[0]),
+        "length-1": lambda rng, size: _exp_gains(rng, 1),
+        "2-D": lambda rng, size: _exp_gains(rng, size).reshape(size, 1),
+        "negative": lambda rng, size: -_exp_gains(rng, size),
+        "one-nan": _exp_gains_with(np.nan),
+        "one-inf": _exp_gains_with(np.inf),
+        "past-float32": _exp_gains_with(1e39),
+        "complex": lambda rng, size: _exp_gains(rng, size) + 0j,
+    }
+
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    @pytest.mark.parametrize("name", list(BAD_SAMPLERS))
+    def test_bad_sampler_output_is_refused(self, request, kind, name):
+        law = InterfererGainSpec(pdf=EXP_SAMPLER_LAW.pdf, sampler=self.BAD_SAMPLERS[name])
+        bundle = request.getfixturevalue(f"{kind}_bundle")(m=2, interferer=law)
+        with pytest.raises(ConfigurationError, match="sampler"):
+            simulate(bundle, SimConfig(trials=2000, seed=1))
+
+    @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
+    def test_sampler_may_return_any_real_sequence(self, request, kind):
+        # a list of Python floats gives the draws of the float32 array
+        def as_list(rng, size):
+            return [float(g) for g in _exp_gains(rng, size)]
+
+        config = SimConfig(trials=2000, seed=1)
+        make = request.getfixturevalue(f"{kind}_bundle")
+        listed = simulate(make(m=2, interferer=InterfererGainSpec(pdf=EXP_SAMPLER_LAW.pdf,
+                                                                  sampler=as_list)), config)
+        direct = simulate(make(m=2, interferer=EXP_SAMPLER_LAW), config)
+        assert (listed.value, listed.ci_halfwidth) == (direct.value, direct.ci_halfwidth)
 
 
 class TestEdgeCases:
