@@ -418,19 +418,10 @@ def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, out: np.n
     return out
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """float64 sums of the consecutive segments of ``values`` that hold
-    ``counts`` values each, 0 for an empty one; each segment is summed by
-    ``np.add.reduceat`` in the dtype of ``values``.  Empty segments, which
-    ``reduceat`` cannot express, are masked out only where there are some."""
-    starts = np.cumsum(counts)
-    starts -= counts
-    if counts.all():
-        return np.add.reduceat(values, starts).astype(np.float64, copy=False)
-    sums = np.zeros(counts.size)
-    nz = counts > 0
-    sums[nz] = np.add.reduceat(values, starts[nz])
-    return sums
+def _segment_starts(counts: np.ndarray) -> np.ndarray:
+    starts = np.zeros(counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
 
 
 class _Workspace:
@@ -514,7 +505,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     fast_alpha4 = sc.alpha == 4.0
     tau = sc.threshold
     # noise and far mean join at the comparison, times the serving d^alpha:
-    # the segment sums below hold the simulated interferers alone
+    # the segment reduction below assigns into the interference array
     floor = plan.noise + plan.far_mean
     if cellular and floor > 0.0:
         # the load tau (r / anchor)^alpha floor is worked in logarithms, as
@@ -544,8 +535,10 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
             n = int(others.sum())
             if ws is None or n > ws.points:
                 # the first run sizes the workspace: to its own points if it
-                # holds every trial, else to the budget, which every later run
-                # fits but a heavier trial, which runs alone and grows it
+                # holds every trial (a 4000-trial ad hoc simulation sized to
+                # the budget faulted its pages in afresh at every call and
+                # took 6-8% longer), else to the budget, which every later
+                # run fits but a heavier trial, which runs alone and grows it
                 points = n if n_run == config.trials else max(n, _BLOCK_POINTS)
                 ws = _Workspace(points, factors, wide)
             u = _open_uniforms(position_rng, ws.positions[:n])  # 1 - U, in (0, 1]
@@ -558,9 +551,8 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 b_rel = (np.exp(log_q) / u_min).astype(np.float32)
             gain = signal_rng.gamma(m_ant, theta, n_run)
 
-            if not n:
-                interference = np.zeros(n_run)
-            else:
+            interference = np.zeros(n_run)
+            if n:
                 g = _interferer_draw(bundle, gain_rng, ws.gains[:n], ws.uniforms)
                 if cellular:
                     # a cellular base is at least 1, so no near term underflows to
@@ -580,7 +572,8 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 else:
                     u = np.power(u, alpha_half, out=ws.wide[:n], dtype=np.float64)
                 w = np.divide(g, u, out=u)
-                interference = _segment_sums(w, others)
+                nz = others > 0
+                interference[nz] = np.add.reduceat(w, _segment_starts(others[nz]))
 
             if not cellular:
                 hit = gain > tau * (floor + interference)
