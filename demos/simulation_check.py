@@ -4,7 +4,8 @@ The simulator scatters actual Poisson points in a disc, draws fading for
 each, serves the nearest point (cellular) or the dedicated dipole
 transmitter (ad hoc), and counts threshold crossings.  Nothing about the
 analytic derivation is reused, so agreement here exercises the whole
-pipeline end to end.  Estimates carry batch-means confidence intervals.
+pipeline end to end.  Estimates carry confidence intervals from the
+independent trials.
 By default the simulator scatters points only in a near disc and adds the
 mean interference of the field beyond it (Campbell's theorem).  The disc
 is the smaller of the one whose far-field mean provably moves coverage by

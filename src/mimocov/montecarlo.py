@@ -62,29 +62,30 @@ construction, about one uniform per factor, and drawn point-major, point
 i taking uniforms i kappa to i kappa + kappa - 1.  Each factor is at
 least 2^-24, so a draw is at most 16.6 kappa (times beta).  Beyond
 kappa = 4 the product is no cheaper than ``standard_gamma``, which draws
-all other shapes.  The trials are split into a fixed 100 batches, which
-only partition them for the batch-means confidence interval.  Every
-simulation runs one loop over runs of consecutive trials of at most 2^16
-points, a trial weighing its interferer points plus one; a heavier trial
-runs alone.  The runs share one workspace (``_Workspace``): float32
-buffers for the positions, the interferer gains and a product shape's
-uniforms, and for an ad hoc d^alpha at alpha other than 4 a float64 one,
-allocated once, at the first run, to the points of the whole simulation if
-that run holds every trial, else to 2^16 points, and grown only for a
-heavier trial.  Each run draws its positions, its V, its interferer gains
-and its signal gains with one call each, the per-point draws into the
-workspace, works its terms there in place (only the per-point copy of a
-cellular trial's scale B is a fresh array), and adds its hits to the
-totals of its trials' batches.  So the runs fault almost no memory in, and
-runs of 2^16 points beat 2^15 (see ``_BLOCK_POINTS``).  The counts come as
-if drawn batch by batch, each batch's redraws before the next batch's
-counts (one draw serves the batches of up to 2^16 trials until a cellular
-trial comes up empty; then the stream is rewound and they are drawn one by
-one).  Each kind of draw comes from its own stream in trial order, so the
-runs cannot change any draw: an estimate is reproducible bit for bit from
-its seed, whatever the run size.  The simulation runs in the calling
-thread, on one core, so its run time does not hinge on whether other cores
-are free.
+all other shapes.  The trials are independent, so the confidence
+interval comes from their 0/1 outcomes: with k hits in n trials the
+halfwidth is 1.96 sqrt(k (n - k) / (n - 1)) / n, from the sample variance
+of the outcomes.  Every simulation runs one loop over runs of consecutive
+trials of at most 2^16 points, a trial weighing its interferer points plus
+one; a heavier trial runs alone.  The runs share one workspace
+(``_Workspace``): float32 buffers for the positions, the interferer gains
+and a product shape's uniforms, and for an ad hoc d^alpha at alpha other
+than 4 a float64 one, allocated once, at the first run, to the points of
+the whole simulation if that run holds every trial, else to 2^16 points,
+and grown only for a heavier trial.  Each run draws its positions, its V,
+its interferer gains and its signal gains with one call each, the
+per-point draws into the workspace, works its terms there in place (only
+the per-point copy of a cellular trial's scale B is a fresh array), and
+adds its hits to one count.  So the runs fault almost no memory in, and
+runs of 2^16 points beat 2^15 (see ``_BLOCK_POINTS``).  The counts are
+drawn 2^16 trials at a time (``_COUNT_GROUP``), each group's empty
+cellular trials redrawn in place before the next group is drawn; Poisson
+draws chain, so without a redraw any grouping gives the same counts.
+Each kind of draw comes from its own stream in trial order, and neither
+the groups nor the redraws depend on the run size, so the runs cannot
+change any draw: an estimate is reproducible bit for bit from its seed,
+whatever the run size.  The simulation runs in the calling thread, on one
+core, so its run time does not hinge on whether other cores are free.
 
 A cellular trial needs at least one point to serve from; one with none is
 redrawn.  A window whose empty share, P(N = 0) = exp(-lam pi R^2), exceeds
@@ -105,11 +106,12 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ValidationError
 from .model import CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer, _integral_on_half_line
 
-_MAX_ENTRIES = 8_000_000  # cap on a batch's trials and on a trial's expected points
+_MAX_ENTRIES = 8_000_000  # cap on a trial's expected points
+_MAX_TRIALS = 800_000_000  # cap on a simulation's trials
 # most weight of one run: with the reused workspace, cellular runs of 2^16
 # and 2^17 points took 7% less time than 2^15, and 2^18 3% less
 _BLOCK_POINTS = 1 << 16
-_BATCHES = 100  # partition of the trials for the batch-means interval
+_COUNT_GROUP = 1 << 16  # trials whose point counts are drawn at once
 _EMPTY_BUDGET = 0.01  # share of cellular trials allowed to come up empty
 _FAR_BIAS = 1e-5  # coverage bias the far-field mean may cause
 _LOG_HUGE = math.log(sys.float_info.max)
@@ -136,10 +138,8 @@ class SimConfig:
     An explicit radius means plain truncation: interferers beyond it are
     dropped and no far-field mean is added.  A cellular window must hold a
     point in at least 99% of the realizations, or ``simulate`` refuses it.
-    The confidence interval comes from batch means over 100 batches, so
-    ``trials`` is at least 100, and at most 100 times the points one
-    realization may hold, so that the counts of one batch, which are drawn
-    at once, stay within that many entries.
+    The confidence interval comes from the independent trials' sample
+    variance, so ``trials`` is at least 2; it is at most 8e8.
     ``trials`` and ``seed`` are Python or numpy integers, not bools.
     """
 
@@ -149,13 +149,10 @@ class SimConfig:
 
     def __post_init__(self):
         trials, seed = _integer(self.trials), _integer(self.seed)
-        if trials is None or trials < _BATCHES:
-            raise ValidationError(f"trials must be an integer of at least {_BATCHES}")
-        if trials > _BATCHES * _MAX_ENTRIES:
-            raise ConfigurationError(
-                f"trials must be at most {_BATCHES * _MAX_ENTRIES}, so that one "
-                f"batch's per-trial arrays stay within {_MAX_ENTRIES} entries"
-            )
+        if trials is None or trials < 2:
+            raise ValidationError("trials must be an integer of at least 2")
+        if trials > _MAX_TRIALS:
+            raise ConfigurationError(f"trials must be at most {_MAX_TRIALS}")
         if seed is None or not (0 <= seed < 2**64):
             raise ValidationError("seed must be an integer in [0, 2^64)")
         object.__setattr__(self, "trials", trials)
@@ -451,47 +448,31 @@ def _runs(weights, budget: int):
         start = stop
 
 
-def _counts(rng: np.random.Generator, mean_points: float, sizes,
+def _counts(rng: np.random.Generator, mean_points: float, n: int,
             cellular: bool) -> np.ndarray:
-    """Per-trial point counts of consecutive batches, as drawn batch by batch
-    with an empty cellular trial redrawn before the next batch is drawn.
-
-    Without a redraw that is one draw for all the batches.  Should a
-    cellular trial come up empty, the stream is rewound and the batches
-    are drawn one by one, each with its redraws.
-    """
-    state = rng.bit_generator.state if cellular else None
-    counts = rng.poisson(mean_points, sum(sizes))
-    if not cellular or counts.all():
-        return counts
-    rng.bit_generator.state = state
-    batches = []
-    for n_batch in sizes:
-        batch = rng.poisson(mean_points, n_batch)
-        empty = np.flatnonzero(batch == 0)
+    """Point counts of ``n`` consecutive trials, each empty cellular trial
+    redrawn in place until it holds a point."""
+    counts = rng.poisson(mean_points, n)
+    if cellular:
+        empty = np.flatnonzero(counts == 0)
         while empty.size:
-            batch[empty] = rng.poisson(mean_points, empty.size)
-            empty = empty[batch[empty] == 0]
-        batches.append(batch)
-    return np.concatenate(batches)
+            counts[empty] = rng.poisson(mean_points, empty.size)
+            empty = empty[counts[empty] == 0]
+    return counts
 
 
-def _blocks(rng: np.random.Generator, mean_points: float, sizes, cellular: bool):
-    """Runs of consecutive trials, each as its per-trial point counts and the
-    batch of each of its trials.
+def _blocks(rng: np.random.Generator, mean_points: float, trials: int, cellular: bool):
+    """Runs of consecutive trials, each as its per-trial point counts.
 
-    A run weighs its trials plus its interferer points (a cellular trial's
-    serving point stands in for its one): at most ``_BLOCK_POINTS``, unless
-    it holds a single trial.  A trial weighs at least one, so the counts are
-    drawn for the whole batches that fit that budget in trials (at least
-    one batch), then split into runs.
+    The counts are drawn ``_COUNT_GROUP`` trials at a time, then split into
+    runs that weigh their trials plus their interferer points (a cellular
+    trial's serving point stands in for its one): at most
+    ``_BLOCK_POINTS``, unless a run holds a single trial.
     """
-    for lo, hi in _runs(sizes, _BLOCK_POINTS):
-        group = sizes[lo:hi]
-        counts = _counts(rng, mean_points, group, cellular)
-        batch = np.repeat(np.arange(lo, hi), group)
+    for lo in range(0, trials, _COUNT_GROUP):
+        counts = _counts(rng, mean_points, min(_COUNT_GROUP, trials - lo), cellular)
         for start, stop in _runs(counts if cellular else counts + 1, _BLOCK_POINTS):
-            yield counts[start:stop], batch[start:stop]
+            yield counts[start:stop]
 
 
 def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> CoverageEstimate:
@@ -518,9 +499,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                np.random.SeedSequence(config.seed).spawn(5 if cellular else 4)]
     count_rng, position_rng, gain_rng, signal_rng = streams[:4]
     nearest_rng = streams[-1]  # the fifth, spawn key 4, serves cellular runs only
-    sizes = np.full(_BATCHES, config.trials // _BATCHES)
-    sizes[: config.trials % _BATCHES] += 1
-    covered = np.zeros(_BATCHES)
+    hits = 0
     law = bundle.interferer
     factors = int(law.kappa) if law.is_gamma and law.kappa in _PRODUCT_SHAPES[1:] else 0
     wide = not (cellular or fast_alpha4)
@@ -529,7 +508,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     # reads as inf or 0 as it should (below), and so does the log of a
     # u_min of 0, which V = 0 (2^-53 of the draws) gives
     with np.errstate(over="ignore", divide="ignore"):
-        for counts, batch in _blocks(count_rng, plan.mean_points, sizes, cellular):
+        for counts in _blocks(count_rng, plan.mean_points, config.trials, cellular):
             n_run = counts.size
             others = counts - 1 if cellular else counts
             n = int(others.sum())
@@ -581,13 +560,12 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 hit = gain > np.exp(log_load + alpha_half * np.log(u_min)) + tau * interference
             else:
                 hit = gain > tau * interference
-            covered += np.bincount(batch, weights=hit, minlength=_BATCHES)
+            hits += int(np.count_nonzero(hit))
 
-    batch_means = covered / sizes
-    halfwidth = 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(_BATCHES)
+    trials = config.trials
     return CoverageEstimate(
-        value=int(covered.sum()) / config.trials,
+        value=hits / trials,
         method=METHOD_MC,
-        ci_halfwidth=halfwidth,
-        trials=config.trials,
+        ci_halfwidth=1.96 * math.sqrt(hits * (trials - hits) / (trials - 1)) / trials,
+        trials=trials,
     )

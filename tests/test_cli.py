@@ -95,6 +95,19 @@ class TestCoverageCommand:
         assert float(row["ci_halfwidth"]) > 0.0
         assert 0.0 < float(row["p_c"]) < 1.0
 
+    def test_two_trials_are_the_fewest(self, capsys):
+        # the interval needs the sample variance of at least two trials
+        argv = ["coverage", "--kind", "adhoc", "--alpha", "4", "--r0", "1",
+                "--lambda", "0.05", "--method", "mc", "--trials"]
+        code, out, _ = run_cli(capsys, argv + ["2"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert math.isfinite(float(rows[0]["ci_halfwidth"]))
+        code, out, err = run_cli(capsys, argv + ["1"])
+        assert code == 2
+        assert out == ""
+        assert "at least 2" in err
+
     def test_unaffordable_window_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, ["coverage", "--kind", "cellular",
                                           "--alpha", "2.5", "--m", "1",

@@ -7,8 +7,8 @@ import pytest
 from mimocov import InterfererGainSpec, coverage, montecarlo
 from mimocov.errors import ConfigurationError, NumericalError, ValidationError
 from mimocov.montecarlo import (
-    _BATCHES,
-    _MAX_ENTRIES,
+    _COUNT_GROUP,
+    _MAX_TRIALS,
     _RAW_MIN,
     _RAW_WORDS,
     SimConfig,
@@ -45,7 +45,7 @@ class TestSimConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"trials": 50},
+            {"trials": 1},
             {"trials": 1000.0},
             {"trials": True},
             {"seed": -1},
@@ -71,9 +71,11 @@ class TestSimConfig:
         assert (config.trials, config.seed) == (1000, 3)
         assert type(config.trials) is int and type(config.seed) is int
 
-    def test_trials_are_bounded_by_one_chunk_per_batch(self):
+    def test_trials_are_capped(self):
         # a SimConfig allocates nothing, so the bound is checked at no cost
-        most = _BATCHES * _MAX_ENTRIES
+        most = _MAX_TRIALS
+        assert most == 800_000_000
+        assert SimConfig(trials=2).trials == 2
         assert SimConfig(trials=most).trials == most
         for trials in (most + 1, 10**11):
             with pytest.raises(ConfigurationError, match="trials must be at most"):
@@ -252,7 +254,7 @@ class TestStreams:
         for kind in ("cellular", "adhoc") for kappa in (1.0, 2.0)
     ]
 
-    # each batch of 200 trials holds 5e4 (cellular) or 3e5 (ad hoc) points
+    # 200 trials hold 5e4 (cellular) or 3e5 (ad hoc) points
     SCENARIOS = {
         "cellular": (dict(), SimConfig(trials=20_000, seed=7, window_radius=300.0)),
         "adhoc": (dict(m=2), SimConfig(trials=20_000, seed=7, window_radius=100.0)),
@@ -265,8 +267,8 @@ class TestStreams:
 
     @pytest.mark.parametrize("kind, kappa", KINDS_AND_SHAPES)
     def test_chunking_cannot_change_the_estimate(self, request, monkeypatch, kind, kappa):
-        # with a budget of 2e4 points every batch splits into several runs
-        # of trials, and no trial here is heavy enough to run alone past it
+        # with a budget of 2e4 points the trials split into more than 200
+        # runs, and no trial here is heavy enough to run alone past it
         reference = self._simulate(request, kind, kappa)
         draws = []
 
@@ -279,23 +281,23 @@ class TestStreams:
         chunked = self._simulate(request, kind, kappa)
         assert chunked.value == reference.value
         assert chunked.ci_halfwidth == reference.ci_halfwidth
-        assert len(draws) > 2 * _BATCHES
+        assert len(draws) > 200
         assert max(draws) <= 20_000
 
     @pytest.mark.parametrize("kind, kappa", KINDS_AND_SHAPES)
     def test_blocks_cannot_change_the_estimate(self, request, monkeypatch, kind, kappa):
         # the automatic disc holds about 90 (cellular) or 4 (ad hoc) points
-        # per trial at kappa = 1, so by default several batches share a run;
-        # at 200 points every batch splits, and at 1 every trial runs alone
+        # per trial at kappa = 1, so by default a run holds hundreds of
+        # trials; at 200 points it holds a few, and at 1 every trial runs alone
         bundle = request.getfixturevalue(f"{kind}_bundle")(m=2, kappa=kappa)
         config = SimConfig(trials=20_000, seed=7)
         reference = simulate(bundle, config)
         runs = []
 
-        def recorded(rng, mean_points, sizes, cellular):
-            for counts, batch in _blocks(rng, mean_points, sizes, cellular):
+        def recorded(rng, mean_points, trials, cellular):
+            for counts in _blocks(rng, mean_points, trials, cellular):
                 runs.append((counts.size, int(counts.sum()) + (0 if cellular else counts.size)))
-                yield counts, batch
+                yield counts
 
         monkeypatch.setattr(montecarlo, "_blocks", recorded)
         for budget, n_runs in ((1, config.trials), (200, None), (10**9, 1)):
@@ -306,7 +308,7 @@ class TestStreams:
             assert sum(size for size, _ in runs) == config.trials
             assert all(weight <= budget or size == 1 for size, weight in runs)
             if n_runs is None:
-                assert len(runs) > 2 * _BATCHES
+                assert len(runs) > 200
             else:
                 assert len(runs) == n_runs
 
@@ -319,7 +321,52 @@ class TestStreams:
         for budget in (1, montecarlo._BLOCK_POINTS, 10**9):
             monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
             est = simulate(cellular_bundle(m=2), config)
-            assert (est.value, est.ci_halfwidth) == (0.8602, 0.004786672507804322)
+            assert (est.value, est.ci_halfwidth) == (0.8616, 0.0047860014005086)
+
+    def test_counts_are_drawn_group_by_group(self, cellular_bundle, monkeypatch):
+        # about 1% of the trials come up empty on this disc; the counts are
+        # drawn _COUNT_GROUP trials at a time, each group's empty trials
+        # redrawn in place before the next group is drawn, at every run size
+        radius = math.sqrt(1.01 * math.log(100.0) / (math.pi * 1e-3))
+        config = SimConfig(trials=_COUNT_GROUP + 4464, seed=6, window_radius=radius)
+        bundle = cellular_bundle(m=2)
+        mean_points = _plan(bundle, config).mean_points
+
+        def count_stream():  # spawn key 0
+            child = np.random.SeedSequence(config.seed).spawn(1)[0]
+            return np.random.Generator(np.random.SFC64(child))
+
+        rng = count_stream()
+        groups = []
+        for size in (_COUNT_GROUP, config.trials - _COUNT_GROUP):
+            counts = rng.poisson(mean_points, size)
+            empty = counts == 0
+            assert empty.any()
+            while empty.any():
+                counts[empty] = rng.poisson(mean_points, np.count_nonzero(empty))
+                empty = counts == 0
+            groups.append(counts)
+        reference = np.concatenate(groups)
+        # one draw for all the trials, redrawn at the end, gives other counts
+        assert not np.array_equal(reference[_COUNT_GROUP:],
+                                  count_stream().poisson(mean_points, config.trials)[_COUNT_GROUP:])
+
+        drawn = []
+
+        def recorded(*args):
+            for counts in _blocks(*args):
+                drawn.append(counts.copy())
+                yield counts
+
+        monkeypatch.setattr(montecarlo, "_blocks", recorded)
+        estimates = set()
+        for budget in (200, montecarlo._BLOCK_POINTS, 10**9):
+            drawn.clear()
+            monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
+            est = simulate(bundle, config)
+            estimates.add((est.value, est.ci_halfwidth))
+            np.testing.assert_array_equal(np.concatenate(drawn), reference)
+        assert len(estimates) == 1
 
     # (kind, bundle parameters, config): about 90 positions per trial on the
     # automatic cellular disc, about 6300 per trial on the ad hoc window, so
@@ -335,16 +382,14 @@ class TestStreams:
     ]
 
     @staticmethod
-    def _shrinking(rng, mean_points, sizes, cellular):
+    def _shrinking(rng, mean_points, trials, cellular):
         """The trials of ``_blocks`` re-cut into runs that each hold half the
         trials left, so every run is smaller than the one before."""
-        runs = list(_blocks(rng, mean_points, sizes, cellular))
-        counts = np.concatenate([counts for counts, _ in runs])
-        batch = np.concatenate([batch for _, batch in runs])
+        counts = np.concatenate(list(_blocks(rng, mean_points, trials, cellular)))
         start = 0
         while start < counts.size:
             stop = start + max(1, (counts.size - start) // 2)
-            yield counts[start:stop], batch[start:stop]
+            yield counts[start:stop]
             start = stop
 
     @pytest.mark.parametrize("kind, params, config", DRAW_SCENARIOS)
@@ -445,6 +490,36 @@ class TestOpenUniforms:
         np.testing.assert_array_equal(halves, expected)
 
 
+class TestInterval:
+    def test_halfwidth_is_the_binomial_closed_form(self, request):
+        # with k hits in n trials, 1.96 sqrt(k (n - k) / (n - 1)) / n: the
+        # sample standard deviation of the 0/1 outcomes over sqrt(n), which
+        # at 100 trials is the batch-means interval of 100 one-trial batches
+        for kind, trials in (("cellular", 100), ("adhoc", 100), ("cellular", 2), ("adhoc", 1999)):
+            bundle = request.getfixturevalue(f"{kind}_bundle")(m=2)
+            est = simulate(bundle, SimConfig(trials=trials, seed=3))
+            hits = round(est.value * trials)
+            assert hits / trials == est.value
+            closed_form = 1.96 * math.sqrt(hits * (trials - hits) / (trials - 1)) / trials
+            assert est.ci_halfwidth == closed_form
+            outcomes = np.repeat([1.0, 0.0], [hits, trials - hits])
+            assert est.ci_halfwidth == pytest.approx(
+                1.96 * np.std(outcomes, ddof=1) / math.sqrt(trials), rel=1e-14)
+
+    def test_interval_covers_the_series_value_95_percent_of_the_time(self, adhoc_bundle):
+        # 400 seeds of 300 trials each; the count of intervals that hold the
+        # exact coverage must be a likely draw of Binomial(400, 0.95)
+        from scipy import stats
+
+        bundle = adhoc_bundle()
+        exact = coverage(bundle).value
+        seeds = 400
+        covered = sum(abs(est.value - exact) <= est.ci_halfwidth
+                      for est in (simulate(bundle, SimConfig(trials=300, seed=seed))
+                                  for seed in range(seeds)))
+        assert stats.binomtest(covered, seeds, 0.95).pvalue > 1e-3
+
+
 class TestPlan:
     def test_automatic_window(self, cellular_bundle):
         bundle = cellular_bundle(alpha=3.5, m=2, noise=0.01, kappa=2.0)
@@ -488,10 +563,10 @@ class TestFarField:
         # Gamma law and a general law
         est = simulate(cellular_bundle(alpha=3.0, m=2),
                        SimConfig(trials=2000, seed=5, window_radius=300.0))
-        assert (est.value, est.ci_halfwidth) == (0.5885, 0.02214926142827751)
+        assert (est.value, est.ci_halfwidth) == (0.5885, 0.021572865096092988)
         est = simulate(adhoc_bundle(m=2, interferer=EXP_SAMPLER_LAW),
                        SimConfig(trials=2000, seed=9, window_radius=10001.0**0.5))
-        assert (est.value, est.ci_halfwidth) == (0.885, 0.012651745597610894)
+        assert (est.value, est.ci_halfwidth) == (0.885, 0.01398524985857612)
 
 
 class TestAgreementWithAnalytic:
