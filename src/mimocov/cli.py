@@ -278,7 +278,8 @@ def _cmd_validate(args):
             exact_field, z_field = "n/a", ""
         else:
             se = mc.ci_halfwidth / 1.96
-            z = (mc.value - exact) / se if se > 0.0 else math.inf
+            # a zero halfwidth (every trial alike) agrees only with an equal series
+            z = (mc.value - exact) / se if se > 0.0 else 0.0 if mc.value == exact else math.inf
             worst = max(worst, abs(z))
             exact_field, z_field = _num(exact), _num(z)
         rows.append(_scenario_fields(bundle) + [

@@ -42,9 +42,16 @@ minimum of N uniforms, u_min = 1 - (1 - V)^(1/N) for one uniform V, and the
 other N - 1 points uniformly on (u_min, 1]: jointly this is exactly N
 uniform points with the nearest one singled out, so no search for it is
 needed.  Points are generated in float32 and aggregated per trial with
-segmented ufunc reductions; statistics are accumulated in float64, and so
-is an ad hoc d^alpha at alpha other than 4, which for a near interferer
-underflows in float32.
+segmented ufunc reductions; statistics are accumulated in float64.
+
+Signal gains are drawn in units of theta, so the threshold enters as
+tau / theta.  With u an interferer's squared distance in anchors (ad hoc)
+or over the serving one (cellular), an alpha = 4 term is g / u^2, their
+float32 sum scaled by tau / theta; any other is exp(log(tau / theta) +
+log g - (alpha / 2) log u) in float32, so none vanishes or overflows where
+it could decide a trial (past float32 it reads inf, uncovered; below
+1.4e-45, 0).  Its relative error is a few float32 ulps of the exponent,
+about 2.4e-4 at +-3000 dB, where |log(tau / theta)| is near 690.
 
 One simulation draws from SFC64 streams spawned once from
 ``SeedSequence(seed)``: Poisson counts (with the redraws of empty cellular
@@ -69,11 +76,10 @@ of the outcomes.  Every simulation runs one loop over runs of consecutive
 trials of at most 2^16 points, a trial weighing its interferer points plus
 one; a heavier trial runs alone.  The runs share one workspace
 (``_Workspace``): float32 buffers for the positions, the interferer gains
-and a product shape's uniforms, and for an ad hoc d^alpha at alpha other
-than 4 a float64 one, allocated once, at the first run, to the points of
-the whole simulation if that run holds every trial, else to 2^16 points,
-and grown only for a heavier trial.  Each run draws its positions, its V,
-its interferer gains and its signal gains with one call each, the
+and a product shape's uniforms, allocated once, at the first run, to the
+points of the whole simulation if that run holds every trial, else to 2^16
+points, and grown only for a heavier trial.  Each run draws its positions,
+its V, its interferer gains and its signal gains with one call each, the
 per-point draws into the workspace, works its terms there in place (only
 the per-point copy of a cellular trial's scale B is a fresh array), and
 adds its hits to one count.  So the runs fault almost no memory in, and
@@ -423,17 +429,15 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """The per-point buffers of one simulation, which every run reuses:
-    float32 positions and interferer gains, float32 room for ``factors``
-    uniforms per gain (kappa for a product shape kappa >= 2, else 0), and
-    for an ad hoc d^alpha at alpha other than 4 (``wide``) float64 room for
-    the powers and terms.  Each holds ``points`` values per kind."""
+    float32 positions and interferer gains, in which the terms are worked,
+    and float32 room for ``factors`` uniforms per gain (kappa for a product
+    shape kappa >= 2, else 0).  Each holds ``points`` values per kind."""
 
-    def __init__(self, points: int, factors: int, wide: bool):
+    def __init__(self, points: int, factors: int):
         self.points = points
         self.positions = np.empty(points, dtype=np.float32)
         self.gains = np.empty(points, dtype=np.float32)
         self.uniforms = np.empty(factors * points, dtype=np.float32)
-        self.wide = np.empty(points if wide else 0)
 
 
 def _runs(weights, budget: int):
@@ -484,16 +488,17 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     r_sq = rho * rho
     alpha_half = sc.alpha / 2.0
     fast_alpha4 = sc.alpha == 4.0
-    tau = sc.threshold
-    # noise and far mean join at the comparison, times the serving d^alpha:
-    # the segment reduction below assigns into the interference array
+    log_scale = math.log(sc.threshold) - math.log(bundle.signal.scale)  # log(tau / theta)
+    # noise and far mean enter as the load (tau / theta) (r / anchor)^alpha
+    # floor, in logarithms, as the serving d^alpha passes the double range at
+    # large alpha; r is the anchor for ad hoc, a cellular run adds its u_min
     floor = plan.noise + plan.far_mean
-    if cellular and floor > 0.0:
-        # the load tau (r / anchor)^alpha floor is worked in logarithms, as
-        # the serving d^alpha alone passes the double range at large alpha
-        log_load = math.log(tau) + math.log(floor) + alpha_half * math.log(r_sq)
-    theta = bundle.signal.scale
-    m_ant = bundle.signal.shape
+    log_load = (log_scale + math.log(floor) + (alpha_half * math.log(r_sq) if cellular else 0.0)
+                if floor > 0.0 else -math.inf)
+    # a positive double, so that no alpha = 4 sum of 0 or inf reads nan; a
+    # positive float32 sum times the largest double is far above every gain
+    scale = (min(max(sc.threshold / bundle.signal.scale, sys.float_info.min), sys.float_info.max)
+             if fast_alpha4 else 1.0)
 
     streams = [np.random.Generator(np.random.SFC64(child)) for child in
                np.random.SeedSequence(config.seed).spawn(5 if cellular else 4)]
@@ -502,12 +507,11 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     hits = 0
     law = bundle.interferer
     factors = int(law.kappa) if law.is_gamma and law.kappa in _PRODUCT_SHAPES[1:] else 0
-    wide = not (cellular or fast_alpha4)
     ws = None
-    # one errstate for every run: a term, power or load past the float range
-    # reads as inf or 0 as it should (below), and so does the log of a
-    # u_min of 0, which V = 0 (2^-53 of the draws) gives
+    # one errstate for every run: a term or load past the float range reads
+    # inf or 0 as it should, and so does the log of a zero gain or u_min
     with np.errstate(over="ignore", divide="ignore"):
+        load = np.exp(log_load)  # 0 without a floor; a cellular run works out its own
         for counts in _blocks(count_rng, plan.mean_points, config.trials, cellular):
             n_run = counts.size
             others = counts - 1 if cellular else counts
@@ -519,7 +523,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 # took 6-8% longer), else to the budget, which every later
                 # run fits but a heavier trial, which runs alone and grows it
                 points = n if n_run == config.trials else max(n, _BLOCK_POINTS)
-                ws = _Workspace(points, factors, wide)
+                ws = _Workspace(points, factors)
             u = _open_uniforms(position_rng, ws.positions[:n])  # 1 - U, in (0, 1]
             if cellular:
                 # nearest of N uniform points in u = d^2 / R^2: u_min = 1 - (1 - V)^(1/N);
@@ -528,38 +532,33 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 log_q = np.log1p(-nearest_rng.random(n_run)) / counts
                 u_min = -np.expm1(log_q)
                 b_rel = (np.exp(log_q) / u_min).astype(np.float32)
-            gain = signal_rng.gamma(m_ant, theta, n_run)
+                if floor > 0.0:
+                    load = np.exp(log_load + alpha_half * np.log(u_min))
+            gain = signal_rng.standard_gamma(bundle.signal.shape, n_run)  # in units of theta
 
             interference = np.zeros(n_run)
             if n:
                 g = _interferer_draw(bundle, gain_rng, ws.gains[:n], ws.uniforms)
                 if cellular:
-                    # a cellular base is at least 1, so no near term underflows to
-                    # g / 0 at large alpha; one overflowing to inf is negligible
                     u *= np.repeat(b_rel, others)
                     u += np.float32(1.0)
                 else:
                     u *= np.float32(r_sq)
-                # an ad hoc d^alpha is taken in float64, where a near interferer's
-                # does not underflow as in float32; one below even that range
-                # (2^-1074 of the link's) reads as an infinite term, which no
-                # threshold of 2^-997 (-3000 dB) or more can cover
                 if fast_alpha4:
                     u *= u
-                elif cellular:
-                    np.power(u, np.float32(alpha_half), out=u)
+                    w = np.divide(g, u, out=u)
                 else:
-                    u = np.power(u, alpha_half, out=ws.wide[:n], dtype=np.float64)
-                w = np.divide(g, u, out=u)
+                    # exp(log(tau / theta) + log g - (alpha / 2) log u); past float32
+                    # a term reads inf, far above every Gamma(M, 1) gain
+                    np.log(u, out=u)
+                    u *= np.float32(-alpha_half)
+                    u += np.log(g, out=g)
+                    u += np.float32(log_scale)
+                    w = np.exp(u, out=u)
                 nz = others > 0
                 interference[nz] = np.add.reduceat(w, _segment_starts(others[nz]))
 
-            if not cellular:
-                hit = gain > tau * (floor + interference)
-            elif floor > 0.0:
-                hit = gain > np.exp(log_load + alpha_half * np.log(u_min)) + tau * interference
-            else:
-                hit = gain > tau * interference
+            hit = gain > load + scale * interference
             hits += int(np.count_nonzero(hit))
 
     trials = config.trials

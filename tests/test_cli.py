@@ -441,6 +441,27 @@ class TestValidateCommand:
         _, rows = parse_csv(out)
         assert abs(float(rows[0]["z"])) > 4.0
 
+    def test_zero_halfwidth_agreeing_with_the_series_reads_z_0(self, capsys):
+        # every trial covers at -3000 dB, and the series reads exactly 1
+        code, out, _ = run_cli(capsys, ["validate", "--kind", "adhoc", "--alpha", "2.1",
+                                        "--tau-db-list", "-3000", "--m-list", "1",
+                                        "--r0", "1e-100", "--lambda", "1", "--trials", "100"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert (rows[0]["analytic"], rows[0]["mc"], rows[0]["ci_halfwidth"]) == ("1", "1", "0")
+        assert rows[0]["z"] == "0"
+
+    def test_zero_halfwidth_off_the_series_reads_z_inf(self, capsys):
+        # a disc of radius 0.01 holds no interferer in 100 trials, so every
+        # trial covers where the series reads 0.78
+        code, out, _ = run_cli(capsys, ["validate", "--kind", "adhoc", "--alpha", "4",
+                                        "--r0", "1", "--lambda", "0.05", "--m-list", "1",
+                                        "--tau-db-list", "0", "--trials", "100",
+                                        "--window", "0.01"])
+        assert code == 4
+        _, rows = parse_csv(out)
+        assert (rows[0]["mc"], rows[0]["ci_halfwidth"], rows[0]["z"]) == ("1", "0", "inf")
+
     def test_cellular_noise_has_no_analytic_reference(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "--kind", "cellular",
                                         "--alpha", "4", "--noise", "0.1",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mimocov import InterfererGainSpec, coverage, montecarlo
-from mimocov.errors import ConfigurationError, NumericalError, ValidationError
+from mimocov.errors import ConfigurationError, MimocovError, NumericalError, ValidationError
 from mimocov.montecarlo import (
     _COUNT_GROUP,
     _MAX_TRIALS,
@@ -415,9 +415,9 @@ class TestStreams:
             return g
 
         class RecordedWorkspace(_Workspace):
-            def __init__(self, points, factors, wide):
+            def __init__(self, points, factors):
                 built.append(points)
-                super().__init__(points, factors, wide)
+                super().__init__(points, factors)
 
         monkeypatch.setattr(montecarlo, "_open_uniforms", recorded)
         monkeypatch.setattr(montecarlo, "_interferer_draw", recorded_gains)
@@ -678,10 +678,12 @@ class TestAutomaticWindowAgreement:
     def test_large_alpha_cellular(self, cellular_bundle, alpha, tau, trials):
         # interferers nearer than about 0.3 anchors have a float32 d^alpha
         # that underflows to 0 at alpha = 90; taken relative to the serving
-        # term, their terms stay finite and the trial is judged on them.  At
+        # term, their terms stay finite and the trial is judged on them.  A
+        # term is formed in logarithms, so a base^(alpha / 2) past float32
+        # neither zeroes it nor takes the slow overflow path of np.power.  At
         # alpha = 600 the serving d^alpha of a point a few anchors out passes
         # the double range, so its load tau d^alpha floor is worked in
-        # logarithms (it read z = -2.90 at 0 dB and -7.37 at -30 dB before)
+        # logarithms too (it read z = -2.90 at 0 dB and -7.37 at -30 dB before)
         bundle = cellular_bundle(alpha=alpha, tau=tau)
         exact = coverage(bundle).value
         with warnings.catch_warnings():
@@ -693,7 +695,8 @@ class TestAutomaticWindowAgreement:
     @pytest.mark.parametrize("alpha", [30.0, 90.0])
     def test_large_alpha_adhoc(self, adhoc_bundle, alpha):
         # an interferer far nearer than the link has a float32 d^alpha that
-        # underflows to 0; in float64 its term stays finite, with no warning
+        # underflows to 0; its term (tau / theta) g (d / r0)^-alpha is formed
+        # in logarithms, inf where it passes float32, with no warning
         bundle = adhoc_bundle(alpha=alpha, r0=10.0, lam=1e-3)
         exact = coverage(bundle).value
         with warnings.catch_warnings():
@@ -704,14 +707,27 @@ class TestAutomaticWindowAgreement:
 
     def test_near_interferers_at_minus_3000_db(self, adhoc_bundle):
         # tau times a near term of 1e78 g is still far below the signal, so
-        # every trial covers, as the series says; a term read as g / 0 made
-        # 3.8% of the trials uncovered
+        # every trial covers, as the series says; formed in logarithms with
+        # tau inside, such a term neither underflows nor reads g / 0, which
+        # made 3.8% of the trials uncovered
         bundle = adhoc_bundle(alpha=30.0, r0=10.0, tau=1e-300)
         assert coverage(bundle).value == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = simulate(bundle, SimConfig(trials=10_000, seed=11, window_radius=100.0))
         assert est.value == 1.0
+
+    def test_large_alpha_cellular_at_1000_db(self, cellular_bundle):
+        # a term g / base^30 below the float32 range is tiny, but tau = 1e100
+        # times it is far above the signal; formed as a float32 product it
+        # read 0 and the estimate 0.0415 +- 0.0039 against 4.63e-4 (z = +20.6)
+        bundle = cellular_bundle(alpha=60.0, tau=1e100)
+        exact = coverage(bundle).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate(bundle, SimConfig(trials=10_000, seed=3))
+        z = (est.value - exact) / (est.ci_halfwidth / 1.96)
+        assert abs(z) <= 4.0
 
     def test_high_threshold_needs_more_than_the_variance_rule(self, adhoc_bundle):
         # at 27.7 dB the bias bound asks for 192 points per trial; the
@@ -723,6 +739,41 @@ class TestAutomaticWindowAgreement:
         est = simulate(bundle, SimConfig(trials=200_000, seed=11))
         z = (est.value - exact) / (est.ci_halfwidth / 1.96)
         assert abs(z) <= 3.0
+
+
+class TestSeededAgreementSweep:
+    # random valid scenarios on their default windows, drawn from one
+    # fixed seed: alpha 2.2-600, tau +-1000 dB, theta 1e+-10; each estimate
+    # must sit within 5 binomial standard deviations of the series
+    @staticmethod
+    def _draws():
+        rng = np.random.default_rng(2718)
+        for i in range(16):
+            alpha = 2.2 * (600.0 / 2.2) ** rng.random()
+            tau = 10.0 ** (rng.uniform(-1000.0, 1000.0) / 10.0)
+            theta = 10.0 ** rng.uniform(-10.0, 10.0)
+            kappa = float(rng.choice([1.0, 2.0, 2.5]))
+            m = int(rng.integers(1, 9))
+            yield i, ("cellular", "adhoc")[i % 2], dict(alpha=alpha, tau=tau, theta=theta,
+                                                         kappa=kappa, m=m)
+
+    def test_estimates_agree_with_the_series(self, request):
+        trials, checked = 3000, 0
+        for seed, kind, params in self._draws():
+            bundle = request.getfixturevalue(f"{kind}_bundle")(**params)
+            config = SimConfig(trials=trials, seed=seed)
+            try:
+                _plan(bundle, config)
+            except MimocovError:
+                continue
+            exact = coverage(bundle).value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = simulate(bundle, config)
+            spread = 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
+            assert abs(est.value - exact) <= spread, (kind, params, est.value, exact)
+            checked += 1
+        assert checked >= 12
 
 
 def _exp_gains(rng, size):
@@ -866,6 +917,16 @@ class TestEdgeCases:
         est = simulate(bundle, SimConfig(trials=2000, seed=3,
                                          window_radius=5.0))
         assert 0.99 < est.value <= 1.0
+
+    def test_alpha4_scale_past_the_double_range(self, adhoc_bundle):
+        # tau / theta = 1e310 overflows; a trial with no interferer in the
+        # disc still covers (not inf * 0), and any other does not, so the
+        # estimate is the empty share, about exp(-0.05 pi 2^2) = 0.534
+        bundle = adhoc_bundle(tau=1e300, theta=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate(bundle, SimConfig(trials=4000, seed=1, window_radius=2.0))
+        assert est.value == 0.532
 
     def test_point_count_is_refused_before_allocation(self, cellular_bundle):
         # a disc of radius 1e5 holds ~3e7 points per trial at this density
