@@ -127,11 +127,13 @@ _SCALAR_ORDER = 2
 
 
 def _entry_scale(x: float, kappa: float, delta: float, threshold: float) -> float:
-    """s = x^delta Gamma(1-delta) Gamma(kappa+delta)/Gamma(kappa), or NumericalError."""
-    try:
-        s = x**delta * math.gamma(1.0 - delta) * _gamma_ratio(kappa, delta)
-    except OverflowError:
-        s = math.inf
+    """s = x^delta Gamma(1-delta) Gamma(kappa+delta)/Gamma(kappa), or NumericalError.
+
+    No factor raises: x^delta <= max(x, 1) for 0 < delta < 1, Gamma(1-delta)
+    is at most about 1e16 for 1 - delta >= 1.1e-16 (alpha a finite double
+    past 2), and ``_gamma_ratio`` stays in range; only their product may
+    pass the double range."""
+    s = x**delta * math.gamma(1.0 - delta) * _gamma_ratio(kappa, delta)
     if not math.isfinite(s):
         raise NumericalError(f"cellular entries overflow at threshold {threshold!r}")
     return s

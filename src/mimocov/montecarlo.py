@@ -41,8 +41,10 @@ trial with N points the nearest one is drawn directly from the law of the
 minimum of N uniforms, u_min = 1 - (1 - V)^(1/N) for one uniform V, and the
 other N - 1 points uniformly on (u_min, 1]: jointly this is exactly N
 uniform points with the nearest one singled out, so no search for it is
-needed.  Points are generated in float32 and aggregated per trial with
-segmented ufunc reductions; statistics are accumulated in float64.
+needed.  Points are generated in float32 and summed per trial: by
+``np.bincount`` in float64 where a trial holds fewer than ``_FEW_POINTS``
+points on average, else by segmented ``np.add.reduceat`` in float32;
+statistics are accumulated in float64.
 
 Signal gains are drawn in units of theta, so the threshold enters as
 tau / theta.  With u an interferer's squared distance in anchors (ad hoc)
@@ -56,9 +58,17 @@ about 2.4e-4 at +-3000 dB, where |log(tau / theta)| is near 690.
 One simulation draws from SFC64 streams spawned once from
 ``SeedSequence(seed)``: Poisson counts (with the redraws of empty cellular
 trials), positions, interferer gains and signal gains, and for cellular
-runs a fifth (spawn key 4) for the nearest-point uniforms V.  Positions
-and product-shape gains (below) take their float32 uniforms as 1 - U,
-with U exactly what ``Generator.random(n, dtype=np.float32)`` returns;
+runs a fifth (spawn key 4) for the nearest-point uniforms V.  Below
+``_FEW_POINTS`` points a trial on average, where NumPy's Poisson sampler
+costs more than the points, a group's counts are one Poisson total split
+among its trials by uniform labels, which gives the same iid Poisson
+counts (Kingman, Poisson Processes, 1993); from there on each count is its
+own draw.  A signal gain of M <= 4 antennas is -log of a product of M
+float64 factors 1 - U, drawn point-major (trial i takes uniforms i M to
+i M + M - 1), so it reaches about 36.7 M; larger M takes
+``standard_gamma``.  Positions and product-shape interferer gains (below)
+take their float32 uniforms as 1 - U, with U exactly what
+``Generator.random(n, dtype=np.float32)`` returns;
 from 4096 values per draw on they are cut two to a word from the 64-bit
 words of ``SFC64.random_raw``, at about two thirds of the cost of one
 generator call per value (``_open_uniforms``).
@@ -85,8 +95,8 @@ the per-point copy of a cellular trial's scale B is a fresh array), and
 adds its hits to one count.  So the runs fault almost no memory in, and
 runs of 2^16 points beat 2^15 (see ``_BLOCK_POINTS``).  The counts are
 drawn 2^16 trials at a time (``_COUNT_GROUP``), each group's empty
-cellular trials redrawn in place before the next group is drawn; Poisson
-draws chain, so without a redraw any grouping gives the same counts.
+cellular trials redrawn in place before the next group is drawn; a split
+total depends on its group's size, which the trial count alone fixes.
 Each kind of draw comes from its own stream in trial order, and neither
 the groups nor the redraws depend on the run size, so the runs cannot
 change any draw: an estimate is reproducible bit for bit from its seed,
@@ -120,6 +130,10 @@ _BLOCK_POINTS = 1 << 16
 _COUNT_GROUP = 1 << 16  # trials whose point counts are drawn at once
 _EMPTY_BUDGET = 0.01  # share of cellular trials allowed to come up empty
 _FAR_BIAS = 1e-5  # coverage bias the far-field mean may cause
+# mean points per trial below which the counts are split from one Poisson
+# total and a trial's terms are summed by bincount: NumPy's Poisson uses the
+# multiplication method below 10, whose cost grows with the mean
+_FEW_POINTS = 10.0
 _LOG_HUGE = math.log(sys.float_info.max)
 _MIN_POINTS = 200.0  # expected points per realization, at least
 _NEAR_VARIANCE = 1e-5  # (R / anchor)^(2 - 2 alpha) left by the far-field mean
@@ -147,6 +161,10 @@ class SimConfig:
     The confidence interval comes from the independent trials' sample
     variance, so ``trials`` is at least 2; it is at most 8e8.
     ``trials`` and ``seed`` are Python or numpy integers, not bools.
+    ``seed`` fixes every draw.  How the counts, sums and signal gains are
+    drawn follows from the scenario alone (the mean points per trial and
+    M; see the module docstring), never from the run size, so there is no
+    knob for it.
     """
 
     trials: int = 100_000
@@ -421,6 +439,25 @@ def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, out: np.n
     return out
 
 
+def _signal_gains(rng: np.random.Generator, shape: int, n: int) -> np.ndarray:
+    """``n`` Gamma(shape, 1) signal gains from ``rng``, in float64.
+
+    An integer shape M <= 4 is -log of a product of M factors 1 - U, U a
+    float64 uniform, drawn point-major (gain i takes uniforms i M to
+    i M + M - 1), as the interferer gains are; each factor is at least
+    2^-53, so a gain is at most about 36.7 M.  Larger M takes
+    ``standard_gamma``.
+    """
+    if shape not in _PRODUCT_SHAPES:
+        return rng.standard_gamma(shape, n)
+    u = rng.random(n * shape)
+    np.subtract(1.0, u, out=u)  # 1 - U, in (0, 1]
+    product = u[0::shape]
+    for j in range(1, shape):
+        product = product * u[j::shape]
+    return -np.log(product)
+
+
 def _segment_starts(counts: np.ndarray) -> np.ndarray:
     starts = np.zeros(counts.size, dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
@@ -455,8 +492,18 @@ def _runs(weights, budget: int):
 def _counts(rng: np.random.Generator, mean_points: float, n: int,
             cellular: bool) -> np.ndarray:
     """Point counts of ``n`` consecutive trials, each empty cellular trial
-    redrawn in place until it holds a point."""
-    counts = rng.poisson(mean_points, n)
+    redrawn in place until it holds a point.
+
+    Below ``_FEW_POINTS`` a trial, one Poisson(n mean_points) total is split
+    among the trials by uniform labels, which gives n iid Poisson(mean_points)
+    counts (Poisson colouring; Kingman, Poisson Processes, 1993) at about a
+    third of the cost of NumPy's multiplication method at mean 1.3.  From
+    there on each count is its own Poisson draw.
+    """
+    if mean_points < _FEW_POINTS:
+        counts = np.bincount(rng.integers(0, n, rng.poisson(n * mean_points)), minlength=n)
+    else:
+        counts = rng.poisson(mean_points, n)
     if cellular:
         empty = np.flatnonzero(counts == 0)
         while empty.size:
@@ -488,6 +535,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     r_sq = rho * rho
     alpha_half = sc.alpha / 2.0
     fast_alpha4 = sc.alpha == 4.0
+    few = plan.mean_points < _FEW_POINTS  # few points a trial: bincount sums (see _counts)
     log_scale = math.log(sc.threshold) - math.log(bundle.signal.scale)  # log(tau / theta)
     # noise and far mean enter as the load (tau / theta) (r / anchor)^alpha
     # floor, in logarithms, as the serving d^alpha passes the double range at
@@ -534,7 +582,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 b_rel = (np.exp(log_q) / u_min).astype(np.float32)
                 if floor > 0.0:
                     load = np.exp(log_load + alpha_half * np.log(u_min))
-            gain = signal_rng.standard_gamma(bundle.signal.shape, n_run)  # in units of theta
+            gain = _signal_gains(signal_rng, bundle.signal.shape, n_run)  # in units of theta
 
             interference = np.zeros(n_run)
             if n:
@@ -555,8 +603,13 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                     u += np.log(g, out=g)
                     u += np.float32(log_scale)
                     w = np.exp(u, out=u)
-                nz = others > 0
-                interference[nz] = np.add.reduceat(w, _segment_starts(others[nz]))
+                if few:
+                    # each trial's terms in point order, summed in float64
+                    interference = np.bincount(np.repeat(np.arange(n_run), others), weights=w,
+                                               minlength=n_run)
+                else:
+                    nz = others > 0
+                    interference[nz] = np.add.reduceat(w, _segment_starts(others[nz]))
 
             hit = gain > load + scale * interference
             hits += int(np.count_nonzero(hit))

@@ -128,6 +128,19 @@ class TestCellular:
                 value = coverage(bundle).value
                 assert math.isfinite(value) and 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("params, match", [
+        (dict(tau=1e300, beta=1e10), "tau beta / theta overflows"),
+        (dict(tau=1e300, beta=1e8, alpha=2.001), "cellular entries overflow"),
+        (dict(tau=1e300, theta=1e-8, alpha=2.0000001), "cellular entries overflow"),
+    ])
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_overflow_is_a_numerical_error(self, cellular_bundle, params, match, m):
+        # x = tau beta / theta past the double range; then a finite x whose
+        # scale s = x^delta Gamma(1 - delta) Gamma(kappa + delta) / Gamma(kappa)
+        # is not, as Gamma(1 - delta) grows like alpha / (alpha - 2)
+        with pytest.raises(NumericalError, match=match):
+            coverage(cellular_bundle(m=m, **params))
+
 
 def _mp_entry(mp, n, delta, kappa, x):
     """Cellular entry n from its definition, Gamma(kappa+n)/(Gamma(kappa) n!)

@@ -313,6 +313,18 @@ class TestSweepCommand:
         assert calls == []
 
     @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_one_point_is_the_start(self, capsys, cellular_bundle, scale):
+        # one point needs no grid, so a log scale takes any start
+        code, out, _ = run_cli(capsys, ["sweep", "--kind", "cellular", "--alpha", "4",
+                                        "--axis", "tau_db", "--start", "-3", "--stop", "7",
+                                        "--scale", scale, "--points", "1"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row["tau_db"] for row in rows] == ["-3"]
+        exact = coverage(cellular_bundle(tau=10.0**-0.3)).value
+        assert float(rows[0]["p_c"]) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
     def test_points_are_capped_before_any_allocation(self, capsys, monkeypatch, scale):
         # the grid functions are stubbed, so a missing cap cannot allocate
         grids = []
@@ -509,6 +521,15 @@ class TestValidateCommand:
         assert out == ""
         assert "exceeds the supported maximum" in err or "tau_db" in err
         assert calls == []
+
+    @pytest.mark.parametrize("lists", [["--m-list", "", "--tau-db-list", "0"],
+                                       ["--m-list", "1", "--tau-db-list", ","]])
+    def test_empty_list_is_usage_error(self, capsys, lists):
+        code, out, err = run_cli(capsys, ["validate", "--kind", "cellular", "--alpha", "4",
+                                          *lists])
+        assert code == 2
+        assert out == ""
+        assert "at least one antenna count and one threshold" in err
 
     def test_bad_list_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["validate", "--kind", "cellular",

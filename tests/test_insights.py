@@ -247,6 +247,12 @@ def _mp_root_equation(mp, kappa, alpha):
     return lambda w: mp.hyp2f1(kappa, -delta, 1 - delta, w)
 
 
+def _plateau_then(start):
+    """A pdf of 2 below g = 2^start and the power tail (1 + g / 2^start)^-3
+    from there on, which is below 1: the probes from 2^start on see it."""
+    return lambda g: 2.0 if g < 2.0**start else (1.0 + g / 2.0**start) ** -3.0
+
+
 def _split_point_terms(w, kappa):
     # the term count of 2F1(kappa, -delta; 1-delta; w) from its own split-point
     # bound: for k >= m >= 1 every ratio is at most w max(1, (kappa+m)/(m+1));
@@ -539,6 +545,34 @@ class TestDecayRateGamma:
         assert len(calls) <= 14
         assert max(calls) <= 2.0 * (1.0 - 2.0 / alpha) / (2.0 / alpha * kappa)
 
+    def test_overflowing_term_reads_past_the_root(self, cellular_bundle, monkeypatch):
+        # at alpha = kappa = 3000 the bisection's first grid point, w = 11/16,
+        # holds a term of 2F1(kappa, -delta; 1-delta; w) past the double
+        # range; the equation reads -inf there, and the root below is found
+        mp = pytest.importorskip("mpmath")
+        kappa, alpha = 3000.0, 3000.0
+        with mp.workdps(30):
+            f = _mp_root_equation(mp, kappa, alpha)
+            w = mp.mpf(1) / kappa
+            while f(w) <= 0:
+                w /= 2
+            while f(2 * w) > 0:
+                w *= 2
+            expected = float(1 + kappa * mp.findroot(f, (w, 2 * w), solver="anderson"))
+        overflowed = []
+        real = insights._overflows
+
+        def spy(w, kappa, delta):
+            if real(w, kappa, delta):
+                overflowed.append(w)
+                return True
+            return False
+
+        monkeypatch.setattr(insights, "_overflows", spy)
+        rate = cellular_decay_rate(cellular_bundle(kappa=kappa, beta=1.0 / kappa, alpha=alpha))
+        assert overflowed == [11.0 / 16.0]
+        assert rate == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("excess", [1e-6, 1e-4, 1e-3])
     @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 8.0])
     def test_rate_returned_iff_root_within_the_limit(self, cellular_bundle, alpha, excess):
@@ -632,6 +666,25 @@ class TestDecayRateGeneral:
         law = InterfererGainSpec(pdf=lambda g: 2.0 * (1.0 + g) ** -3.0)
         with pytest.raises(RootNotFoundError, match="no geometric decay"):
             cellular_decay_rate(cellular_bundle(interferer=law))
+
+    @pytest.mark.parametrize("name, pdf, rules_out", [
+        # a pdf whose evaluation overflows, vanishes, or is cut off is trusted
+        ("overflow", lambda g: 1.0 / math.exp(g), False),
+        ("zero", lambda g: 0.0, False),
+        # values that are no density are never read as a power tail
+        ("nan", lambda g: math.nan, False),
+        ("negative", lambda g: -math.exp(-g), False),
+        ("infinite", lambda g: math.inf, False),
+        ("exponential", lambda g: math.exp(-g / 2.0**40), False),
+        # probes where the pdf is at least 1 carry no rate: the tail past
+        # 2^20 is judged alone
+        ("power past a plateau", _plateau_then(20), True),
+        # fewer than five probes past the plateau say nothing
+        ("four probes", _plateau_then(42), False),
+        ("five probes", _plateau_then(41), True),
+    ])
+    def test_tail_probe(self, name, pdf, rules_out):
+        assert insights._tail_rules_out_geometric_decay(pdf) is rules_out
 
     def test_truncated_support_has_a_rate(self, cellular_bundle):
         norm = 2.0 / (1.0 - 11.0**-2)
@@ -742,3 +795,7 @@ class TestPeakBound:
     def test_rejects_cellular(self, cellular_bundle):
         with pytest.raises(UnsupportedConfigError, match="ad hoc"):
             adhoc_peak_bound(cellular_bundle())
+
+    def test_rejects_noise(self, adhoc_bundle):
+        with pytest.raises(UnsupportedConfigError, match="zero noise"):
+            adhoc_peak_bound(adhoc_bundle(noise=0.1))

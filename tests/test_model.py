@@ -197,6 +197,9 @@ class TestGeneralSignalPdf:
             GeneralSignalPdf(terms=((0, 0.0, 1.0),))
         with pytest.raises(ValidationError, match=r"\(q, phi, varphi\)"):
             GeneralSignalPdf(terms=((0, 0, 1.0, 1.0),))
+        for varphi in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match="varphi must be finite"):
+                GeneralSignalPdf(terms=((0, 1.0, varphi),))
 
     @pytest.mark.parametrize("u", [0.0, 5.0, 40.0])
     def test_high_order_term_pdf(self, u):

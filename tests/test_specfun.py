@@ -100,6 +100,14 @@ class TestHyp2f1:
         with pytest.raises(NumericalError, match="series terms"):
             hyp2f1(1.0, 1.0, 2.0, 1.0 - 1e-7)
 
+    @pytest.mark.parametrize("args, name", [((math.nan, 1.0, 2.0, 0.5), "a"),
+                                            ((1.0, math.inf, 2.0, 0.5), "b"),
+                                            ((1.0, 1.0, -math.inf, 0.5), "c"),
+                                            ((1.0, 1.0, 2.0, math.nan), "z")])
+    def test_non_finite_argument_rejected(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            hyp2f1(*args)
+
     def test_nonpositive_integer_denominator_rejected(self):
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, -2.0, 0.5)
