@@ -295,8 +295,8 @@ class CoverageEstimate:
             )
         if self.method != METHOD_MC and (self.ci_halfwidth != 0.0 or self.trials != 0):
             raise ValidationError("confidence intervals apply to Monte Carlo estimates only")
-        if self.ci_halfwidth < 0.0:
-            raise ValidationError("ci_halfwidth must be non-negative")
+        if not (0.0 <= self.ci_halfwidth < math.inf):  # false for nan too
+            raise ValidationError("ci_halfwidth must be finite and non-negative")
 
 
 def validate(scenario: NetworkScenario, signal: SignalGainSpec,

@@ -46,62 +46,36 @@ needed.  Points are generated in float32 and summed per trial: by
 points on average, else by segmented ``np.add.reduceat`` in float32;
 statistics are accumulated in float64.
 
-Signal gains are drawn in units of theta, so the threshold enters as
-tau / theta.  With u an interferer's squared distance in anchors (ad hoc)
-or over the serving one (cellular), an alpha = 4 term is g / u^2, their
-float32 sum scaled by tau / theta; any other is exp(log(tau / theta) +
-log g - (alpha / 2) log u) in float32, so none vanishes or overflows where
-it could decide a trial (past float32 it reads inf, uncovered; below
-1.4e-45, 0).  Its relative error is a few float32 ulps of the exponent,
-about 2.4e-4 at +-3000 dB, where |log(tau / theta)| is near 690.
+No signal gain is drawn.  Given the rest, a trial covers with probability
+Q(M, x) (above), x its noise and interference in anchor units times s, and
+it contributes Q(M, x) itself (conditional Monte Carlo; Asmussen and
+Glynn, Stochastic Simulation, 2007, ch. V), which never has more variance
+than a 0/1 outcome against a drawn gain (2.2-40 times less in cellular
+cases at alpha 3 and 4).  With u an interferer's squared distance in
+anchors (ad hoc) or over the serving one (cellular), an alpha = 4 term is
+g / u^2, their float32 sum scaled by tau / theta; any other is
+exp(log(tau / theta) + log g - (alpha / 2) log u) in float32, so none
+vanishes or overflows where it could decide a trial (past float32 it is
+inf, Q 0; below 1.4e-45, 0).  Its relative error is a few float32 ulps of
+the exponent, about 2.4e-4 at +-3000 dB, where |log(tau / theta)| ~ 690.
 
-One simulation draws from SFC64 streams spawned once from
-``SeedSequence(seed)``: Poisson counts (with the redraws of empty cellular
-trials), positions, interferer gains and signal gains, and for cellular
-runs a fifth (spawn key 4) for the nearest-point uniforms V.  Below
-``_FEW_POINTS`` points a trial on average, where NumPy's Poisson sampler
-costs more than the points, a group's counts are one Poisson total split
-among its trials by uniform labels, which gives the same iid Poisson
-counts (Kingman, Poisson Processes, 1993); from there on each count is its
-own draw.  A signal gain of M <= 4 antennas is -log of a product of M
-float64 factors 1 - U, drawn point-major (trial i takes uniforms i M to
-i M + M - 1), so it reaches about 36.7 M; larger M takes
-``standard_gamma``.  Positions and product-shape interferer gains (below)
-take their float32 uniforms as 1 - U, with U exactly what
-``Generator.random(n, dtype=np.float32)`` returns;
-from 4096 values per draw on they are cut two to a word from the 64-bit
-words of ``SFC64.random_raw``, at about two thirds of the cost of one
-generator call per value (``_open_uniforms``).
-A Gamma interferer gain of integer shape kappa <= 4 is -log of a product
-of kappa factors 1 - U, U a float32 uniform (inverse transform; Devroye,
-Non-Uniform Random Variate Generation, 1986, ch. II.2 and IX.3): exact by
-construction, about one uniform per factor, and drawn point-major, point
-i taking uniforms i kappa to i kappa + kappa - 1.  Each factor is at
-least 2^-24, so a draw is at most 16.6 kappa (times beta).  Beyond
-kappa = 4 the product is no cheaper than ``standard_gamma``, which draws
-all other shapes.  The trials are independent, so the confidence
-interval comes from their 0/1 outcomes: with k hits in n trials the
-halfwidth is 1.96 sqrt(k (n - k) / (n - 1)) / n, from the sample variance
-of the outcomes.  Every simulation runs one loop over runs of consecutive
-trials of at most 2^16 points, a trial weighing its interferer points plus
-one; a heavier trial runs alone.  The runs share one workspace
-(``_Workspace``): float32 buffers for the positions, the interferer gains
-and a product shape's uniforms, allocated once, at the first run, to the
-points of the whole simulation if that run holds every trial, else to 2^16
-points, and grown only for a heavier trial.  Each run draws its positions,
-its V, its interferer gains and its signal gains with one call each, the
-per-point draws into the workspace, works its terms there in place (only
-the per-point copy of a cellular trial's scale B is a fresh array), and
-adds its hits to one count.  So the runs fault almost no memory in, and
-runs of 2^16 points beat 2^15 (see ``_BLOCK_POINTS``).  The counts are
-drawn 2^16 trials at a time (``_COUNT_GROUP``), each group's empty
-cellular trials redrawn in place before the next group is drawn; a split
-total depends on its group's size, which the trial count alone fixes.
-Each kind of draw comes from its own stream in trial order, and neither
-the groups nor the redraws depend on the run size, so the runs cannot
-change any draw: an estimate is reproducible bit for bit from its seed,
-whatever the run size.  The simulation runs in the calling thread, on one
-core, so its run time does not hinge on whether other cores are free.
+One simulation draws from SFC64 streams seeded from ``SeedSequence(seed)``
+under fixed spawn keys: the point counts 0 (``_counts``), the positions 1
+(``_open_uniforms``), the interferer gains 2 (``_interferer_draw``) and,
+for cellular runs, the nearest-point uniforms V 4.  Key 3 held the signal
+gains and stays unused, so every other stream, and every trial's x, keeps
+its draws.  The trials run in one loop over runs of at most 2^16 points
+(``_blocks``), which reuse one workspace (``_Workspace``) and write their
+trials' x into one buffer per count group of 2^16 trials
+(``_COUNT_GROUP``); each full group is reduced once, and the groups are
+merged in order (``_pooled``).  Each kind of draw comes from its own
+stream in trial order, and neither the count groups nor the redraws depend
+on the run size, so the runs cannot change any draw or sum: an estimate is
+reproducible bit for bit from its seed, whatever the run size.  The trials
+are independent, so the halfwidth of the confidence interval is
+1.96 s / sqrt(n), s the sample standard deviation of the n trials' Q
+values.  The simulation runs in the calling thread, on one core, so its
+run time does not hinge on whether other cores are free.
 
 A cellular trial needs at least one point to serve from; one with none is
 redrawn.  A window whose empty share, P(N = 0) = exp(-lam pi R^2), exceeds
@@ -158,13 +132,14 @@ class SimConfig:
     An explicit radius means plain truncation: interferers beyond it are
     dropped and no far-field mean is added.  A cellular window must hold a
     point in at least 99% of the realizations, or ``simulate`` refuses it.
-    The confidence interval comes from the independent trials' sample
-    variance, so ``trials`` is at least 2; it is at most 8e8.
+    The estimate averages the trials' conditional coverage Q(M, x), and
+    its confidence interval comes from their sample variance, so
+    ``trials`` is at least 2; it is at most 8e8.
     ``trials`` and ``seed`` are Python or numpy integers, not bools.
-    ``seed`` fixes every draw.  How the counts, sums and signal gains are
-    drawn follows from the scenario alone (the mean points per trial and
-    M; see the module docstring), never from the run size, so there is no
-    knob for it.
+    ``seed`` fixes every draw.  How the counts are drawn and the terms
+    summed follows from the scenario alone (the mean points per trial; see
+    the module docstring), never from the run size, so there is no knob
+    for it.
     """
 
     trials: int = 100_000
@@ -390,8 +365,9 @@ def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, out: np.n
     return it; ``uniforms`` is float32 room for kappa values per gain,
     which only a product shape kappa >= 2 uses.
 
-    A Gamma law of integer shape kappa <= 4 is drawn by inverse transform:
-    beta times -log of a product of kappa factors 1 - U_i, with U_i float32
+    A Gamma law of integer shape kappa <= 4 is drawn by inverse transform
+    (Devroye, Non-Uniform Random Variate Generation, 1986, ch. II.2 and
+    IX.3): beta times -log of a product of kappa factors 1 - U_i, with U_i float32
     uniforms on [0, 1), which costs about one uniform per factor; the
     factors come straight from ``_open_uniforms``.  The uniforms are drawn
     point-major, so point i uses uniforms i kappa to i kappa + kappa - 1
@@ -439,23 +415,37 @@ def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, out: np.n
     return out
 
 
-def _signal_gains(rng: np.random.Generator, shape: int, n: int) -> np.ndarray:
-    """``n`` Gamma(shape, 1) signal gains from ``rng``, in float64.
+def _upper_gamma(shape: int, x: np.ndarray) -> np.ndarray:
+    """Q(M, x) = e^-x sum_{k<M} x^k / k!, M = ``shape``, as a sum of the
+    positive Poisson terms exp(k log x - x - log k!): it holds where e^-x
+    underflows (Q(512, 745.1) is about 6e-20) and needs no scipy.special.
+    x is clipped to the largest double, so x = inf gives 0; x = 0 gives 1."""
+    x = np.minimum(x, sys.float_info.max)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, whose terms are 0
+        log_x = np.log(x)
+    total = np.exp(-x)
+    term = np.empty_like(total)
+    for k in range(1, shape):
+        np.multiply(log_x, k, out=term)
+        term -= x
+        term -= math.lgamma(k + 1.0)
+        total += np.exp(term, out=term)
+    return total
 
-    An integer shape M <= 4 is -log of a product of M factors 1 - U, U a
-    float64 uniform, drawn point-major (gain i takes uniforms i M to
-    i M + M - 1), as the interferer gains are; each factor is at least
-    2^-53, so a gain is at most about 36.7 M.  Larger M takes
-    ``standard_gamma``.
-    """
-    if shape not in _PRODUCT_SHAPES:
-        return rng.standard_gamma(shape, n)
-    u = rng.random(n * shape)
-    np.subtract(1.0, u, out=u)  # 1 - U, in (0, 1]
-    product = u[0::shape]
-    for j in range(1, shape):
-        product = product * u[j::shape]
-    return -np.log(product)
+
+def _pooled(moments: tuple, q: np.ndarray) -> tuple:
+    """(count, mean, m2) of the values behind ``moments`` and then ``q``,
+    m2 the sum of squared deviations from the mean.  Those of ``q`` are
+    worked about q[0], so equal values give exactly 0, and merged by the
+    pairwise update of Chan, Golub and LeVeque (1979)."""
+    count, mean, m2 = moments
+    d = q - q[0]
+    d_mean = d.sum() / q.size
+    d -= d_mean
+    total = count + q.size
+    delta, weight = q[0] + d_mean - mean, q.size / total
+    m2 += float(np.square(d, out=d).sum()) + delta * delta * count * weight
+    return total, mean + delta * weight, m2
 
 
 def _segment_starts(counts: np.ndarray) -> np.ndarray:
@@ -468,7 +458,8 @@ class _Workspace:
     """The per-point buffers of one simulation, which every run reuses:
     float32 positions and interferer gains, in which the terms are worked,
     and float32 room for ``factors`` uniforms per gain (kappa for a product
-    shape kappa >= 2, else 0).  Each holds ``points`` values per kind."""
+    shape kappa >= 2, else 0).  Each holds ``points`` values per kind, and
+    reusing them lets the runs fault almost no memory in."""
 
     def __init__(self, points: int, factors: int):
         self.points = points
@@ -515,10 +506,12 @@ def _counts(rng: np.random.Generator, mean_points: float, n: int,
 def _blocks(rng: np.random.Generator, mean_points: float, trials: int, cellular: bool):
     """Runs of consecutive trials, each as its per-trial point counts.
 
-    The counts are drawn ``_COUNT_GROUP`` trials at a time, then split into
-    runs that weigh their trials plus their interferer points (a cellular
-    trial's serving point stands in for its one): at most
-    ``_BLOCK_POINTS``, unless a run holds a single trial.
+    The counts are drawn ``_COUNT_GROUP`` trials at a time, each group's
+    empty cellular trials redrawn before the next group is drawn; a split
+    total depends on its group's size, which the trial count alone fixes.
+    They are then split into runs that weigh their trials plus their
+    interferer points (a cellular trial's serving point stands in for its
+    one): at most ``_BLOCK_POINTS``, unless a run holds a single trial.
     """
     for lo in range(0, trials, _COUNT_GROUP):
         counts = _counts(rng, mean_points, min(_COUNT_GROUP, trials - lo), cellular)
@@ -543,16 +536,18 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     floor = plan.noise + plan.far_mean
     log_load = (log_scale + math.log(floor) + (alpha_half * math.log(r_sq) if cellular else 0.0)
                 if floor > 0.0 else -math.inf)
-    # a positive double, so that no alpha = 4 sum of 0 or inf reads nan; a
-    # positive float32 sum times the largest double is far above every gain
+    # a positive double, so that no alpha = 4 sum of 0 or inf reads nan; any
+    # positive float32 sum times the largest double gives an x where Q is 0
     scale = (min(max(sc.threshold / bundle.signal.scale, sys.float_info.min), sys.float_info.max)
              if fast_alpha4 else 1.0)
 
-    streams = [np.random.Generator(np.random.SFC64(child)) for child in
-               np.random.SeedSequence(config.seed).spawn(5 if cellular else 4)]
-    count_rng, position_rng, gain_rng, signal_rng = streams[:4]
-    nearest_rng = streams[-1]  # the fifth, spawn key 4, serves cellular runs only
-    hits = 0
+    streams = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(config.seed, spawn_key=(key,))))
+               for key in ((0, 1, 2, 4) if cellular else (0, 1, 2))]
+    count_rng, position_rng, gain_rng = streams[:3]
+    nearest_rng = streams[-1]  # spawn key 4 serves cellular runs only; key 3 stays unused
+    trials = config.trials
+    x_group = np.empty(min(_COUNT_GROUP, trials))  # the x of one count group's trials
+    written, moments = 0, (0, 0.0, 0.0)  # trials whose x is written; _pooled's moments
     law = bundle.interferer
     factors = int(law.kappa) if law.is_gamma and law.kappa in _PRODUCT_SHAPES[1:] else 0
     ws = None
@@ -560,7 +555,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
     # inf or 0 as it should, and so does the log of a zero gain or u_min
     with np.errstate(over="ignore", divide="ignore"):
         load = np.exp(log_load)  # 0 without a floor; a cellular run works out its own
-        for counts in _blocks(count_rng, plan.mean_points, config.trials, cellular):
+        for counts in _blocks(count_rng, plan.mean_points, trials, cellular):
             n_run = counts.size
             others = counts - 1 if cellular else counts
             n = int(others.sum())
@@ -570,7 +565,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 # the budget faulted its pages in afresh at every call and
                 # took 6-8% longer), else to the budget, which every later
                 # run fits but a heavier trial, which runs alone and grows it
-                points = n if n_run == config.trials else max(n, _BLOCK_POINTS)
+                points = n if n_run == trials else max(n, _BLOCK_POINTS)
                 ws = _Workspace(points, factors)
             u = _open_uniforms(position_rng, ws.positions[:n])  # 1 - U, in (0, 1]
             if cellular:
@@ -582,7 +577,6 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                 b_rel = (np.exp(log_q) / u_min).astype(np.float32)
                 if floor > 0.0:
                     load = np.exp(log_load + alpha_half * np.log(u_min))
-            gain = _signal_gains(signal_rng, bundle.signal.shape, n_run)  # in units of theta
 
             interference = np.zeros(n_run)
             if n:
@@ -597,7 +591,7 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                     w = np.divide(g, u, out=u)
                 else:
                     # exp(log(tau / theta) + log g - (alpha / 2) log u); past float32
-                    # a term reads inf, far above every Gamma(M, 1) gain
+                    # a term reads inf, where Q is 0
                     np.log(u, out=u)
                     u *= np.float32(-alpha_half)
                     u += np.log(g, out=g)
@@ -611,13 +605,17 @@ def simulate(bundle: ScenarioBundle, config: SimConfig = SimConfig()) -> Coverag
                     nz = others > 0
                     interference[nz] = np.add.reduceat(w, _segment_starts(others[nz]))
 
-            hit = gain > load + scale * interference
-            hits += int(np.count_nonzero(hit))
+            # the runs of _blocks never cross a count group's bounds
+            lo = written % _COUNT_GROUP
+            x_group[lo:lo + n_run] = load + scale * interference
+            written += n_run
+            if written % _COUNT_GROUP == 0 or written == trials:
+                moments = _pooled(moments, _upper_gamma(bundle.signal.shape, x_group[:lo + n_run]))
 
-    trials = config.trials
+    _, mean, m2 = moments
     return CoverageEstimate(
-        value=hits / trials,
+        value=float(mean),
         method=METHOD_MC,
-        ci_halfwidth=1.96 * math.sqrt(hits * (trials - hits) / (trials - 1)) / trials,
+        ci_halfwidth=1.96 * math.sqrt(m2 / (trials - 1) / trials),
         trials=trials,
     )

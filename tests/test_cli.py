@@ -474,6 +474,21 @@ class TestValidateCommand:
         _, rows = parse_csv(out)
         assert (rows[0]["mc"], rows[0]["ci_halfwidth"], rows[0]["z"]) == ("1", "0", "inf")
 
+    def test_default_window_bias_within_its_budget_reads_z_0(self, capsys):
+        # at this density no trial holds an interferer, so every halfwidth is
+        # 0, while the far field's mean moves each estimate by about 6e-10,
+        # within the 1e-5 the default window may carry
+        code, out, _ = run_cli(capsys, ["validate", "--kind", "adhoc", "--alpha", "4",
+                                        "--r0", "1", "--lambda", "1e-12", "--noise", "0.1",
+                                        "--m-list", "1,2,4", "--tau-db-list", "0,5",
+                                        "--trials", "1000"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 6
+        for row in rows:
+            assert 0.0 < abs(float(row["mc"]) - float(row["analytic"])) < 1e-8
+            assert (row["ci_halfwidth"], row["z"]) == ("0", "0")
+
     def test_cellular_noise_has_no_analytic_reference(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "--kind", "cellular",
                                         "--alpha", "4", "--noise", "0.1",

@@ -226,6 +226,12 @@ class TestCoverageEstimate:
         est = CoverageEstimate(value=0.5, method=METHOD_MC, ci_halfwidth=0.01, trials=1000)
         assert est.trials == 1000
 
+    @pytest.mark.parametrize("halfwidth", [-0.01, math.nan, math.inf])
+    def test_halfwidth_must_be_finite_and_non_negative(self, halfwidth):
+        # nan passed a bare halfwidth < 0 check
+        with pytest.raises(ValidationError, match="ci_halfwidth"):
+            CoverageEstimate(value=0.5, method=METHOD_MC, ci_halfwidth=halfwidth, trials=10)
+
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             CoverageEstimate(value=0.5, method="guesswork")
