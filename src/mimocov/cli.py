@@ -25,9 +25,11 @@ p_c(M) is the sum of its first M terms and delta_p the M-th (Monte Carlo
 rows: the estimates and their successive differences).
 
 A ``validate`` row's z is the estimate's distance from the series, less
-the 1e-5 bias a default window may carry (nothing for an explicit
+a budget of 1e-5 on a default window (nothing for an explicit
 ``--window``), over the standard error: 0 within that budget, inf past it
-with a zero halfwidth.
+with a zero halfwidth.  1e-5 is the far-field bias the bias radius allows;
+where the smaller variance radius sets the disc, no bound is proven (see
+``montecarlo.SimConfig``).
 
 Results are CSV on stdout (or ``--out``); everything else goes to
 stderr.  Exit codes: 0 success, 2 bad usage, invalid parameters or an
@@ -275,8 +277,9 @@ def _cmd_validate(args):
             for m, tau_db in itertools.product(m_values, tau_values)]
     configs = _planned_configs(args, grid, range(args.seed, args.seed + len(grid)))
     references = [_reference(bundle) for bundle in grid]
-    # a default window may move the estimate by up to _FAR_BIAS (see
-    # SimConfig), so a row is judged by how far it exceeds that budget
+    # the bias radius holds a default window's far-field bias to _FAR_BIAS,
+    # a smaller variance radius to no proven bound (see SimConfig); a row is
+    # judged by how far it exceeds that budget
     budget = montecarlo._FAR_BIAS if args.window is None else 0.0
     rows = []
     worst = 0.0

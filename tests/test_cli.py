@@ -477,7 +477,7 @@ class TestValidateCommand:
     def test_default_window_bias_within_its_budget_reads_z_0(self, capsys):
         # at this density no trial holds an interferer, so every halfwidth is
         # 0, while the far field's mean moves each estimate by about 6e-10,
-        # within the 1e-5 the default window may carry
+        # within the 1e-5 budget of the default window
         code, out, _ = run_cli(capsys, ["validate", "--kind", "adhoc", "--alpha", "4",
                                         "--r0", "1", "--lambda", "1e-12", "--noise", "0.1",
                                         "--m-list", "1,2,4", "--tau-db-list", "0,5",
