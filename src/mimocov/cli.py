@@ -35,6 +35,10 @@ Results are CSV on stdout (or ``--out``); everything else goes to
 stderr.  Exit codes: 0 success, 2 bad usage, invalid parameters or an
 unwritable ``--out``, 3 numerical failure, 4 statistical disagreement
 in ``validate``.
+
+Each command imports the library modules it runs, when it runs: an
+analytic ``coverage`` or ``sweep`` loads neither ``insights`` nor
+``montecarlo``, and a simulated one no ``analytic``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import sys
 
 import numpy as np
 
-from . import analytic, insights, model, montecarlo, series
+from . import model
 from .errors import MimocovError, NumericalError, UnsupportedConfigError, ValidationError
 
 _BASE_HEADER = ["kind", "tau_db", "lambda", "alpha", "r0", "noise", "M",
@@ -178,24 +182,32 @@ def _point_row(bundle, est, seed) -> list:
     ]
 
 
-def _sim_config(args, seed) -> montecarlo.SimConfig:
-    return montecarlo.SimConfig(trials=args.trials, seed=seed, window_radius=args.window)
+def _sim_config(args, seed):
+    from .montecarlo import SimConfig
+
+    return SimConfig(trials=args.trials, seed=seed, window_radius=args.window)
 
 
 def _planned_configs(args, bundles, seeds) -> list:
     """One simulation config per bundle, each planned, so that a refused
     seed or window stops the command before its first trial."""
+    from .montecarlo import _plan
+
     configs = [_sim_config(args, seed) for seed in seeds]
     for bundle, config in zip(bundles, configs):
-        montecarlo._plan(bundle, config)
+        _plan(bundle, config)
     return configs
 
 
 def _evaluate(bundle, config) -> model.CoverageEstimate:
     """The analytic coverage, or with a simulation config its estimate."""
     if config is None:
-        return analytic.coverage(bundle)
-    return montecarlo.simulate(bundle, config)
+        from .analytic import coverage
+
+        return coverage(bundle)
+    from .montecarlo import simulate
+
+    return simulate(bundle, config)
 
 
 def _cmd_coverage(args):
@@ -206,8 +218,10 @@ def _cmd_coverage(args):
 
 def _axis_values(args) -> list:
     if args.axis == "antennas":
-        if not 1 <= args.start <= args.stop <= series.MAX_ORDER:
-            raise ValidationError(f"antenna sweep needs 1 <= start <= stop <= {series.MAX_ORDER}")
+        from .series import MAX_ORDER
+
+        if not 1 <= args.start <= args.stop <= MAX_ORDER:
+            raise ValidationError(f"antenna sweep needs 1 <= start <= stop <= {MAX_ORDER}")
         if not (args.start.is_integer() and args.stop.is_integer()):
             raise ValidationError("antenna sweep bounds must be integers")
         return list(range(int(args.start), int(args.stop) + 1))
@@ -238,7 +252,9 @@ def _cmd_sweep(args):
         # one series of order stop holds every row: p_c(M) sums its first M
         # improvements, and delta_p is the M-th, however far below the last
         # digit of p_c it falls
-        seq = insights.improvement_sequence(bundles[-1], bundles[-1].signal.shape)
+        from .insights import improvement_sequence
+
+        seq = improvement_sequence(bundles[-1], bundles[-1].signal.shape)
         estimates = [model.CoverageEstimate(seq.coverage_at(b.signal.shape),
                                             model.METHOD_RECURSION) for b in bundles]
         gains = seq.values[-len(bundles):]
@@ -261,13 +277,17 @@ def _parse_list(text: str, caster, what: str) -> list:
 
 
 def _reference(bundle):
+    from .analytic import coverage
+
     try:
-        return analytic.coverage(bundle).value
+        return coverage(bundle).value
     except UnsupportedConfigError:  # cellular noise: no series, so no reference
         return None
 
 
 def _cmd_validate(args):
+    from .montecarlo import _FAR_BIAS, simulate
+
     base = _collect_params(args)
     m_values = _parse_list(args.m_list, int, "antenna")
     tau_values = _parse_list(args.tau_db_list, float, "threshold")
@@ -280,11 +300,11 @@ def _cmd_validate(args):
     # the bias radius holds a default window's far-field bias to _FAR_BIAS,
     # a smaller variance radius to no proven bound (see SimConfig); a row is
     # judged by how far it exceeds that budget
-    budget = montecarlo._FAR_BIAS if args.window is None else 0.0
+    budget = _FAR_BIAS if args.window is None else 0.0
     rows = []
     worst = 0.0
     for bundle, cfg, exact in zip(grid, configs, references):
-        mc = montecarlo.simulate(bundle, cfg)
+        mc = simulate(bundle, cfg)
         if exact is None:
             exact_field, z_field = "n/a", ""
         else:
@@ -305,6 +325,9 @@ def _cmd_validate(args):
 
 
 def _cmd_insights(args):
+    from .insights import (adhoc_peak_bound, cellular_decay_rate, density_profile,
+                           outage_decay_check)
+
     picked = any((args.rc, args.ratios is not None, args.peak_bound,
                   args.density_profile, args.derivative))
     if not picked:
@@ -313,21 +336,21 @@ def _cmd_insights(args):
     bundle = model.bundle_from_params(_collect_params(args))
     rows = []
     if args.rc:
-        rows.append(["decay_rate", _num(insights.cellular_decay_rate(bundle))])
+        rows.append(["decay_rate", _num(cellular_decay_rate(bundle))])
     if args.ratios is not None:
-        diag = insights.outage_decay_check(bundle, order=args.ratios)
+        diag = outage_decay_check(bundle, order=args.ratios)
         for n, r in enumerate(diag.ratios):
             rows.append([f"improvement_ratio_{n}", _num(r)])
         if diag.truncated:
             print("note: ratios truncated where the coefficients underflowed",
                   file=sys.stderr)
     if args.peak_bound:
-        pk = insights.adhoc_peak_bound(bundle)
+        pk = adhoc_peak_bound(bundle)
         rows.append(["peak_mu", _num(pk.mu)])
         rows.append(["peak_index_bound", str(pk.index_bound)])
         rows.append(["peak_monotone", "1" if pk.monotone else "0"])
     if args.density_profile or args.derivative:
-        profile = insights.density_profile(bundle)
+        profile = density_profile(bundle)
         if args.density_profile:
             rows.append(["density_head", _num(profile.head)])
             for n, b in enumerate(profile.betas):

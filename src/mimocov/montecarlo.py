@@ -568,10 +568,14 @@ def _blocks(rng: np.random.Generator, mean_points: float, trials: int, cellular:
     total depends on its group's size, which the trial count alone fixes.
     They are then split into runs that weigh their trials plus their
     interferer points (a cellular trial's serving point stands in for its
-    one): at most ``_BLOCK_POINTS``, unless a run holds a single trial.
+    one): at most ``_BLOCK_POINTS``, unless a run holds a single trial.  A
+    group within that budget is one run, with no search.
     """
     for lo in range(0, trials, _COUNT_GROUP):
         counts = _counts(rng, mean_points, min(_COUNT_GROUP, trials - lo), cellular)
+        if int(counts.sum()) + (0 if cellular else counts.size) <= _BLOCK_POINTS:
+            yield counts
+            continue
         for start, stop in _runs(counts if cellular else counts + 1, _BLOCK_POINTS):
             yield counts[start:stop]
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import mimocov
-from mimocov import analytic, cli, coverage, improvement_sequence, insights, montecarlo
+from mimocov import analytic, cli, coverage, errors, improvement_sequence, insights, montecarlo
 from mimocov.cli import main
 
 
@@ -788,7 +789,66 @@ class TestColdStart:
         out, err = _python("-X", "importtime", "-m", "mimocov", *command,
                            "--kind", "cellular", "--alpha", "4")
         assert len(out.splitlines()) >= 2  # a CSV header and its rows
-        imported = [line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
-                    if line.startswith("import time:")]
+        imported = _imported(err)
         assert "mimocov.analytic" in imported
         assert not [m for m in imported if m.startswith("scipy.special")]
+
+    ANALYTIC = {"analytic", "series", "specfun"}
+    CORE = {"cli", "errors", "model"}
+
+    @pytest.mark.parametrize("command, loaded", [
+        (["coverage", "--kind", "cellular", "--alpha", "4", "--m", "4"], CORE | ANALYTIC),
+        (["sweep", "--kind", "cellular", "--alpha", "4", "--m", "4", "--axis", "tau_db",
+          "--start", "-10", "--stop", "20", "--points", "7"], CORE | ANALYTIC),
+        (["insights", "--kind", "cellular", "--alpha", "4", "--kappa", "2", "--rc"],
+         CORE | ANALYTIC | {"insights"}),
+        (["coverage", "--kind", "adhoc", "--alpha", "4", "--r0", "1", "--lambda", "0.05",
+          "--m", "2", "--method", "mc", "--trials", "2000"], CORE | {"montecarlo"}),
+        (["validate", "--kind", "adhoc", "--alpha", "4", "--r0", "1", "--lambda", "0.05",
+          "--m-list", "2", "--tau-db-list", "0", "--trials", "2000"],
+         CORE | ANALYTIC | {"montecarlo"}),
+    ], ids=["coverage", "sweep", "insights-rc", "coverage-mc", "validate"])
+    def test_commands_import_only_what_they_run(self, command, loaded):
+        # each command imports the library modules it calls, when it calls them
+        out, err = _python("-X", "importtime", "-m", "mimocov", *command)
+        assert len(out.splitlines()) >= 2
+        library = {m.split(".", 1)[1] for m in _imported(err) if m.startswith("mimocov.")}
+        assert library == loaded
+
+
+def _imported(importtime_err):
+    """Modules named in the ``-X importtime`` report on stderr."""
+    return [line.rsplit("|", 1)[-1].strip() for line in importtime_err.splitlines()
+            if line.startswith("import time:")]
+
+
+class TestLazyPackage:
+    """``import mimocov`` runs ``errors`` and ``model``; the public names of
+    the evaluator modules load their module on first use."""
+
+    def test_import_loads_only_errors_and_model(self):
+        out, _ = _python("-c", "import sys, mimocov; "
+                         "print(sorted(m for m in sys.modules if m.startswith('mimocov')))")
+        assert out.strip() == "['mimocov', 'mimocov.errors', 'mimocov.model']"
+
+    def test_every_public_name_is_its_module_object(self):
+        assert set(mimocov._LAZY) <= set(mimocov.__all__)
+        for name in mimocov.__all__:
+            home = mimocov._LAZY.get(name) or ("errors" if hasattr(errors, name) else "model")
+            assert getattr(mimocov, name) is getattr(importlib.import_module(f"mimocov.{home}"), name)
+
+    def test_dir_lists_every_public_name_before_first_use(self):
+        out, _ = _python("-c", "import mimocov; "
+                         "print(sorted(set(mimocov.__all__) - set(dir(mimocov))))")
+        assert out.strip() == "[]"
+
+    def test_star_import_binds_every_public_name(self):
+        out, _ = _python("-c", "from mimocov import *; import mimocov; "
+                         "print([n for n in mimocov.__all__ if globals().get(n) is not "
+                         "getattr(mimocov, n)])")
+        assert out.strip() == "[]"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mimocov.no_such_name
+        assert not hasattr(mimocov, "no_such_name")
