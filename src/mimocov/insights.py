@@ -210,11 +210,8 @@ def outage_decay_check(bundle: ScenarioBundle, order: int = 120) -> DecayDiagnos
     happened.
     """
     seq = improvement_sequence(bundle, order).values
-    keep = seq.size
-    for i, v in enumerate(seq):
-        if not (v > _UNDERFLOW_FLOOR):
-            keep = i
-            break
+    low = np.flatnonzero(~(seq > _UNDERFLOW_FLOOR))  # nan stops it too
+    keep = int(low[0]) if low.size else seq.size
     truncated = keep < seq.size
     head = seq[:keep]
     if head.size < 2:

@@ -10,6 +10,7 @@ built directly, from a key = value configuration file, or from CLI flags
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -37,6 +38,19 @@ def _integer(value) -> Optional[int]:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float if it is a Python or numpy real number other
+    than a bool (an integer past the double range gives +-inf); otherwise a
+    ValidationError naming ``what``.  Every real parameter of a scenario,
+    a Gamma law and a simulation window passes through here."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ValidationError(f"{what} must be a real number, got {value!r}")
 
 
 def _positive_integer(value, what: str) -> int:
@@ -309,26 +323,32 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
     """
     if scenario.kind not in (CELLULAR, ADHOC):
         raise ValidationError(f"kind must be '{CELLULAR}' or '{ADHOC}', got {scenario.kind!r}")
-    if not (scenario.lam > 0.0 and math.isfinite(scenario.lam)):
+    lam = _real(scenario.lam, "transmitter density lambda")
+    if not (lam > 0.0 and math.isfinite(lam)):
         raise ValidationError("transmitter density lambda must be positive")
-    if not (scenario.alpha > 2.0 and math.isfinite(scenario.alpha)):
+    alpha = _real(scenario.alpha, "alpha")
+    if not (alpha > 2.0 and math.isfinite(alpha)):
         raise ValidationError("alpha must exceed 2")
-    if not (scenario.threshold > 0.0 and math.isfinite(scenario.threshold)):
+    threshold = _real(scenario.threshold, "threshold tau")
+    if not (threshold > 0.0 and math.isfinite(threshold)):
         raise ValidationError("threshold tau must be positive")
-    if not (scenario.noise >= 0.0 and math.isfinite(scenario.noise)):
+    noise = _real(scenario.noise, "noise power")
+    if not (noise >= 0.0 and math.isfinite(noise)):
         raise ValidationError("noise power must be non-negative")
     if scenario.kind == CELLULAR:
         if scenario.r0 is not None:
             raise ValidationError("cellular scenarios take no dipole distance r0 "
                                   "(the serving distance is random)")
     else:
-        if scenario.r0 is None or not (scenario.r0 > 0.0 and math.isfinite(scenario.r0)):
+        r0 = None if scenario.r0 is None else _real(scenario.r0, "dipole distance r0")
+        if r0 is None or not (r0 > 0.0 and math.isfinite(r0)):
             raise ValidationError("ad hoc scenarios require a positive dipole distance r0")
 
     m = _positive_integer(signal.shape, "antenna count M")
     if type(signal.shape) is not int:
         signal = replace(signal, shape=m)
-    if not (signal.scale > 0.0 and math.isfinite(signal.scale)):
+    scale = _real(signal.scale, "signal gain scale theta")
+    if not (scale > 0.0 and math.isfinite(scale)):
         raise ValidationError("signal gain scale theta must be positive")
 
     delta = 2.0 / scenario.alpha
@@ -336,9 +356,11 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
     if interferer.is_gamma:
         if interferer.kappa is None or interferer.beta is None:
             raise ValidationError("gamma interferer law requires both kappa and beta")
-        if not (interferer.kappa > 0.0 and math.isfinite(interferer.kappa)):
+        kappa = _real(interferer.kappa, "interferer gamma shape kappa")
+        if not (kappa > 0.0 and math.isfinite(kappa)):
             raise ValidationError("interferer gamma shape kappa must be positive")
-        if not (interferer.beta > 0.0 and math.isfinite(interferer.beta)):
+        beta = _real(interferer.beta, "interferer gamma scale beta")
+        if not (beta > 0.0 and math.isfinite(beta)):
             raise ValidationError("interferer gamma scale beta must be positive")
         moment = interferer.beta**delta * _gamma_ratio(interferer.kappa, delta)
     else:

@@ -26,6 +26,7 @@ from mimocov.model import (
     load_config,
     resolve_threshold,
 )
+from mimocov.montecarlo import SimConfig
 
 
 def _scenario(**kw):
@@ -80,6 +81,7 @@ class TestValidate:
         (dict(kind="mesh"), "kind"),
         (dict(lam=0.0), "lambda"),
         (dict(lam=-1.0), "lambda"),
+        (dict(lam=10**400), "lambda must be positive"),
         (dict(alpha=2.0), "alpha must exceed 2"),
         (dict(alpha=1.5), "alpha must exceed 2"),
         (dict(threshold=0.0), "tau"),
@@ -89,6 +91,33 @@ class TestValidate:
     def test_bad_scenario(self, kw, fragment):
         with pytest.raises(ValidationError, match=fragment):
             validate(_scenario(**kw), SIGNAL, GAMMA_LAW)
+
+    @pytest.mark.parametrize("build,name", [
+        pytest.param(lambda: validate(_scenario(lam="1e-3"), SIGNAL, GAMMA_LAW), "lambda",
+                     id="lambda-str"),
+        pytest.param(lambda: validate(_scenario(alpha=np.True_), SIGNAL, GAMMA_LAW), "alpha",
+                     id="alpha-numpy-bool"),
+        pytest.param(lambda: validate(_scenario(threshold=None), SIGNAL, GAMMA_LAW), "tau",
+                     id="tau-none"),
+        pytest.param(lambda: validate(_scenario(noise="0"), SIGNAL, GAMMA_LAW), "noise power",
+                     id="noise-str"),
+        pytest.param(lambda: validate(_scenario(kind=ADHOC, r0="1"), SIGNAL, GAMMA_LAW), "r0",
+                     id="r0-str"),
+        pytest.param(lambda: validate(_scenario(), SignalGainSpec(shape=1, scale="1"), GAMMA_LAW),
+                     "theta", id="theta-str"),
+        pytest.param(lambda: validate(_scenario(), SignalGainSpec(shape=1, scale=True), GAMMA_LAW),
+                     "theta", id="theta-bool"),
+        pytest.param(lambda: validate(_scenario(), SIGNAL, InterfererGainSpec(kappa="1", beta=1.0)),
+                     "kappa", id="kappa-str"),
+        pytest.param(lambda: validate(_scenario(), SIGNAL, InterfererGainSpec(kappa=1.0, beta=1j)),
+                     "beta", id="beta-complex"),
+        pytest.param(lambda: SimConfig(window_radius="300"), "window_radius", id="window-str"),
+        pytest.param(lambda: SimConfig(window_radius=True), "window_radius", id="window-bool"),
+    ])
+    def test_non_real_parameters_are_refused(self, build, name):
+        # each was a bare TypeError, or a bool read as 1.0
+        with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+            build()
 
     def test_adhoc_needs_r0(self):
         with pytest.raises(ValidationError, match="dipole distance"):

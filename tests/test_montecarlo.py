@@ -16,14 +16,15 @@ from mimocov.montecarlo import (
     _RAW_WORDS,
     SimConfig,
     _anchor,
-    _blocks,
     _counts,
     _far_field_mean,
     _gain_moments,
     _halves,
     _interferer_draw,
+    _loads,
     _open_uniforms,
     _plan,
+    _runs,
     _upper_gamma,
     _Workspace,
     auto_window,
@@ -299,12 +300,12 @@ class TestStreams:
         reference = simulate(bundle, config)
         runs = []
 
-        def recorded(rng, mean_points, trials, cellular):
-            for counts in _blocks(rng, mean_points, trials, cellular):
-                runs.append((counts.size, int(counts.sum()) + (0 if cellular else counts.size)))
-                yield counts
+        def recorded(weights, budget):
+            for start, stop in _runs(weights, budget):
+                runs.append((stop - start, int(weights[start:stop].sum())))
+                yield start, stop
 
-        monkeypatch.setattr(montecarlo, "_blocks", recorded)
+        monkeypatch.setattr(montecarlo, "_runs", recorded)
         for budget, n_runs in ((1, config.trials), (200, None), (10**9, 1)):
             runs.clear()
             monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
@@ -366,11 +367,11 @@ class TestStreams:
         drawn = []
 
         def recorded(*args):
-            for counts in _blocks(*args):
-                drawn.append(counts.copy())
-                yield counts
+            counts = _counts(*args)
+            drawn.append(counts.copy())
+            return counts
 
-        monkeypatch.setattr(montecarlo, "_blocks", recorded)
+        monkeypatch.setattr(montecarlo, "_counts", recorded)
         estimates = set()
         for budget in (200, montecarlo._BLOCK_POINTS, 10**9):
             drawn.clear()
@@ -379,6 +380,23 @@ class TestStreams:
             estimates.add((est.value, est.ci_halfwidth))
             np.testing.assert_array_equal(np.concatenate(drawn), reference)
         assert len(estimates) == 1
+
+    def test_loads_come_one_array_per_count_group(self, cellular_bundle, monkeypatch):
+        # the kernel yields each count group's x whole, and the runs it
+        # works a group in cannot change one of them
+        radius = math.sqrt(1.01 * math.log(100.0) / (math.pi * 1e-3))
+        config = SimConfig(trials=_COUNT_GROUP + 4464, seed=6, window_radius=radius)
+        bundle = cellular_bundle(m=2)
+        plan = _plan(bundle, config)
+        loads = []
+        for budget in (1, montecarlo._BLOCK_POINTS, 10**9):
+            monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
+            with np.errstate(over="ignore", divide="ignore"):
+                groups = list(_loads(bundle, plan, config.seed, config.trials))
+            assert [x.size for x in groups] == [_COUNT_GROUP, 4464]
+            assert all(x.dtype == np.float64 for x in groups)
+            loads.append(np.concatenate(groups))
+        assert all(np.array_equal(x, loads[0]) for x in loads[1:])
 
     # (kind, bundle parameters, config): about 90 positions per trial on the
     # automatic cellular disc, about 6300 per trial on the ad hoc window, so
@@ -394,14 +412,13 @@ class TestStreams:
     ]
 
     @staticmethod
-    def _shrinking(rng, mean_points, trials, cellular):
-        """The trials of ``_blocks`` re-cut into runs that each hold half the
-        trials left, so every run is smaller than the one before."""
-        counts = np.concatenate(list(_blocks(rng, mean_points, trials, cellular)))
+    def _shrinking(weights, budget):
+        """A count group cut into runs that each hold half the trials left
+        of it, so every run is smaller than the one before."""
         start = 0
-        while start < counts.size:
-            stop = start + max(1, (counts.size - start) // 2)
-            yield counts[start:stop]
+        while start < len(weights):
+            stop = start + max(1, (len(weights) - start) // 2)
+            yield start, stop
             start = stop
 
     @pytest.mark.parametrize("kind, params, config", DRAW_SCENARIOS)
@@ -438,14 +455,14 @@ class TestStreams:
         keys = [(1,)] if "interferer" in params else [(1,), (2,)]
         default = montecarlo._BLOCK_POINTS
         one_trial = math.ceil(_plan(bundle, config).mean_points) + 1
-        cases = [(1, _blocks), (default, _blocks), (10**9, _blocks),
-                 (default, self._shrinking), (one_trial, _blocks)]
-        for budget, blocks in cases:
+        cases = [(1, _runs), (default, _runs), (10**9, _runs),
+                 (default, self._shrinking), (one_trial, _runs)]
+        for budget, runs in cases:
             draws.clear()
             gains.clear()
             built.clear()
             monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", budget)
-            monkeypatch.setattr(montecarlo, "_blocks", blocks)
+            monkeypatch.setattr(montecarlo, "_runs", runs)
             est = simulate(bundle, config)
             assert (est.value, est.ci_halfwidth) == (reference.value, reference.ci_halfwidth)
             assert sorted(draws) == keys
@@ -462,7 +479,7 @@ class TestStreams:
             fresh = np.random.Generator(np.random.SFC64(children[2]))
             np.testing.assert_array_equal(whole, _draw(bundle, fresh, whole.size))
             sized = [points for points in built if points]
-            if blocks is self._shrinking:
+            if runs is self._shrinking:
                 assert len(sized) == 1 and len(gains) > 5
                 assert gains[0].size > max(g.size for g in gains[1:])
             if budget == one_trial:
@@ -641,7 +658,7 @@ class TestFarField:
         bundle = cellular_bundle(alpha=3.5, lam=2e-3, kappa=2.0, beta=0.7)
         expected = 2.0 * math.pi * 2e-3 * 2.0 * 0.7 * 250.0**-1.5 / 1.5
         log_gain = _gain_moments(bundle)[0]
-        assert _far_field_mean(bundle, 250.0, log_gain) == pytest.approx(expected, rel=1e-14)
+        assert _far_field_mean(bundle, 250.0, log_gain, 1.0) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["cellular", "adhoc"])
     def test_mean_is_added_to_every_trial(self, request, kind):
@@ -650,7 +667,7 @@ class TestFarField:
         make = request.getfixturevalue(f"{kind}_bundle")
         bundle = make(alpha=3.0, m=2, noise=0.05)
         radius = auto_window(bundle)
-        far = _far_field_mean(bundle, radius, _gain_moments(bundle)[0])
+        far = _far_field_mean(bundle, radius, _gain_moments(bundle)[0], 1.0)
         auto = simulate(bundle, SimConfig(trials=2000, seed=3))
         shifted = simulate(make(alpha=3.0, m=2, noise=0.05 + far),
                            SimConfig(trials=2000, seed=3, window_radius=radius))
