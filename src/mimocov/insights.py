@@ -20,7 +20,8 @@ import numpy as np
 
 from . import specfun
 from .errors import NumericalError, RootNotFoundError, UnsupportedConfigError, ValidationError
-from .model import ADHOC, CELLULAR, ScenarioBundle, _integral_on_half_line, _positive_integer
+from .model import (ADHOC, CELLULAR, ScenarioBundle, _integral_on_half_line, _positive_integer,
+                    _real)
 from .analytic import _check_order, _improvements, _refuse_cellular_noise, _rounded_estimate, adhoc_mu
 from .series import coeff_sum
 
@@ -31,9 +32,10 @@ _UNDERFLOW_FLOOR = 1e-300
 # density dependence (ad hoc)
 
 def _check_density(lam) -> float:
+    lam = _real(lam, "transmitter density lambda")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValidationError("transmitter density lambda must be positive")
-    return float(lam)
+    return lam
 
 
 def _finite(value: float, what: str, lam: float) -> float:

@@ -44,7 +44,10 @@ def _real(value, what: str) -> float:
     """``value`` as a float if it is a Python or numpy real number other
     than a bool (an integer past the double range gives +-inf); otherwise a
     ValidationError naming ``what``.  Every real parameter of a scenario,
-    a Gamma law and a simulation window passes through here."""
+    a Gamma law, a signal pdf term and a simulation window, and the density
+    a density profile is evaluated at, passes through here."""
+    if isinstance(value, float):
+        return float(value)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
@@ -202,13 +205,16 @@ class GeneralSignalPdf:
                 q, phi, varphi = item
             except (TypeError, ValueError):
                 raise ValidationError("each signal pdf term must be (q, phi, varphi)") from None
-            if int(q) != q or q < 0:
+            q = _real(q, "signal pdf exponent q")
+            phi = _real(phi, "signal pdf decay rate phi")
+            varphi = _real(varphi, "signal pdf coefficient varphi")
+            if not (math.isfinite(q) and q >= 0.0 and q == int(q)):
                 raise ValidationError("signal pdf exponent q must be a non-negative integer")
             if not (phi > 0.0 and math.isfinite(phi)):
                 raise ValidationError("signal pdf decay rate phi must be positive and finite")
             if not math.isfinite(varphi):
                 raise ValidationError("signal pdf coefficient varphi must be finite")
-            clean.append((int(q), float(phi), float(varphi)))
+            clean.append((int(q), phi, varphi))
         object.__setattr__(self, "terms", tuple(clean))
         mass = sum(w for _, _, w in self.weights())
         if not abs(mass - 1.0) <= _NORMALIZATION_TOL:

@@ -119,7 +119,6 @@ _LOG_HUGE = math.log(sys.float_info.max)
 _MIN_POINTS = 200.0  # expected points per realization, at least
 _NEAR_VARIANCE = 1e-5  # (R / anchor)^(2 - 2 alpha) left by the far-field mean
 _PRODUCT_SHAPES = (1.0, 2.0, 3.0, 4.0)  # Gamma shapes drawn as -log of a product of uniforms
-_RAW_MIN = 1 << 12  # uniforms per call from which raw words cost less than rng.random
 _RAW_WORDS = 1 << 14  # raw words per piece: one bounded 128 KiB buffer, whatever the draw's size
 _SERIES_CHECK = 8  # series passes between convergence checks
 _SERIES_EPS = 2.0**-56  # a term below this share of its sum ends the sum
@@ -336,29 +335,26 @@ def _open_uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     NumPy makes a float32 uniform of a 32-bit draw w as (w >> 8) 2^-24, and
     SFC64 serves its 32-bit draws as the halves of one 64-bit word, low half
     first, the high half kept in the state (``has_uint32``, ``uinteger``)
-    for the next draw.  From ``_RAW_MIN`` values on, the halves are cut from
-    ``bit_generator.random_raw`` words by ``_halves``, which keeps that
-    order on either byte order, at about two thirds of the cost of one call
-    per value.  The words come ``_RAW_WORDS`` at a time, so a call of any
-    size, a heavy trial's 8e6 points included, holds one bounded word buffer
-    next to its output.  A half left buffered by an earlier call, and the
-    last one or two values, which share a word and may leave its high half
-    buffered, come from ``rng.random`` itself, so the state ends as that
-    call leaves it and a later call on ``rng`` continues the same stream.
-    Fewer values come from ``rng.random`` alone: its one call costs less
-    there than reading the state and the four passes over the words.
+    for the next draw.  The halves are cut from ``bit_generator.random_raw``
+    words by ``_halves``, which keeps that order on either byte order, at
+    about two thirds of the cost of one call per value.  The words come
+    ``_RAW_WORDS`` at a time, so a call of any size, a heavy trial's 8e6
+    points included, holds one bounded word buffer next to its output.  A
+    half left buffered by an earlier call, and the last one or two values,
+    which share a word and may leave its high half buffered, come from
+    ``rng.random`` itself, so the state ends as that call leaves it and a
+    later call on ``rng`` continues the same stream.
     1 - U = (2^24 - k) 2^-24 is exact in float32 and lies in [2^-24, 1].
     ``rng`` must run on SFC64.
     """
     n = out.size
-    if n < _RAW_MIN:
-        rng.random(out=out, dtype=np.float32)
-        return np.subtract(np.float32(1.0), out, out=out)
     bitgen = rng.bit_generator
     lead = bitgen.state["has_uint32"]
     if lead:
         rng.random(out=out[:1], dtype=np.float32)
-    stop = n - 1 - (n - lead - 1) % 2  # the word of the values from stop on comes last
+    # the word of the values from stop on comes last; a lone value that a
+    # buffered half serves is the lead, and nothing follows it
+    stop = max(lead, n - 1 - (n - lead - 1) % 2)
     for lo in range(lead, stop, 2 * _RAW_WORDS):
         hi = min(stop, lo + 2 * _RAW_WORDS)
         halves = _halves(bitgen.random_raw((hi - lo) // 2))

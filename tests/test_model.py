@@ -16,6 +16,7 @@ from mimocov import (
     ValidationError,
     bundle_from_params,
     coverage,
+    density_profile,
     parse_config,
     validate,
 )
@@ -37,6 +38,11 @@ def _scenario(**kw):
 
 GAMMA_LAW = InterfererGainSpec(kappa=1.0, beta=1.0)
 SIGNAL = SignalGainSpec(shape=1, scale=1.0)
+
+
+def _density_profile():
+    return density_profile(validate(_scenario(kind=ADHOC, lam=0.05, r0=1.0),
+                                    SignalGainSpec(shape=2, scale=1.0), GAMMA_LAW))
 
 
 class TestValidate:
@@ -113,6 +119,21 @@ class TestValidate:
                      "beta", id="beta-complex"),
         pytest.param(lambda: SimConfig(window_radius="300"), "window_radius", id="window-str"),
         pytest.param(lambda: SimConfig(window_radius=True), "window_radius", id="window-bool"),
+        pytest.param(lambda: GeneralSignalPdf(terms=((None, 1.0, 1.0),)), "exponent q",
+                     id="pdf-q-none"),
+        pytest.param(lambda: GeneralSignalPdf(terms=((0, "1", 1.0),)), "decay rate phi",
+                     id="pdf-phi-str"),
+        pytest.param(lambda: GeneralSignalPdf(terms=((0, 1.0, "1"),)), "coefficient varphi",
+                     id="pdf-varphi-str"),
+        pytest.param(lambda: GeneralSignalPdf(terms=((True, 1.0, 1.0),)), "exponent q",
+                     id="pdf-q-bool"),
+        pytest.param(lambda: GeneralSignalPdf(terms=((0, True, 1.0),)), "decay rate phi",
+                     id="pdf-phi-bool"),
+        pytest.param(lambda: GeneralSignalPdf(terms=((0, 1.0, True),)), "coefficient varphi",
+                     id="pdf-varphi-bool"),
+        *(pytest.param(lambda at=at, lam=lam: getattr(_density_profile(), at)(lam),
+                       "transmitter density lambda", id=f"{at}-{lam!r}")
+          for at in ("coverage_at", "derivative_at") for lam in ("0.05", None, 1j, True)),
     ])
     def test_non_real_parameters_are_refused(self, build, name):
         # each was a bare TypeError, or a bool read as 1.0
@@ -220,8 +241,10 @@ class TestGeneralSignalPdf:
     def test_term_validation(self):
         with pytest.raises(ValidationError):
             GeneralSignalPdf(terms=())
-        with pytest.raises(ValidationError, match="non-negative integer"):
-            GeneralSignalPdf(terms=((-1, 1.0, 1.0),))
+        for q in (-1, 2.5, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="non-negative integer"):
+                GeneralSignalPdf(terms=((q, 1.0, 1.0),))
+        assert GeneralSignalPdf(terms=((2.0, 1.0, 0.5),)).terms == ((2, 1.0, 0.5),)
         with pytest.raises(ValidationError, match="phi"):
             GeneralSignalPdf(terms=((0, 0.0, 1.0),))
         with pytest.raises(ValidationError, match=r"\(q, phi, varphi\)"):

@@ -12,7 +12,6 @@ from mimocov.montecarlo import (
     _COUNT_GROUP,
     _FEW_POINTS,
     _MAX_TRIALS,
-    _RAW_MIN,
     _RAW_WORDS,
     SimConfig,
     _anchor,
@@ -487,9 +486,9 @@ class TestStreams:
 
 
 class TestOpenUniforms:
-    # 0, 1, 2, 3, odd and even sizes, on either side of the first size cut
-    # from raw words, within one piece of raw words and across several
-    SIZES = [0, 1, 2, 3, 7, 10, _RAW_MIN - 1, _RAW_MIN, _RAW_MIN + 1, 12290,
+    # 0, 1, 2, 3, odd and even sizes, with and without a buffered half,
+    # within one piece of raw words and across several
+    SIZES = [0, 1, 2, 3, 7, 10, 4095, 4096, 4097, 12290,
              2 * _RAW_WORDS, 2 * _RAW_WORDS + 1, 5 * _RAW_WORDS + 2]
 
     def test_matches_one_minus_random(self):
