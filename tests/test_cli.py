@@ -1,8 +1,10 @@
 import csv
+import gc
 import importlib
 import io
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -722,13 +724,90 @@ class TestStdoutPurity:
         assert "note:" not in out
 
 
+def _child_env(**extra):
+    """The environment of a child interpreter that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(mimocov.__file__))
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
 def _python(*args):
     """Run the interpreter on the package under test; return (stdout, stderr)."""
-    src = os.path.dirname(os.path.dirname(mimocov.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, *args], env=env, check=True,
+    done = subprocess.run([sys.executable, *args], env=_child_env(), check=True,
                           capture_output=True, text=True)
     return done.stdout, done.stderr
+
+
+class TestProgramEntry:
+    """``run`` freezes the heap once the output is written, so that the
+    interpreter's exit-time collection skips it; ``main`` never does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--kind", "cellular", "--alpha", "4"],
+        ["coverage", "--kind", "cellular"],
+    ], ids=["success", "usage-error"])
+    def test_main_leaves_the_heap_unfrozen(self, capsys, argv):
+        before = gc.get_freeze_count()
+        run_cli(capsys, argv)
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, expected, stream, start", [
+        (["coverage", "--kind", "cellular", "--alpha", "4"], 0, "out", "kind,"),
+        (["coverage", "--kind", "cellular"], 2, "err", "error: "),
+        (["coverage", *_ADHOC_FAR, "--r0", "1e300", "--lambda", "1"], 3, "err",
+         "numerical error: "),
+        (["validate", *_ADHOC_FAR, "--r0", "1", "--lambda", "0.05", "--m-list", "1",
+          "--tau-db-list", "0", "--trials", "100", "--window", "0.01"], 4, "out", "kind,"),
+    ], ids=["success", "usage", "numerical", "disagreement"])
+    def test_returns_main_code_and_freezes_after_the_output(self, capsys, monkeypatch,
+                                                            argv, expected, stream, start):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr()))
+        monkeypatch.setattr(sys, "argv", ["mimocov", *argv])
+        assert cli.run() == expected
+        assert len(frozen) == 1
+        assert getattr(frozen[0], stream).startswith(start)
+
+    def test_freezes_on_an_argument_error_too(self, capsys, monkeypatch):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr()))
+        monkeypatch.setattr(sys, "argv", ["mimocov", "sweep", "--kind", "cellular"])
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == 2
+        assert len(frozen) == 1
+        assert "the following arguments are required" in frozen[0].err
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot take the CSV is exit 2 with one error line, as
+    an unwritable ``--out`` is, and nothing fails again at exit."""
+
+    ARGV = [sys.executable, "-m", "mimocov", "coverage", "--kind", "cellular",
+            "--alpha", "4", "--m", "2"]
+
+    @staticmethod
+    def _assert_refused(done):
+        assert done.returncode == 2, done.stderr
+        assert "Exception ignored" not in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: cannot write to stdout")
+        assert len(done.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_that_closed_the_pipe(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(self.ARGV, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=_child_env(PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        self._assert_refused(done)
+
+    def test_closed_descriptor(self):
+        done = subprocess.run(["sh", "-c", f"exec {shlex.join(self.ARGV)} >&-"],
+                              stderr=subprocess.PIPE, text=True, env=_child_env())
+        self._assert_refused(done)
 
 
 class TestColdStart:
