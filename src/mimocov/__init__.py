@@ -23,7 +23,6 @@ what a subcommand runs: ``coverage`` and ``sweep`` load ``analytic``
 from .errors import (
     ConfigurationError,
     CoverageRangeError,
-    DomainError,
     MimocovError,
     NumericalError,
     RootNotFoundError,
@@ -99,7 +98,6 @@ __all__ = [
     "CoverageRangeError",
     "DecayDiagnostics",
     "DensityProfile",
-    "DomainError",
     "EntrySequence",
     "GeneralSignalPdf",
     "ImprovementSequence",

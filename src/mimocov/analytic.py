@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UnsupportedConfigError, ValidationError
+from .errors import NumericalError, UnsupportedConfigError, ValidationError
 from .model import (
     ADHOC,
     CELLULAR,
@@ -62,9 +62,8 @@ class EntrySequence:
     pattern is structural, so a violation means the numerics broke.  The
     one exception is an all-zero ad hoc column: mu underflowed to 0 with
     no noise, and exp(0) = 1 is exact.  The tail is checked by one maximum
-    and one minimum, which a nan fails; only a column that fails is scanned
-    again, to tell a non-finite entry (``DomainError``) from a broken sign
-    pattern (``NumericalError``).
+    and one minimum, which a nan or an infinity fails: a column that is
+    not finite or off its pattern raises ``NumericalError``.
     """
 
     values: np.ndarray
@@ -73,7 +72,7 @@ class EntrySequence:
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
-            raise DomainError("an entry sequence must be a non-empty 1-D array")
+            raise ValidationError("an entry sequence must be a non-empty 1-D array")
         object.__setattr__(self, "values", vals)
         head = float(vals[0])
         # exact zeros are allowed in the tail: deep entries underflow for
@@ -89,12 +88,8 @@ class EntrySequence:
         else:
             raise ValidationError(f"unknown entry flavor {self.flavor!r}")
         if not ok:
-            if not np.isfinite(vals).all():
-                raise DomainError(f"{self.flavor} entries must all be finite")
-            raise NumericalError(
-                f"{self.flavor} entries violate their sign pattern; "
-                "the evaluation lost too much precision"
-            )
+            raise NumericalError(f"{self.flavor} entries are not all finite or violate their "
+                                 "sign pattern; the evaluation overflowed or lost its precision")
 
 
 def _check_order(order: int) -> int:
@@ -310,7 +305,8 @@ def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
     Entry n is -mu f_n, with f_n = f_{n-1} (n-1-delta)/n from f_0 = 1
     (a running product, so every entry is exact to rounding); the noise term
     s = tau r0^alpha sigma^2 / theta only touches entries 0 and 1, and is
-    formed only when there is noise.
+    formed only when there is noise; an s past the double range, by the
+    power or by the product, raises ``NumericalError``.
     """
     order = _check_order(order)
     sc = bundle.scenario
@@ -319,8 +315,10 @@ def adhoc_entries(bundle: ScenarioBundle, order: int) -> EntrySequence:
     if sc.noise > 0.0:
         try:
             s_noise = sc.threshold * sc.r0**sc.alpha * sc.noise / bundle.signal.scale
-        except OverflowError:
-            raise NumericalError("the noise term tau r0^alpha sigma^2 / theta overflows") from None
+        except OverflowError:  # r0^alpha itself
+            s_noise = math.inf
+        if not math.isfinite(s_noise):
+            raise NumericalError("the noise term tau r0^alpha sigma^2 / theta overflows")
     delta = bundle.delta
 
     vals = -mu * _f_coefficients(delta, order)

@@ -32,10 +32,12 @@ where the smaller variance radius sets the disc, no bound is proven (see
 ``montecarlo.SimConfig``).
 
 Results are CSV on stdout (or ``--out``); everything else goes to
-stderr.  Exit codes: 0 success, 2 bad usage, invalid parameters, an
-unwritable ``--out`` or an unwritable stdout (a closed reader, a closed
-descriptor), 3 numerical failure, 4 statistical disagreement in
-``validate``.
+stderr.  Exit codes: 0 success; 2 bad usage, a ``ValidationError`` (an
+input or option the library refuses), an unwritable ``--out`` or an
+unwritable stdout (a closed reader, a closed descriptor, a reader that
+stops mid-write); 3 a ``NumericalError`` (an evaluation that overflowed
+or lost its precision); 4 statistical disagreement in ``validate``.
+Each library exit code is one class root.
 
 ``run`` is the program entry (``python -m mimocov`` and the ``mimocov``
 script): it returns ``main``'s exit code and then freezes the heap, so
@@ -84,6 +86,18 @@ _WINDOW_HELP = ("simulation disc radius (mc only); default: the smaller of the d
                 "points; explicit radius: plain truncation, no far-field mean")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse ignores a failed write of ``--help``, so the text goes out
+    by ``_write_stdout``: a reader that is gone is an ``OSError``, as for
+    the CSV.  Subcommand parsers are built from this class too."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _write_stdout(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     scen = argparse.ArgumentParser(add_help=False)
     grp = scen.add_argument_group("scenario")
@@ -106,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="simulation trials (default 100000)")
     run.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="mimocov",
         description="Coverage probability of multi-antenna Poisson networks.",
     )
@@ -393,11 +407,21 @@ def _emit(header, rows, out_path) -> None:
 
 def _write_stdout(text: str) -> None:
     """Write and flush ``text``, so that a closed reader is an ``OSError``
-    here and not an ignored exception at interpreter exit."""
+    here and not an ignored exception at interpreter exit.  Unbuffered
+    (``PYTHONUNBUFFERED``), the text layer sits on the raw file and drops
+    what a short write leaves over, so there the bytes go to the raw file
+    until it has taken them all or a write fails."""
     if sys.stdout is None:  # the process started with descriptor 1 closed
         raise OSError("cannot write to stdout: it is closed")
     try:
-        sys.stdout.write(text)
+        raw = getattr(sys.stdout, "buffer", None)
+        if isinstance(raw, io.RawIOBase):
+            sys.stdout.flush()
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[raw.write(data):]
+        else:
+            sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
         _discard_stdout()
@@ -417,8 +441,8 @@ def _discard_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         header, rows, code = _COMMANDS[args.command](args)
         _emit(header, rows, args.out)
     except NumericalError as exc:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is a ``MimocovError`` of one of two kinds, and the command
+line maps each kind to one exit code: a ``ValidationError`` (exit 2) is
+an input or option the package refuses, a ``NumericalError`` (exit 3) an
+evaluation that lost its precision or overflowed.
+"""
 
 
 class MimocovError(Exception):
@@ -6,7 +12,7 @@ class MimocovError(Exception):
 
 
 class ValidationError(MimocovError, ValueError):
-    """A scenario, gain law, or configuration parameter violates an invariant."""
+    """A scenario, gain law, argument or configuration parameter violates an invariant."""
 
 
 class ConfigurationError(ValidationError):
@@ -14,16 +20,12 @@ class ConfigurationError(ValidationError):
     so small that empty realizations dominate)."""
 
 
-class DomainError(MimocovError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class UnsupportedConfigError(MimocovError, ValueError):
+class UnsupportedConfigError(ValidationError):
     """The requested combination of options has no analytic form here."""
 
 
 class NumericalError(MimocovError, RuntimeError):
-    """An iterative numerical method failed to converge or overflowed."""
+    """An evaluation failed to converge, overflowed or lost its precision."""
 
 
 class CoverageRangeError(NumericalError):

@@ -300,8 +300,10 @@ def _plan(bundle: ScenarioBundle, config: SimConfig) -> _Plan:
     if sc.noise > 0.0:
         try:
             noise = sc.noise * anchor**sc.alpha
-        except OverflowError:
-            raise NumericalError("the noise in anchor units, noise anchor^alpha, overflows") from None
+        except OverflowError:  # anchor^alpha itself
+            noise = math.inf
+        if not math.isfinite(noise):
+            raise NumericalError("the noise in anchor units, noise anchor^alpha, overflows")
     mean_points = sc.lam * math.pi * radius * radius
     if mean_points > _MAX_ENTRIES:
         raise ConfigurationError(

@@ -27,7 +27,8 @@ For the ad hoc entries (t_0 < 0, t_j >= 0 beyond) and the cellular ones
 nothing cancels.  The matrix forms and the per-coefficient recursions live
 in the tests, as the references these kernels must match.  The kernels
 take their input as given (``analytic.EntrySequence`` checks each column
-once, where it is built) and check only their own output, for overflow.
+once, where it is built) and check only their own output: an overflow
+raises ``NumericalError``, and a zero head of a reciprocal ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import NumericalError, ValidationError
 
 MAX_ORDER = 512
 _SEED_ORDER = 8  # coefficients of 1/C(z) from the scalar recursion
@@ -48,7 +49,7 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     """Check a kernel's output for finiteness: overflow inside a kernel is a
     real failure even when its input was finite."""
     if not np.isfinite(arr).all():
-        raise DomainError("series coefficients must all be finite")
+        raise NumericalError("series coefficients must all be finite")
     return arr
 
 
@@ -92,7 +93,7 @@ def series_exp(t) -> np.ndarray:
     try:
         head = math.exp(t[0])
     except OverflowError:
-        raise DomainError(f"series exponential overflows at t_0 = {float(t[0])!r}") from None
+        raise NumericalError(f"series exponential overflows at t_0 = {float(t[0])!r}") from None
     p = np.empty(m)
     p[0] = head
     if m > 1:  # at M = 1 the set-up below would cost more than the answer
@@ -138,7 +139,7 @@ def series_reciprocal(c) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float)
     if c[0] == 0.0:
-        raise DomainError("series reciprocal undefined: leading coefficient is zero")
+        raise ValidationError("series reciprocal undefined: leading coefficient is zero")
     m = c.size
     head = c[:_SEED_ORDER].tolist()
     c0 = head[0]

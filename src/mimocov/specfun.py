@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import NumericalError, ValidationError
 
 # A series leaves out less than _TAIL_RTOL of the sum of its terms'
 # magnitudes; longer series than _MAX_TERMS are refused.
@@ -132,17 +132,17 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for 0 <= z < 1.
 
     Sums the defining series by ``GaussSeries``.  Negative arguments raise
-    ``DomainError``: the entry-shaped 2F1(n+kappa, n-delta; n+1-delta; -x)
+    ``ValidationError``: the entry-shaped 2F1(n+kappa, n-delta; n+1-delta; -x)
     is evaluated in ``analytic.cellular_entries_gamma`` by the
     incomplete-beta recurrence.
     """
     for name, value in zip("abcz", (a, b, c, z)):
         if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if c <= 0.0 and c == math.floor(c):
-        raise DomainError(f"2F1 undefined for non-positive integer c = {c}")
+        raise ValidationError(f"2F1 undefined for non-positive integer c = {c}")
     if z < 0.0:
-        raise DomainError(f"2F1 is evaluated on 0 <= z < 1 only, got z = {z}")
+        raise ValidationError(f"2F1 is evaluated on 0 <= z < 1 only, got z = {z}")
     if z >= 1.0:
         raise NumericalError(f"2F1(a={a}, b={b}, c={c}, z={z}): argument must lie left of the z = 1 singularity")
     if z == 0.0 or a == 0.0 or b == 0.0:

@@ -14,11 +14,11 @@ from mimocov import (
     ADHOC,
     CELLULAR,
     CoverageRangeError,
-    DomainError,
     EntrySequence,
     InterfererGainSpec,
     MimocovError,
     NumericalError,
+    SimConfig,
     UnsupportedConfigError,
     ValidationError,
     adhoc_entries,
@@ -27,6 +27,8 @@ from mimocov import (
     coverage,
     coverage_general_pdf,
     improvement_sequence,
+    outage_decay_check,
+    simulate,
 )
 from mimocov import analytic
 from mimocov.analytic import _rounded_estimate
@@ -469,6 +471,19 @@ class TestAdhoc:
         with pytest.raises(NumericalError, match="overflows"):
             coverage(adhoc_bundle(lam=lam, r0=r0, noise=noise))
 
+    @pytest.mark.parametrize("evaluate", [
+        coverage,
+        lambda b: improvement_sequence(b, 4),
+        lambda b: outage_decay_check(b, 4),
+        lambda b: simulate(b, SimConfig(trials=100, seed=1)),
+    ], ids=["coverage", "improvement_sequence", "outage_decay_check", "simulate"])
+    def test_noise_term_overflow_by_the_product(self, adhoc_bundle, evaluate):
+        # r0^alpha = 1e20 and noise r0^alpha, tau r0^alpha are finite, but
+        # the product with the noise passes the double range, on both paths
+        bundle = adhoc_bundle(m=4, tau=1e10, r0=1e5, lam=1e-12, noise=1e300)
+        with pytest.raises(NumericalError, match="noise"):
+            evaluate(bundle)
+
 
 class TestRepresentationEquivalence:
     def test_random_bundles(self, cellular_bundle, adhoc_bundle):
@@ -528,12 +543,12 @@ class TestEntrySequence:
             EntrySequence(values=np.array([0.1, 0.5]), flavor=ADHOC)
 
     def test_error_classes(self):
-        # a non-finite entry is a DomainError whatever the signs; a finite
-        # column off its sign pattern is a NumericalError
+        # a non-finite column and a finite one off its sign pattern are one
+        # NumericalError, whose message names both conditions
         inf, nan = math.inf, math.nan
         for values, flavor in [([1.0, -inf], CELLULAR), ([nan, -1.0], CELLULAR),
                                ([-1.0, inf], ADHOC), ([-1.0, nan], ADHOC)]:
-            with pytest.raises(DomainError, match="finite"):
+            with pytest.raises(NumericalError, match="finite"):
                 EntrySequence(values=np.array(values), flavor=flavor)
         for values, flavor in [([1.0, 0.5], CELLULAR), ([0.1, 0.5], ADHOC), ([0.0, 0.5], ADHOC)]:
             with pytest.raises(NumericalError, match="sign pattern"):
@@ -558,8 +573,11 @@ class TestEntrySequence:
 
     def test_validation(self):
         # the one check of a column: the series kernels take it as given
-        for values in ([], [[1.0, -2.0], [-3.0, -4.0]], [1.0, math.nan], [math.inf, -1.0]):
-            with pytest.raises(DomainError):
+        for values in ([], [[1.0, -2.0], [-3.0, -4.0]]):
+            with pytest.raises(ValidationError):
+                EntrySequence(values=values, flavor=CELLULAR)
+        for values in ([1.0, math.nan], [math.inf, -1.0]):
+            with pytest.raises(NumericalError):
                 EntrySequence(values=values, flavor=CELLULAR)
 
     def test_values_are_a_fresh_copy(self):

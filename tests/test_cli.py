@@ -699,6 +699,18 @@ class TestEdgeInputs:
 
     @pytest.mark.parametrize("method", [["analytic"], ["mc", "--trials", "100"]],
                              ids=["analytic", "mc"])
+    def test_noise_term_overflow_by_the_product_is_numerical(self, capsys, method):
+        # r0^alpha is finite, its product with the noise is not
+        argv = ["coverage", *_ADHOC_FAR, "--r0", "1e5", "--noise", "1e300", "--tau-db", "100",
+                "--lambda", "1e-12", "--method", *method]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: ") and "noise" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("method", [["analytic"], ["mc", "--trials", "100"]],
+                             ids=["analytic", "mc"])
     def test_interference_that_underflows_gives_full_coverage(self, capsys, method):
         # mu underflows to 0 with no noise: the ad hoc column is all zeros,
         # exp(0) = 1, and the series reads what the simulator reads
@@ -793,16 +805,38 @@ class TestUnwritableStdout:
         assert done.stderr.startswith("error: cannot write to stdout")
         assert len(done.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    def test_reader_that_closed_the_pipe(self, unbuffered):
+    @staticmethod
+    def _into_closed_pipe(argv, unbuffered=""):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run(self.ARGV, stdout=write_end, stderr=subprocess.PIPE,
+            return subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
                                   text=True, env=_child_env(PYTHONUNBUFFERED=unbuffered))
         finally:
             os.close(write_end)
-        self._assert_refused(done)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_that_closed_the_pipe(self, unbuffered):
+        self._assert_refused(self._into_closed_pipe(self.ARGV, unbuffered))
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_help_into_a_closed_pipe(self, unbuffered):
+        # argparse on its own ignores a failed write of the help text
+        argv = [sys.executable, "-m", "mimocov", "--help"]
+        self._assert_refused(self._into_closed_pipe(argv, unbuffered))
+
+    def test_unbuffered_short_write(self):
+        # unbuffered, the text layer would drop what a short write leaves
+        # over; a reader that stops after 100 bytes is a refusal, not exit 0
+        argv = [sys.executable, "-m", "mimocov", "sweep", "--kind", "cellular", "--alpha", "4",
+                "--axis", "tau_db", "--start", "-10", "--stop", "20", "--points", "5000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=_child_env(PYTHONUNBUFFERED="1")) as child:
+            assert len(child.stdout.buffer.read(100)) == 100
+            child.stdout.close()
+            stderr = child.stderr.read()
+            returncode = child.wait(timeout=60)
+        self._assert_refused(subprocess.CompletedProcess(argv, returncode, "", stderr))
 
     def test_closed_descriptor(self):
         done = subprocess.run(["sh", "-c", f"exec {shlex.join(self.ARGV)} >&-"],

@@ -17,7 +17,7 @@ from mimocov import (
     density_profile,
     validate,
 )
-from mimocov.errors import DomainError
+from mimocov.errors import NumericalError, ValidationError
 from mimocov.series import (
     _EXP_BLOCK,
     _EXP_SEED,
@@ -220,13 +220,13 @@ def test_coeff_sum():
 
 
 def test_reciprocal_zero_head_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         series_reciprocal([0.0, 1.0])
 
 
 def test_non_finite_result_rejected():
     # the recursions check their own output once, in place; an overflow is a
-    # DomainError alone, with no bare OverflowError and no numpy RuntimeWarning.
+    # NumericalError alone, with no bare OverflowError and no numpy RuntimeWarning.
     # Two exponentials overflow in their last coefficient, past the scalar
     # seed: p_22 = 1e300 is squared into p_44 by a block's convolution, and
     # p_n = 1e15^n / n! overflows at n = 22 inside a block.
@@ -249,7 +249,7 @@ def test_non_finite_result_rejected():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn, coeffs in cases:
-            with pytest.raises(DomainError, match="finite|overflows"):
+            with pytest.raises(NumericalError, match="finite|overflows"):
                 fn(coeffs)
 
 

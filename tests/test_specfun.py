@@ -11,7 +11,7 @@ import pytest
 import scipy.special as sps
 from scipy import integrate
 
-from mimocov import DomainError, NumericalError, cellular_entries, specfun
+from mimocov import NumericalError, ValidationError, cellular_entries, specfun
 from mimocov.specfun import hyp2f1
 from closed_form_oracle import _touchard_exact, bessel_k_half, stirling_first
 
@@ -83,7 +83,7 @@ class TestHyp2f1:
                                      rel=1e-9)
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError, match="0 <= z < 1"):
+        with pytest.raises(ValidationError, match="0 <= z < 1"):
             hyp2f1(1.0, -0.5, 0.5, -1.0)
 
     def test_unit_argument_rejected(self):
@@ -105,11 +105,11 @@ class TestHyp2f1:
                                             ((1.0, 1.0, -math.inf, 0.5), "c"),
                                             ((1.0, 1.0, 2.0, math.nan), "z")])
     def test_non_finite_argument_rejected(self, args, name):
-        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
             hyp2f1(*args)
 
     def test_nonpositive_integer_denominator_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             hyp2f1(1.0, 1.0, -2.0, 0.5)
 
 
