@@ -20,15 +20,7 @@ what a subcommand runs: ``coverage`` and ``sweep`` load ``analytic``
 ``analytic``.
 """
 
-from .errors import (
-    ConfigurationError,
-    CoverageRangeError,
-    MimocovError,
-    NumericalError,
-    RootNotFoundError,
-    UnsupportedConfigError,
-    ValidationError,
-)
+from .errors import MimocovError, NumericalError, ValidationError
 from .model import (
     ADHOC,
     CELLULAR,
@@ -93,9 +85,7 @@ __all__ = [
     "CELLULAR",
     "METHOD_MC",
     "METHOD_RECURSION",
-    "ConfigurationError",
     "CoverageEstimate",
-    "CoverageRangeError",
     "DecayDiagnostics",
     "DensityProfile",
     "EntrySequence",
@@ -106,11 +96,9 @@ __all__ = [
     "NetworkScenario",
     "NumericalError",
     "PeakBound",
-    "RootNotFoundError",
     "ScenarioBundle",
     "SignalGainSpec",
     "SimConfig",
-    "UnsupportedConfigError",
     "ValidationError",
     "adhoc_entries",
     "adhoc_mu",

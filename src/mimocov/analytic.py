@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, UnsupportedConfigError, ValidationError
+from .errors import NumericalError, ValidationError
 from .model import (
     ADHOC,
     CELLULAR,
@@ -41,6 +41,7 @@ from .model import (
     GeneralSignalPdf,
     ScenarioBundle,
     SignalGainSpec,
+    _column,
     _gamma_ratio,
     _integral_on_half_line,
     _positive_integer,
@@ -70,9 +71,7 @@ class EntrySequence:
     flavor: str
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValidationError("an entry sequence must be a non-empty 1-D array")
+        vals = _column(self.values, "an entry sequence")
         object.__setattr__(self, "values", vals)
         head = float(vals[0])
         # exact zeros are allowed in the tail: deep entries underflow for
@@ -347,7 +346,7 @@ def _rounded_estimate(total: float, order: int) -> CoverageEstimate:
 
 def _refuse_cellular_noise(bundle: ScenarioBundle) -> None:
     if bundle.scenario.kind == CELLULAR and bundle.scenario.noise > 0.0:
-        raise UnsupportedConfigError(
+        raise ValidationError(
             "cellular coverage with noise has no finite-order series form; "
             "use the Monte Carlo path"
         )

@@ -17,12 +17,14 @@ to the library.
 A sweep builds every grid point's scenario before it evaluates any, and
 on the Monte Carlo path every simulation plan (seed, window, point count);
 ``validate`` builds the plans and every analytic reference before its
-first trial.  So a bad grid point is refused before any work.  A sweep holds at most 10 000
-points; an antenna sweep runs over integers 1 <= start <= stop <= 512 and
-adds a ``delta_p`` column, the improvement p_c(M) - p_c(M-1).  On the
-analytic path one improvement sequence of order stop gives every row:
-p_c(M) is the sum of its first M terms and delta_p the M-th (Monte Carlo
-rows: the estimates and their successive differences).
+first trial.  So a bad grid point is refused before any work, and so is
+a grid with no series reference to compare against (cellular with
+noise).  A sweep holds at most 10 000 points; an antenna sweep runs over
+integers 1 <= start <= stop <= 512 and adds a ``delta_p`` column, the
+improvement p_c(M) - p_c(M-1).  On the analytic path one improvement
+sequence of order stop gives every row: p_c(M) is the sum of its first M
+terms and delta_p the M-th (Monte Carlo rows: the estimates and their
+successive differences).
 
 A ``validate`` row's z is the estimate's distance from the series, less
 a budget of 1e-5 on a default window (nothing for an explicit
@@ -65,7 +67,7 @@ import sys
 import numpy as np
 
 from . import model
-from .errors import MimocovError, NumericalError, UnsupportedConfigError, ValidationError
+from .errors import MimocovError, NumericalError, ValidationError
 
 _BASE_HEADER = ["kind", "tau_db", "lambda", "alpha", "r0", "noise", "M",
                 "theta", "kappa", "beta"]
@@ -300,16 +302,8 @@ def _parse_list(text: str, caster, what: str) -> list:
         raise ValidationError(f"could not parse {what} list {text!r}") from None
 
 
-def _reference(bundle):
-    from .analytic import coverage
-
-    try:
-        return coverage(bundle).value
-    except UnsupportedConfigError:  # cellular noise: no series, so no reference
-        return None
-
-
 def _cmd_validate(args):
+    from .analytic import coverage
     from .montecarlo import _FAR_BIAS, simulate
 
     base = _collect_params(args)
@@ -320,7 +314,7 @@ def _cmd_validate(args):
     grid = [model.bundle_from_params(_with(base, {"m": m, "tau_db": tau_db}))
             for m, tau_db in itertools.product(m_values, tau_values)]
     configs = _planned_configs(args, grid, range(args.seed, args.seed + len(grid)))
-    references = [_reference(bundle) for bundle in grid]
+    references = [coverage(bundle).value for bundle in grid]
     # the bias radius holds a default window's far-field bias to _FAR_BIAS,
     # a smaller variance radius to no proven bound (see SimConfig); a row is
     # judged by how far it exceeds that budget
@@ -329,17 +323,13 @@ def _cmd_validate(args):
     worst = 0.0
     for bundle, cfg, exact in zip(grid, configs, references):
         mc = simulate(bundle, cfg)
-        if exact is None:
-            exact_field, z_field = "n/a", ""
-        else:
-            se = mc.ci_halfwidth / 1.96
-            excess = max(abs(mc.value - exact) - budget, 0.0)
-            z = (math.copysign(excess / se if se > 0.0 else math.inf, mc.value - exact)
-                 if excess else 0.0)
-            worst = max(worst, abs(z))
-            exact_field, z_field = _num(exact), _num(z)
+        se = mc.ci_halfwidth / 1.96
+        excess = max(abs(mc.value - exact) - budget, 0.0)
+        z = (math.copysign(excess / se if se > 0.0 else math.inf, mc.value - exact)
+             if excess else 0.0)
+        worst = max(worst, abs(z))
         rows.append(_scenario_fields(bundle) + [
-            exact_field, _num(mc.value), _num(mc.ci_halfwidth), z_field,
+            _num(exact), _num(mc.value), _num(mc.ci_halfwidth), _num(z),
             str(mc.trials), str(cfg.seed),
         ])
     print(f"validate: {len(rows)} grid points, max |z| = {worst:.3g} "

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .errors import NumericalError, RootNotFoundError, UnsupportedConfigError, ValidationError
-from .model import (ADHOC, CELLULAR, ScenarioBundle, _integral_on_half_line, _positive_integer,
-                    _real)
+from .errors import MimocovError, NumericalError, ValidationError
+from .model import (ADHOC, CELLULAR, ScenarioBundle, _column, _integral_on_half_line,
+                    _positive_integer, _real)
 from .analytic import _check_order, _improvements, _refuse_cellular_noise, _rounded_estimate, adhoc_mu
 from .series import coeff_sum
 
@@ -72,10 +72,10 @@ class DensityProfile:
     _grad: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frozen = np.array(self.betas, dtype=np.float64)
+        frozen = _column(self.betas, "density-profile betas")
         frozen.setflags(write=False)
         object.__setattr__(self, "betas", frozen)
-        head = float(self.head)
+        head = _real(self.head, "density-profile head")
         betas = frozen.tolist()
         grad = [head * b + (j + 1) * nxt for j, (b, nxt) in enumerate(zip(betas, betas[1:]))]
         grad.append(head * betas[-1])
@@ -129,9 +129,9 @@ def density_profile(bundle: ScenarioBundle) -> DensityProfile:
     """
     sc = bundle.scenario
     if sc.kind != ADHOC:
-        raise UnsupportedConfigError("density profiles are defined for ad hoc scenarios")
+        raise ValidationError("density profiles are defined for ad hoc scenarios")
     if sc.noise != 0.0:
-        raise UnsupportedConfigError(
+        raise ValidationError(
             "with noise the density dependence does not factorize; "
             "evaluate coverage pointwise instead"
         )
@@ -185,6 +185,9 @@ class ImprovementSequence:
     """
 
     values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _column(self.values, "improvement values", copy=False))
 
     def coverage_at(self, m: int) -> float:
         if m != 0:  # 0 is an integer, outside the range like m > order
@@ -276,7 +279,7 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
     # a = 0), so it has no root there and no series need be summed.
     a = 1.0 - delta - kappa
     if a >= 0.0:
-        raise RootNotFoundError(_NO_GAMMA_ROOT)
+        raise NumericalError(_NO_GAMMA_ROOT)
     defining = specfun.GaussSeries(kappa, -delta, 1.0 - delta)
     connected = kappa < _CONNECTION_KAPPA_MAX
     if connected:
@@ -309,7 +312,7 @@ def _rc_gamma(bundle: ScenarioBundle) -> float:
 def _grid_bracket(lhs, past: float) -> tuple:
     """The first point hi of _W_GRID where lhs(hi) <= 0, and the point lo
     before it (w = 0, where the root equation is 1, before the first), as
-    (lo, lhs(lo), hi, lhs(hi)); ``RootNotFoundError`` if lhs stays positive.
+    (lo, lhs(lo), hi, lhs(hi)); ``NumericalError`` if lhs stays positive.
     lhs must be at most -1 from w = ``past`` on.
 
     The root equation decreases strictly on (0, 1): every term of
@@ -334,7 +337,7 @@ def _grid_bracket(lhs, past: float) -> tuple:
         else:
             i_hi, f_hi = mid, val
     if i_hi == len(_W_GRID):
-        raise RootNotFoundError(_NO_GAMMA_ROOT)
+        raise NumericalError(_NO_GAMMA_ROOT)
     return (_W_GRID[i_lo] if i_lo >= 0 else 0.0), f_lo, _W_GRID[i_hi], f_hi
 
 
@@ -351,14 +354,14 @@ def _false_position(lhs, lo: float, f_lo: float, hi: float, f_hi: float) -> tupl
     step toward it bisects, and so does the step after two clamped ones in
     a row: an end value many orders beyond the other keeps every step on
     the clamp.  A bracket still open after _MAX_STEPS raises
-    ``RootNotFoundError``.
+    ``NumericalError``.
     """
     moved = 0  # -1 after lo moved, +1 after hi moved
     clamped = 0  # false-position steps in a row that landed on the clamp
     steps = 0
     while hi - lo > 1e-15 * hi:
         if steps == _MAX_STEPS:
-            raise RootNotFoundError(
+            raise NumericalError(
                 f"the decay-rate root did not converge: after {_MAX_STEPS} steps its "
                 f"bracket [{lo!r}, {hi!r}] is still wider than 1e-15 of its end"
             )
@@ -428,7 +431,7 @@ def _rc_general(bundle: ScenarioBundle) -> float:
     delta = bundle.delta
     theta = bundle.signal.scale
     if _tail_rules_out_geometric_decay(law.pdf):
-        raise RootNotFoundError(
+        raise NumericalError(
             "no geometric decay: the interferer density's tail decays slower "
             "than any exponential, so the improvement ratios have no "
             "geometric limit"
@@ -451,7 +454,7 @@ def _rc_general(bundle: ScenarioBundle) -> float:
 
         try:
             return _integral_on_half_line(integrand, "decay-rate expectation")
-        except (ValidationError, NumericalError, OverflowError):
+        except (MimocovError, OverflowError):
             # The expectation stops existing beyond the law's exponential-moment
             # boundary, and the root always sits strictly before that boundary,
             # so a divergent evaluation counts as "past the root".
@@ -465,10 +468,10 @@ def _rc_general(bundle: ScenarioBundle) -> float:
             break
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
     else:
-        raise RootNotFoundError("could not bracket the decay-rate root in 64 doublings")
+        raise NumericalError("could not bracket the decay-rate root in 64 doublings")
     lo, _, hi, f_hi = _false_position(lhs, lo, f_lo, hi, f_hi)
     if lo == 0.0:
-        raise RootNotFoundError(
+        raise NumericalError(
             "no geometric decay: the expectation diverges at every positive step, "
             "so the improvement ratios have no finite limit"
         )
@@ -477,7 +480,7 @@ def _rc_general(bundle: ScenarioBundle) -> float:
         # not on a sign change: either the expectation stays positive up to
         # the exponential-moment boundary (no root), or the pdf underflows to
         # 0 while pdf(g) e^y is still sizeable, so its tail goes missing.
-        raise RootNotFoundError(
+        raise NumericalError(
             "no decay rate located: the ratio-limit equation stays positive up "
             f"to a rate of {1.0 + lo:.6g}, past which its expectation could not "
             "be evaluated"
@@ -492,7 +495,8 @@ def cellular_decay_rate(bundle: ScenarioBundle) -> float:
     makes log outage asymptotically linear in the antenna count.  A rate
     1 + h* that rounds to 1 in double precision (Gamma shapes from about
     1e16 on) raises ``NumericalError``: 1 would read as no decay at all.
-    So does an h* past the double range, where theta / (tau beta) overflows.
+    So does an h* past the double range, where theta / (tau beta) overflows,
+    and a law whose root equation has no root to find.
     """
     if bundle.scenario.kind != CELLULAR:
         raise ValidationError("the decay rate is defined for cellular scenarios")
@@ -523,9 +527,9 @@ def adhoc_peak_bound(bundle: ScenarioBundle) -> PeakBound:
     range raises ``NumericalError``.
     """
     if bundle.scenario.kind != ADHOC:
-        raise UnsupportedConfigError("the peak-location bound applies to ad hoc scenarios")
+        raise ValidationError("the peak-location bound applies to ad hoc scenarios")
     if bundle.scenario.noise != 0.0:
-        raise UnsupportedConfigError("the peak-location bound requires zero noise")
+        raise ValidationError("the peak-location bound requires zero noise")
     mu = adhoc_mu(bundle)
     if not math.isfinite(mu * mu):
         raise NumericalError(f"the peak index bound overflows at mu = {mu:.6g}")

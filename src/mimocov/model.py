@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CoverageRangeError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 CELLULAR = "cellular"
 ADHOC = "adhoc"
@@ -54,6 +54,23 @@ def _real(value, what: str) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     raise ValidationError(f"{what} must be a real number, got {value!r}")
+
+
+def _column(values, what: str, copy: bool = True) -> np.ndarray:
+    """``values`` as a non-empty 1-D float64 array, a fresh one if ``copy``
+    (else ``values`` itself where it is one already); otherwise a
+    ValidationError naming ``what``.  Integers convert, but no bool,
+    complex, string or object entry does.  The columns of entry sequences,
+    improvement sequences and density profiles pass through here."""
+    try:
+        column = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        column = None
+    if column is None or column.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must hold real numbers")
+    if column.ndim != 1 or column.size == 0:
+        raise ValidationError(f"{what} must be a non-empty 1-D array")
+    return column.astype(np.float64, copy=copy)
 
 
 def _positive_integer(value, what: str) -> int:
@@ -309,13 +326,13 @@ class CoverageEstimate:
     def __post_init__(self):
         if self.method not in (METHOD_RECURSION, METHOD_MC):
             raise ValidationError(f"unknown estimate method {self.method!r}")
-        if not (0.0 <= self.value <= 1.0):
-            raise CoverageRangeError(
+        if not (0.0 <= _real(self.value, "coverage value") <= 1.0):
+            raise NumericalError(
                 f"coverage value {self.value!r} is outside [0, 1]; refusing to clamp"
             )
         if self.method != METHOD_MC and (self.ci_halfwidth != 0.0 or self.trials != 0):
             raise ValidationError("confidence intervals apply to Monte Carlo estimates only")
-        if not (0.0 <= self.ci_halfwidth < math.inf):  # false for nan too
+        if not (0.0 <= _real(self.ci_halfwidth, "ci_halfwidth") < math.inf):  # false for nan too
             raise ValidationError("ci_halfwidth must be finite and non-negative")
 
 
@@ -374,7 +391,11 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
             raise ValidationError("specify either a gamma interferer law or a general law, not both")
         if not callable(interferer.pdf):
             raise ValidationError("general interferer law requires a callable pdf")
-        mass = _integral_on_half_line(interferer.pdf, "interferer pdf normalization")
+        try:
+            mass = _integral_on_half_line(interferer.pdf, "interferer pdf normalization")
+        except TypeError as exc:  # from quad, or from a pdf that takes no gain
+            raise ValidationError(f"interferer pdf must map a gain to a real number "
+                                  f"({exc})") from None
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
             raise ValidationError(
                 f"interferer pdf must integrate to 1 within {_NORMALIZATION_TOL:g}, got {mass!r}"

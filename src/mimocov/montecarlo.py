@@ -95,7 +95,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ValidationError
+from .errors import MimocovError, NumericalError, ValidationError
 from .model import (CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer,
                     _integral_on_half_line, _real)
 
@@ -160,7 +160,7 @@ class SimConfig:
         if trials is None or trials < 2:
             raise ValidationError("trials must be an integer of at least 2")
         if trials > _MAX_TRIALS:
-            raise ConfigurationError(f"trials must be at most {_MAX_TRIALS}")
+            raise ValidationError(f"trials must be at most {_MAX_TRIALS}")
         if seed is None or not (0 <= seed < 2**64):
             raise ValidationError("seed must be an integer in [0, 2^64)")
         object.__setattr__(self, "trials", trials)
@@ -186,7 +186,7 @@ def _gain_moments(bundle: ScenarioBundle) -> tuple:
     kappa (kappa + 1) beta^2 for a Gamma law, one vector quadrature of the
     pdf for a general law.  Only default windows need them, so analytic
     callers never pay for the quadrature.  A divergent moment leaves no
-    far-field mean or variance, and raises ``ConfigurationError``."""
+    far-field mean or variance, and raises ``ValidationError``."""
     law = bundle.interferer
     if law.is_gamma:
         log_gain = math.log(law.kappa) + math.log(law.beta)
@@ -194,10 +194,10 @@ def _gain_moments(bundle: ScenarioBundle) -> tuple:
     try:
         gain, gain_sq = _integral_on_half_line(lambda g: law.pdf(g) * np.array([g, g * g]),
                                                "interferer moments E[g], E[g^2]")
-    except (NumericalError, ValidationError) as exc:
-        raise ConfigurationError(f"the default window needs a finite E[g] and E[g^2] of the "
-                                 f"interferer gain ({exc}); give a window_radius for plain "
-                                 "truncation") from None
+    except MimocovError as exc:
+        raise ValidationError(f"the default window needs a finite E[g] and E[g^2] of the "
+                              f"interferer gain ({exc}); give a window_radius for plain "
+                              "truncation") from None
     return math.log(gain), math.log(gain_sq)
 
 
@@ -214,7 +214,7 @@ def auto_window(bundle: ScenarioBundle) -> float:
     a run never draws more points than the variance radius holds, and far
     fewer where the threshold is low.  The bound needs E[g^2] of the
     interferer gain, which a general law's pdf gives by quadrature; a law
-    with an infinite E[g] or E[g^2] raises ``ConfigurationError``.
+    with an infinite E[g] or E[g^2] raises ``ValidationError``.
     """
     return _window(bundle, _anchor(bundle), _gain_moments(bundle)[1])
 
@@ -286,7 +286,7 @@ def _plan(bundle: ScenarioBundle, config: SimConfig) -> _Plan:
     sc = bundle.scenario
     law = bundle.interferer
     if not law.is_gamma and law.sampler is None:
-        raise ConfigurationError(
+        raise ValidationError(
             "Monte Carlo with a general interferer law needs a sampler(rng, size)"
         )
     anchor = _anchor(bundle)
@@ -306,14 +306,14 @@ def _plan(bundle: ScenarioBundle, config: SimConfig) -> _Plan:
             raise NumericalError("the noise in anchor units, noise anchor^alpha, overflows")
     mean_points = sc.lam * math.pi * radius * radius
     if mean_points > _MAX_ENTRIES:
-        raise ConfigurationError(
+        raise ValidationError(
             f"one realization needs {mean_points:.3g} points on average in a disc of "
             f"radius {radius:.6g}, more than the {_MAX_ENTRIES} a realization may hold "
             "on average; choose a smaller window_radius"
         )
     empty_share = math.exp(-mean_points)
     if sc.kind == CELLULAR and empty_share > _EMPTY_BUDGET:
-        raise ConfigurationError(
+        raise ValidationError(
             f"a disc of radius {radius:.6g} holds no point in {empty_share:.3g} of the "
             f"realizations, more than the {_EMPTY_BUDGET:.0%} budget; enlarge window_radius"
         )
@@ -387,24 +387,24 @@ def _interferer_draw(bundle: ScenarioBundle, rng: np.random.Generator, out: np.n
     the product costs as much as ``standard_gamma``, which draws every
     other shape.  A general law's sampler must return a finite,
     non-negative array of shape (size,); anything else raises
-    ``ConfigurationError``.
+    ``ValidationError``.
     """
     law = bundle.interferer
     size = out.size
     if not law.is_gamma:
         gains = np.asarray(law.sampler(rng, size))
         if gains.shape != (size,):
-            raise ConfigurationError(f"the interferer sampler returned shape {gains.shape} "
-                                     f"for size {size}; it must return shape ({size},)")
+            raise ValidationError(f"the interferer sampler returned shape {gains.shape} "
+                                  f"for size {size}; it must return shape ({size},)")
         try:
             with np.errstate(over="ignore"):  # a gain past the float32 range is refused below
                 np.copyto(out, gains, casting="same_kind")
         except TypeError:
-            raise ConfigurationError(f"the interferer sampler returned {gains.dtype} values, "
-                                     "not real numbers") from None
+            raise ValidationError(f"the interferer sampler returned {gains.dtype} values, "
+                                  "not real numbers") from None
         if size and not (out.min() >= 0.0 and out.max() < np.inf):
-            raise ConfigurationError("the interferer sampler returned a negative or non-finite "
-                                     "gain (in float32)")
+            raise ValidationError("the interferer sampler returned a negative or non-finite "
+                                  "gain (in float32)")
         return out
     if law.kappa in _PRODUCT_SHAPES:
         k = int(law.kappa)

@@ -13,13 +13,11 @@ from scipy import integrate
 from mimocov import (
     ADHOC,
     CELLULAR,
-    CoverageRangeError,
     EntrySequence,
     InterfererGainSpec,
     MimocovError,
     NumericalError,
     SimConfig,
-    UnsupportedConfigError,
     ValidationError,
     adhoc_entries,
     adhoc_mu,
@@ -91,7 +89,7 @@ class TestCellular:
             prev_by_m = vals
 
     def test_noise_not_supported(self, cellular_bundle):
-        with pytest.raises(UnsupportedConfigError, match="Monte Carlo"):
+        with pytest.raises(ValidationError, match="Monte Carlo"):
             coverage(cellular_bundle(m=1, noise=0.1))
 
     def test_entry_signs(self, cellular_bundle):
@@ -322,9 +320,9 @@ class TestRoundingAtTheEdges:
                         assert improvement_sequence(bundle, m).coverage_at(m) == value
 
     def test_beyond_rounding_is_still_refused(self):
-        with pytest.raises(CoverageRangeError):
+        with pytest.raises(NumericalError, match=r"outside \[0, 1\]"):
             _rounded_estimate(1.0 + 1e-9, 512)
-        with pytest.raises(CoverageRangeError):
+        with pytest.raises(NumericalError, match=r"outside \[0, 1\]"):
             _rounded_estimate(-1e-9, 512)
         assert _rounded_estimate(1.0 + 1e-13, 512).value == 1.0
 

@@ -492,15 +492,20 @@ class TestValidateCommand:
             assert 0.0 < abs(float(row["mc"]) - float(row["analytic"])) < 1e-8
             assert (row["ci_halfwidth"], row["z"]) == ("0", "0")
 
-    def test_cellular_noise_has_no_analytic_reference(self, capsys):
-        code, out, _ = run_cli(capsys, ["validate", "--kind", "cellular",
-                                        "--alpha", "4", "--noise", "0.1",
-                                        "--m-list", "1", "--tau-db-list", "0",
-                                        "--trials", "500", "--seed", "1"])
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert rows[0]["analytic"] == "n/a"
-        assert rows[0]["z"] == ""
+    def test_cellular_noise_is_refused_before_any_trial(self, capsys, monkeypatch):
+        # no series reference to compare against, so nothing to validate
+        calls = []
+        monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, ["validate", "--kind", "cellular",
+                                          "--alpha", "4", "--noise", "0.1",
+                                          "--m-list", "1,2", "--tau-db-list", "0",
+                                          "--trials", "500", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "no finite-order series form" in err
+        assert calls == []
 
     def test_order_past_the_maximum_is_refused_before_any_trial(self, capsys, monkeypatch):
         calls = []

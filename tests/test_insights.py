@@ -17,13 +17,7 @@ from mimocov import (
 )
 from mimocov import insights, specfun
 from mimocov.analytic import adhoc_entries
-from mimocov.errors import (
-    MimocovError,
-    NumericalError,
-    RootNotFoundError,
-    UnsupportedConfigError,
-    ValidationError,
-)
+from mimocov.errors import MimocovError, NumericalError, ValidationError
 from closed_form_oracle import adhoc_pbar_bessel, adhoc_pbar_closed_form
 
 
@@ -157,11 +151,11 @@ class TestDensityProfile:
         assert profile.coverage_at(0.3) == pytest.approx(math.exp(profile.head * 0.3))
 
     def test_rejects_cellular(self, cellular_bundle):
-        with pytest.raises(UnsupportedConfigError, match="ad hoc"):
+        with pytest.raises(ValidationError, match="ad hoc"):
             density_profile(cellular_bundle())
 
     def test_rejects_noise(self, adhoc_bundle):
-        with pytest.raises(UnsupportedConfigError, match="noise"):
+        with pytest.raises(ValidationError, match="noise"):
             density_profile(adhoc_bundle(noise=0.2))
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf])
@@ -225,7 +219,7 @@ class TestImprovementSequence:
     def test_cellular_noise_is_refused(self, cellular_bundle, insight):
         # coverage() refuses SINR with noise; the same series must not
         # answer for it with noiseless (SIR) numbers
-        with pytest.raises(UnsupportedConfigError, match="noise"):
+        with pytest.raises(ValidationError, match="noise"):
             insight(cellular_bundle(m=4, noise=0.5))
 
 
@@ -274,7 +268,7 @@ def _scan_bracket(lhs, past):
         if val <= 0.0:
             return lo, f_lo, w, val
         lo, f_lo = w, val
-    raise RootNotFoundError(insights._NO_GAMMA_ROOT)
+    raise NumericalError(insights._NO_GAMMA_ROOT)
 
 
 def _assert_kernel_tail_bound(a, b, c, z):
@@ -332,7 +326,7 @@ class TestDecayRateGamma:
 
     def test_no_root_for_small_shape(self, cellular_bundle):
         # kappa below 1 - delta leaves the equation positive on (0, 1)
-        with pytest.raises(RootNotFoundError, match="stays positive"):
+        with pytest.raises(NumericalError, match="stays positive"):
             cellular_decay_rate(cellular_bundle(kappa=0.3, alpha=4.0))
 
     @pytest.mark.parametrize(
@@ -372,7 +366,7 @@ class TestDecayRateGamma:
         monkeypatch.setattr(specfun.GaussSeries, "__call__", spy)
         try:
             cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=alpha))
-        except RootNotFoundError:
+        except NumericalError:
             pass
         assert len(seen) <= 32
         if kappa <= 1.0 - 2.0 / alpha:
@@ -429,7 +423,7 @@ class TestDecayRateGamma:
         monkeypatch.setattr(insights, "_grid_bracket", _scan_bracket)
         assert bisected == outcomes()
         if kappa <= 1.0 - 2.0 / alpha:
-            assert bisected == [RootNotFoundError] * 3
+            assert bisected == [NumericalError] * 3
 
     def test_bisection_evaluates_at_most_five_grid_points(self, monkeypatch):
         # one root per position on the grid, and no root at all, with no
@@ -452,7 +446,7 @@ class TestDecayRateGamma:
                     assert insights._grid_bracket(step, past) == (
                         grid[i - 1] if i else 0.0, 1.0, root, -1.0)
                 else:
-                    with pytest.raises(RootNotFoundError, match="stays positive"):
+                    with pytest.raises(NumericalError, match="stays positive"):
                         insights._grid_bracket(step, past)
                 assert 0 < len(seen[-1]) <= 5
         # a large shape's root lies below the first point: one evaluation
@@ -589,7 +583,7 @@ class TestDecayRateGamma:
         assert not 0.5 < gap < 2.0
         bundle = cellular_bundle(kappa=kappa, alpha=alpha)
         if gap < 1.0:
-            with pytest.raises(RootNotFoundError, match="stays positive"):
+            with pytest.raises(NumericalError, match="stays positive"):
                 cellular_decay_rate(bundle)
         else:
             assert cellular_decay_rate(bundle) == pytest.approx(float(1 + root), rel=1e-12)
@@ -602,14 +596,14 @@ class TestDecayRateGamma:
 
     def test_open_bracket_after_the_step_cap_is_refused(self):
         # an end that is -inf everywhere bisects toward lo = 0 forever
-        with pytest.raises(RootNotFoundError, match="did not converge"):
+        with pytest.raises(NumericalError, match="did not converge"):
             insights._false_position(lambda w: -math.inf, 0.0, 1.0, 1.0, -math.inf)
 
     @pytest.mark.parametrize("kappa", [0.5, 0.5001])
     def test_no_root_at_or_just_past_the_boundary(self, cellular_bundle, kappa):
         # at kappa = 1 - delta the root sits at w = 1; 1e-4 above it, within
         # 1e-6 of w = 1, past the last point of the admissible range
-        with pytest.raises(RootNotFoundError, match="stays positive"):
+        with pytest.raises(NumericalError, match="stays positive"):
             cellular_decay_rate(cellular_bundle(kappa=kappa, alpha=4.0))
 
     @pytest.mark.parametrize("kappa", [1e16, 1e20, 1e30])
@@ -659,12 +653,12 @@ class TestDecayRateGeneral:
         # is no root at all, as the Gamma branch says
         law = InterfererGainSpec(pdf=lambda g: math.exp(
             (kappa - 1.0) * math.log(g) - g - math.lgamma(kappa)))
-        with pytest.raises(RootNotFoundError, match="no decay rate located"):
+        with pytest.raises(NumericalError, match="no decay rate located"):
             cellular_decay_rate(cellular_bundle(alpha=alpha, interferer=law))
 
     def test_power_tail_has_no_geometric_decay(self, cellular_bundle):
         law = InterfererGainSpec(pdf=lambda g: 2.0 * (1.0 + g) ** -3.0)
-        with pytest.raises(RootNotFoundError, match="no geometric decay"):
+        with pytest.raises(NumericalError, match="no geometric decay"):
             cellular_decay_rate(cellular_bundle(interferer=law))
 
     @pytest.mark.parametrize("name, pdf, rules_out", [
@@ -793,9 +787,9 @@ class TestPeakBound:
             adhoc_peak_bound(adhoc_for_mu(1e160))
 
     def test_rejects_cellular(self, cellular_bundle):
-        with pytest.raises(UnsupportedConfigError, match="ad hoc"):
+        with pytest.raises(ValidationError, match="ad hoc"):
             adhoc_peak_bound(cellular_bundle())
 
     def test_rejects_noise(self, adhoc_bundle):
-        with pytest.raises(UnsupportedConfigError, match="zero noise"):
+        with pytest.raises(ValidationError, match="zero noise"):
             adhoc_peak_bound(adhoc_bundle(noise=0.1))

@@ -7,7 +7,6 @@ from mimocov import (
     ADHOC,
     CELLULAR,
     CoverageEstimate,
-    CoverageRangeError,
     GeneralSignalPdf,
     InterfererGainSpec,
     NetworkScenario,
@@ -267,9 +266,9 @@ class TestGeneralSignalPdf:
 
 class TestCoverageEstimate:
     def test_range_enforced(self):
-        with pytest.raises(CoverageRangeError):
+        with pytest.raises(NumericalError, match=r"outside \[0, 1\]"):
             CoverageEstimate(value=1.0000001, method=METHOD_RECURSION)
-        with pytest.raises(CoverageRangeError):
+        with pytest.raises(NumericalError, match=r"outside \[0, 1\]"):
             CoverageEstimate(value=-0.1, method=METHOD_RECURSION)
 
     def test_interval_only_for_simulation(self):
