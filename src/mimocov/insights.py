@@ -21,7 +21,7 @@ import numpy as np
 from . import specfun
 from .errors import MimocovError, NumericalError, ValidationError
 from .model import (ADHOC, CELLULAR, ScenarioBundle, _column, _integral_on_half_line,
-                    _positive_integer, _real)
+                    _positive, _positive_integer, _real)
 from .analytic import _check_order, _improvements, _refuse_cellular_noise, _rounded_estimate, adhoc_mu
 from .series import coeff_sum
 
@@ -30,13 +30,6 @@ _UNDERFLOW_FLOOR = 1e-300
 
 # ---------------------------------------------------------------------------
 # density dependence (ad hoc)
-
-def _check_density(lam) -> float:
-    lam = _real(lam, "transmitter density lambda")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValidationError("transmitter density lambda must be positive")
-    return lam
-
 
 def _finite(value: float, what: str, lam: float) -> float:
     if not math.isfinite(value):
@@ -58,12 +51,13 @@ class DensityProfile:
     then be evaluated, differentiated, and minimized over densities without
     re-running the coefficient recursion.
 
-    Construction stores ``betas`` as a read-only copy, and the coefficients
-    and the derivative coefficients head * betas[j] + (j + 1) * betas[j + 1]
-    as plain-float lists, so each evaluation is one Horner loop on Python
-    floats.  Far out in the density exp(head * lam) underflows while the
-    polynomial overflows; ``coverage_at`` and ``derivative_at`` then raise
-    ``NumericalError`` rather than return a non-finite value.
+    Construction stores ``head`` as a float, ``betas`` as a read-only copy,
+    and the coefficients and the derivative coefficients
+    head * betas[j] + (j + 1) * betas[j + 1] as plain-float lists, so each
+    evaluation is one Horner loop on Python floats.  Far out in the density
+    exp(head * lam) underflows while the polynomial overflows;
+    ``coverage_at`` and ``derivative_at`` then raise ``NumericalError``
+    rather than return a non-finite value.
     """
 
     head: float          # density coefficient of entry 0 (negative)
@@ -76,6 +70,7 @@ class DensityProfile:
         frozen.setflags(write=False)
         object.__setattr__(self, "betas", frozen)
         head = _real(self.head, "density-profile head")
+        object.__setattr__(self, "head", head)
         betas = frozen.tolist()
         grad = [head * b + (j + 1) * nxt for j, (b, nxt) in enumerate(zip(betas, betas[1:]))]
         grad.append(head * betas[-1])
@@ -83,7 +78,7 @@ class DensityProfile:
         object.__setattr__(self, "_grad", grad[::-1])
 
     def coverage_at(self, lam: float) -> float:
-        lam = _check_density(lam)
+        lam = _positive(lam, "transmitter density lambda")
         poly = 0.0
         for b in self._poly:
             poly = poly * lam + b
@@ -91,7 +86,7 @@ class DensityProfile:
 
     def derivative_at(self, lam: float) -> float:
         """d coverage / d lam, in closed form from the same coefficients."""
-        lam = _check_density(lam)
+        lam = _positive(lam, "transmitter density lambda")
         grad = 0.0
         for d in self._grad:
             grad = grad * lam + d

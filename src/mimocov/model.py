@@ -1,10 +1,11 @@
 """Scenario, gain-law, and estimate types shared by every evaluation path.
 
 The analytic engine, the insight helpers, and the Monte Carlo simulator all
-consume the same validated ``ScenarioBundle``, so parameter checking lives
-here and nowhere else.  Bundles are plain frozen dataclasses; they can be
-built directly, from a key = value configuration file, or from CLI flags
-(flags override file values).
+consume the same validated ``ScenarioBundle``, which holds the checked
+values as Python floats and ints, and parameter checking lives here and
+nowhere else.  Bundles are plain frozen dataclasses; they can be built
+directly, from a key = value configuration file, or from CLI flags (flags
+override file values).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,8 +45,9 @@ def _real(value, what: str) -> float:
     """``value`` as a float if it is a Python or numpy real number other
     than a bool (an integer past the double range gives +-inf); otherwise a
     ValidationError naming ``what``.  Every real parameter of a scenario,
-    a Gamma law, a signal pdf term and a simulation window, and the density
-    a density profile is evaluated at, passes through here."""
+    a Gamma law, a signal pdf term, an estimate and a simulation window, and
+    the density a density profile is evaluated at, passes through here and
+    is kept as the float it returns."""
     if isinstance(value, float):
         return float(value)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -54,6 +56,15 @@ def _real(value, what: str) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     raise ValidationError(f"{what} must be a real number, got {value!r}")
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a float (see ``_real``) if 0 < value < inf; otherwise a
+    ValidationError naming ``what``."""
+    value = _real(value, what)
+    if not 0.0 < value < math.inf:  # false for nan too
+        raise ValidationError(f"{what} must be positive")
+    return value
 
 
 def _column(values, what: str, copy: bool = True) -> np.ndarray:
@@ -326,38 +337,44 @@ class CoverageEstimate:
     def __post_init__(self):
         if self.method not in (METHOD_RECURSION, METHOD_MC):
             raise ValidationError(f"unknown estimate method {self.method!r}")
-        if not (0.0 <= _real(self.value, "coverage value") <= 1.0):
+        value = _real(self.value, "coverage value")
+        if not 0.0 <= value <= 1.0:
             raise NumericalError(
                 f"coverage value {self.value!r} is outside [0, 1]; refusing to clamp"
             )
-        if self.method != METHOD_MC and (self.ci_halfwidth != 0.0 or self.trials != 0):
+        trials = _integer(self.trials)
+        if self.method != METHOD_MC and (self.ci_halfwidth != 0.0 or trials != 0):
             raise ValidationError("confidence intervals apply to Monte Carlo estimates only")
-        if not (0.0 <= _real(self.ci_halfwidth, "ci_halfwidth") < math.inf):  # false for nan too
+        halfwidth = _real(self.ci_halfwidth, "ci_halfwidth")
+        if not 0.0 <= halfwidth < math.inf:  # false for nan too
             raise ValidationError("ci_halfwidth must be finite and non-negative")
+        if self.method == METHOD_MC and (trials is None or trials < 2):
+            raise ValidationError("trials must be an integer of at least 2")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ci_halfwidth", halfwidth)
+        object.__setattr__(self, "trials", trials)
 
 
 def validate(scenario: NetworkScenario, signal: SignalGainSpec,
              interferer: InterfererGainSpec) -> ScenarioBundle:
-    """Check every scenario invariant and return the bundle with delta and
-    the interferer's E[g^delta] cached.
+    """Check every scenario invariant and return a bundle of the checked
+    values as Python floats and ints (a general law keeps its callables),
+    with delta and the interferer's E[g^delta] cached from them.
 
     Each violated invariant raises a ValidationError naming the offending
     parameter, so CLI users see exactly what to fix.
     """
     if scenario.kind not in (CELLULAR, ADHOC):
         raise ValidationError(f"kind must be '{CELLULAR}' or '{ADHOC}', got {scenario.kind!r}")
-    lam = _real(scenario.lam, "transmitter density lambda")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValidationError("transmitter density lambda must be positive")
+    lam = _positive(scenario.lam, "transmitter density lambda")
     alpha = _real(scenario.alpha, "alpha")
     if not (alpha > 2.0 and math.isfinite(alpha)):
         raise ValidationError("alpha must exceed 2")
-    threshold = _real(scenario.threshold, "threshold tau")
-    if not (threshold > 0.0 and math.isfinite(threshold)):
-        raise ValidationError("threshold tau must be positive")
+    threshold = _positive(scenario.threshold, "threshold tau")
     noise = _real(scenario.noise, "noise power")
     if not (noise >= 0.0 and math.isfinite(noise)):
         raise ValidationError("noise power must be non-negative")
+    r0 = None
     if scenario.kind == CELLULAR:
         if scenario.r0 is not None:
             raise ValidationError("cellular scenarios take no dipole distance r0 "
@@ -367,24 +384,16 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
         if r0 is None or not (r0 > 0.0 and math.isfinite(r0)):
             raise ValidationError("ad hoc scenarios require a positive dipole distance r0")
 
-    m = _positive_integer(signal.shape, "antenna count M")
-    if type(signal.shape) is not int:
-        signal = replace(signal, shape=m)
-    scale = _real(signal.scale, "signal gain scale theta")
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise ValidationError("signal gain scale theta must be positive")
-
-    delta = 2.0 / scenario.alpha
+    signal = SignalGainSpec(shape=_positive_integer(signal.shape, "antenna count M"),
+                            scale=_positive(signal.scale, "signal gain scale theta"))
+    delta = 2.0 / alpha
 
     if interferer.is_gamma:
         if interferer.kappa is None or interferer.beta is None:
             raise ValidationError("gamma interferer law requires both kappa and beta")
-        kappa = _real(interferer.kappa, "interferer gamma shape kappa")
-        if not (kappa > 0.0 and math.isfinite(kappa)):
-            raise ValidationError("interferer gamma shape kappa must be positive")
-        beta = _real(interferer.beta, "interferer gamma scale beta")
-        if not (beta > 0.0 and math.isfinite(beta)):
-            raise ValidationError("interferer gamma scale beta must be positive")
+        interferer = InterfererGainSpec(
+            kappa=_positive(interferer.kappa, "interferer gamma shape kappa"),
+            beta=_positive(interferer.beta, "interferer gamma scale beta"))
         moment = interferer.beta**delta * _gamma_ratio(interferer.kappa, delta)
     else:
         if interferer.kappa is not None or interferer.beta is not None:
@@ -392,8 +401,11 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
         if not callable(interferer.pdf):
             raise ValidationError("general interferer law requires a callable pdf")
         try:
+            value = interferer.pdf(1.0)
+            if np.ndim(value) != 0:  # an array would take the vector quadrature
+                raise TypeError(f"got {value!r} at a gain of 1")
             mass = _integral_on_half_line(interferer.pdf, "interferer pdf normalization")
-        except TypeError as exc:  # from quad, or from a pdf that takes no gain
+        except TypeError as exc:  # from the probe, from quad, or from a pdf that takes no gain
             raise ValidationError(f"interferer pdf must map a gain to a real number "
                                   f"({exc})") from None
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
@@ -408,6 +420,8 @@ def validate(scenario: NetworkScenario, signal: SignalGainSpec,
         raise ValidationError(f"interferer delta-moment E[g^delta] must be positive and finite, "
                               f"got {moment!r}")
 
+    scenario = NetworkScenario(kind=str(scenario.kind), lam=lam, alpha=alpha,
+                               threshold=threshold, r0=r0, noise=noise)
     return ScenarioBundle(scenario=scenario, signal=signal, interferer=interferer, delta=delta,
                           delta_moment=moment)
 

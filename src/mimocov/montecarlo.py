@@ -97,7 +97,7 @@ import numpy as np
 
 from .errors import MimocovError, NumericalError, ValidationError
 from .model import (CELLULAR, METHOD_MC, CoverageEstimate, ScenarioBundle, _integer,
-                    _integral_on_half_line, _real)
+                    _integral_on_half_line, _positive)
 
 _MAX_ENTRIES = 8_000_000  # cap on a trial's expected points
 _MAX_TRIALS = 800_000_000  # cap on a simulation's trials
@@ -166,10 +166,7 @@ class SimConfig:
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
         if self.window_radius is not None:
-            radius = _real(self.window_radius, "window_radius")
-            if not (radius > 0.0 and math.isfinite(radius)):
-                raise ValidationError("window_radius must be positive")
-            object.__setattr__(self, "window_radius", radius)
+            object.__setattr__(self, "window_radius", _positive(self.window_radius, "window_radius"))
 
 
 def _anchor(bundle: ScenarioBundle) -> float:

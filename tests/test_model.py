@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from mimocov import (
     ADHOC,
     CELLULAR,
     CoverageEstimate,
+    DensityProfile,
     GeneralSignalPdf,
     InterfererGainSpec,
     NetworkScenario,
@@ -14,9 +16,12 @@ from mimocov import (
     SignalGainSpec,
     ValidationError,
     bundle_from_params,
+    cellular_decay_rate,
     coverage,
     density_profile,
+    improvement_sequence,
     parse_config,
+    simulate,
     validate,
 )
 from mimocov.model import (
@@ -37,6 +42,28 @@ def _scenario(**kw):
 
 GAMMA_LAW = InterfererGainSpec(kappa=1.0, beta=1.0)
 SIGNAL = SignalGainSpec(shape=1, scale=1.0)
+
+
+# parameters that each type holds exactly, so its bundle must equal the
+# float64 one; Python ints and numpy integers get integer values
+_FRACTIONAL = dict(lam=0.0625, alpha=5.25, threshold=2.0, r0=1.5, noise=0.0, theta=0.75,
+                   kappa=1.5, beta=0.5)
+_INTEGRAL = dict(lam=1, alpha=4, threshold=1, r0=1, noise=0, theta=1, kappa=2, beta=1)
+EXACT_INPUTS = [
+    pytest.param(np.float32, _FRACTIONAL, id="float32"),
+    pytest.param(np.float16, _FRACTIONAL, id="float16"),
+    pytest.param(Fraction, _FRACTIONAL, id="Fraction"),
+    pytest.param(np.int64, _INTEGRAL, id="int64"),
+    pytest.param(int, _INTEGRAL, id="int"),
+]
+
+
+def _typed_bundle(kind, cast, values):
+    v = {key: cast(value) for key, value in values.items()}
+    scenario = NetworkScenario(kind=kind, lam=v["lam"], alpha=v["alpha"], threshold=v["threshold"],
+                               r0=v["r0"] if kind == ADHOC else None, noise=v["noise"])
+    return validate(scenario, SignalGainSpec(shape=np.int64(3), scale=v["theta"]),
+                    InterfererGainSpec(kappa=v["kappa"], beta=v["beta"]))
 
 
 def _density_profile():
@@ -160,11 +187,47 @@ class TestValidate:
         bundle = validate(_scenario(), SignalGainSpec(shape=np.int64(4)), GAMMA_LAW)
         assert type(bundle.signal.shape) is int and bundle.signal.shape == 4
 
+    @pytest.mark.parametrize("kind", [CELLULAR, ADHOC])
+    @pytest.mark.parametrize("cast,values", EXACT_INPUTS)
+    def test_bundle_holds_python_numbers(self, cast, values, kind):
+        bundle = _typed_bundle(kind, cast, values)
+        sc, law = bundle.scenario, bundle.interferer
+        reals = [sc.lam, sc.alpha, sc.threshold, sc.noise, bundle.signal.scale, law.kappa,
+                 law.beta, bundle.delta, bundle.delta_moment]
+        assert [type(x) for x in reals] == [float] * len(reals)
+        assert type(bundle.signal.shape) is int and type(sc.kind) is str
+        assert sc.r0 is None if kind == CELLULAR else type(sc.r0) is float
+        assert bundle == _typed_bundle(kind, float, values)
+
+    @pytest.mark.parametrize("kind", [CELLULAR, ADHOC])
+    @pytest.mark.parametrize("cast,values", EXACT_INPUTS)
+    def test_outputs_match_float64_inputs_bit_for_bit(self, cast, values, kind):
+        # under NumPy 2 a float32 parameter kept float32 arithmetic going
+        # (np.float32 * float is float32), and every output moved
+        def outputs(bundle, lam):
+            got = [coverage(bundle).value, improvement_sequence(bundle, 3).values.tobytes().hex()]
+            if kind == CELLULAR:
+                got.append(cellular_decay_rate(bundle))
+            else:
+                got.append(density_profile(bundle).coverage_at(lam))
+            estimate = simulate(bundle, SimConfig(trials=200, seed=5))
+            got += [estimate.value, estimate.ci_halfwidth]
+            return [x if type(x) is str else x.hex() for x in got]
+
+        assert (outputs(_typed_bundle(kind, cast, values), cast(values["lam"]))
+                == outputs(_typed_bundle(kind, float, values), float(values["lam"])))
+
     @pytest.mark.parametrize("law,fragment", [
         (InterfererGainSpec(kappa=0.0, beta=1.0), "kappa"),
         (InterfererGainSpec(kappa=1.0, beta=-1.0), "beta"),
         (InterfererGainSpec(), "kappa and beta"),
         (InterfererGainSpec(kappa=1.0, beta=1.0, pdf=lambda g: math.exp(-g)), "not both"),
+        # a vector pdf took the vector quadrature: a bare ValueError for two
+        # components, a bare TypeError at the delta-moment check for one
+        (InterfererGainSpec(pdf=lambda g: np.array([math.exp(-g)] * 2)),
+         "pdf must map a gain to a real number"),
+        (InterfererGainSpec(pdf=lambda g: np.array([math.exp(-g)])),
+         "pdf must map a gain to a real number"),
     ])
     def test_bad_interferer(self, law, fragment):
         with pytest.raises(ValidationError, match=fragment):
@@ -179,6 +242,10 @@ class TestValidate:
         law = InterfererGainSpec(pdf=lambda g: math.exp(-g))
         bundle = validate(_scenario(), SIGNAL, law)
         assert not bundle.interferer.is_gamma
+        assert bundle.interferer is law and type(bundle.delta_moment) is float
+        # a 0-d array is a real scalar
+        assert type(validate(_scenario(), SIGNAL, InterfererGainSpec(
+            pdf=lambda g: np.asarray(math.exp(-g)))).delta_moment) is float
         # light tails whose mass lies far out: their block ratios climb above
         # one for a while but never settle there, so they are not divergent
         for pdf in (lambda g: math.exp(-g / 50.0) / 50.0,
@@ -286,6 +353,35 @@ class TestCoverageEstimate:
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             CoverageEstimate(value=0.5, method="guesswork")
+
+    @pytest.mark.parametrize("trials", ["5", 2.5, True, 1, -3, None])
+    def test_monte_carlo_trials_must_be_an_integer_of_at_least_2(self, trials):
+        # each was accepted and stored as given
+        with pytest.raises(ValidationError, match="trials must be an integer of at least 2"):
+            CoverageEstimate(value=0.5, method=METHOD_MC, ci_halfwidth=0.01, trials=trials)
+
+    @pytest.mark.parametrize("trials", [False, 0.0, 5])
+    def test_series_estimates_take_zero_trials(self, trials):
+        with pytest.raises(ValidationError, match="Monte Carlo estimates only"):
+            CoverageEstimate(value=0.5, method=METHOD_RECURSION, trials=trials)
+
+    def test_fields_are_stored_as_python_numbers(self):
+        est = CoverageEstimate(value=np.float32(0.75), method=METHOD_MC,
+                               ci_halfwidth=Fraction(1, 64), trials=np.int64(2))
+        assert (type(est.value), type(est.ci_halfwidth), type(est.trials)) == (float, float, int)
+        assert (est.value, est.ci_halfwidth, est.trials) == (0.75, 1 / 64, 2)
+        assert type(CoverageEstimate(value=1, method=METHOD_RECURSION).value) is float
+
+
+class TestDensityProfileInputs:
+    def test_float32_head_evaluates_as_its_float64_value(self):
+        # exp(np.float32 head * lam) was a float32 product, 7e-9 off
+        got, want = (DensityProfile(head=head, betas=[1.0, 0.5, 0.125])
+                     for head in (np.float32(-1.5), -1.5))
+        assert type(got.head) is float
+        for lam in (0.1, np.float32(0.25), Fraction(3, 4)):
+            assert got.coverage_at(lam).hex() == want.coverage_at(float(lam)).hex()
+            assert got.derivative_at(lam).hex() == want.derivative_at(float(lam)).hex()
 
 
 class TestConfig:
